@@ -8,11 +8,9 @@ measure recovery with cluster accuracy and dataset reconstruction accuracy.
 from .clustering import (
     Clustering,
     KMeansConfig,
-    choose_k,
     fit_with_restarts,
     kmeanspp_init,
     lloyd_fit,
-    silhouette_score,
 )
 from .dataset import (
     Dataset,

@@ -1,4 +1,4 @@
-"""K-means with k-means++ seeding, restarts, and silhouette-based k selection.
+"""K-means with k-means++ seeding and restarts.
 
 Candidate classes come from partitioning embeddings with Lloyd's algorithm,
 initialized by k-means++ and restarted several times; the restart with the
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,59 +197,3 @@ def fit_with_restarts(points, cfg: KMeansConfig, workers: int | None = None) -> 
             best = cand
     return best
 
-
-def silhouette_score(points, assignments) -> float:
-    """Mean silhouette over samples: (b - a) / max(a, b), degenerate samples score 0.
-
-    a is the mean distance to the sample's own cluster, b the lowest mean
-    distance to another cluster. Singletons and all-zero distances score 0.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    assign = np.asarray(assignments, dtype=np.int64)
-    ids, dense = np.unique(assign, return_inverse=True)
-    k = len(ids)
-    if k < 2:
-        raise ValueError("silhouette requires at least two clusters")
-    n = pts.shape[0]
-    counts = np.bincount(dense, minlength=k).astype(np.float64)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), dense] = 1.0
-
-    scores = np.empty(n)
-    chunk = 512
-    for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
-        d2 = _sq_dists(pts[rows], pts)
-        dists = np.sqrt(d2)
-        sums = dists @ onehot  # (chunk, k): total distance to each cluster
-        own = dense[rows]
-        m = sums.shape[0]
-        a_tot = sums[np.arange(m), own]
-        own_counts = counts[own]
-        a = np.where(own_counts > 1, a_tot / np.maximum(own_counts - 1, 1), 0.0)
-        mean_other = sums / counts[None, :]
-        mean_other[np.arange(m), own] = np.inf
-        b = mean_other.min(axis=1)
-        denom = np.maximum(a, b)
-        s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-        s = np.where(own_counts > 1, s, 0.0)  # singleton rule
-        scores[rows] = s
-    return float(scores.mean())
-
-
-def choose_k(points, k_min: int, k_max: int, cfg: KMeansConfig, workers: int | None = None) -> int:
-    """Pick k in [k_min, k_max] maximizing mean silhouette; ties go to the smaller k."""
-    if k_min < 2:
-        raise ValueError("k_min must be >= 2")
-    if k_max < k_min:
-        raise ValueError("k_max must be >= k_min")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape[0] <= k_max:
-        raise ValueError("need more points than k_max")
-    best_k, best_score = k_min, -np.inf
-    for k in range(k_min, k_max + 1):
-        result = fit_with_restarts(pts, replace(cfg, k=k), workers=workers)
-        score = silhouette_score(pts, result.assignments)
-        if score > best_score:
-            best_k, best_score = k, score
-    return best_k

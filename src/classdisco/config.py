@@ -1,215 +1,134 @@
 """JSON experiment configuration: strict parsing, echoing, and validation.
 
-Unknown keys are errors so a typo can never silently fall back to a default.
-``config_to_dict`` materializes every default, which is what run reports echo;
-parsing that echo reproduces the exact same configuration.
+Parsing and echoing walk the dataclass fields of ``ExperimentConfig`` and its
+sections, so every key, its type and its default are declared once, on the
+dataclass; a field without a default is a required key. Unknown keys are
+errors so a typo can never silently fall back to a default. Each value must
+already have its field's JSON type: integers for ``int`` fields (never a
+bool, string or float), JSON booleans for flags, lists for the tuple and set
+fields; nothing is coerced. Every error names the dotted key path.
+``config_to_dict`` materializes every default, which is what run reports
+echo; parsing that echo reproduces the exact same configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-import struct
+import types
+import typing
 from typing import Any
 
 import numpy as np
 
-from .clustering import KMeansConfig
-from .dataset import (
-    IDX_IMAGES_MAGIC,
-    IDX_LABELS_MAGIC,
-    GaussianMixtureSpec,
-    SplitSpec,
-)
+from .dataset import GaussianMixtureSpec, load_csv, read_idx_header
 from .engine import DataSpec, ExperimentConfig
-from .learner import AdamConfig, NetworkConfig
-from .selection import LearnabilityConfig, SelectionPolicy
 
 
 class ConfigError(ValueError):
     """A configuration document is malformed; the message names the field."""
 
 
-def _check_keys(doc: dict, path: str, allowed: set[str]) -> None:
-    unknown = sorted(set(doc) - allowed)
+# `data` is a union tagged by `kind`. Synthetic data takes the fields of
+# GaussianMixtureSpec flat under `data`; the file kinds map JSON keys to
+# DataSpec fields, every one of them a required path.
+_DATA_KEYS = {
+    "idx": {"images": "images_path", "labels": "labels_path"},
+    "csv": {"path": "csv_path"},
+}
+
+# JSON type a scalar annotation accepts: (description, check).
+_SCALARS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _show(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _key(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _check_keys(doc, path: str, allowed, required=()) -> None:
+    where = path or "<root>"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{where}' must be an object, got {_show(doc)}")
+    unknown = sorted(set(doc) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} under '{path}'")
-
-
-def _section(doc: dict, key: str, required: bool = False) -> dict:
-    value = doc.get(key)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing required section '{key}'")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    return value
+        raise ConfigError(f"unknown key(s) {unknown} under '{where}'")
+    for name in required:
+        if name not in doc:
+            raise ConfigError(f"missing required key '{_key(path, name)}'")
 
 
 def _build(path: str, factory, **kwargs):
     try:
         return factory(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from exc
+        raise ConfigError(f"invalid '{path or '<root>'}': {exc}") from exc
 
 
-def _parse_data(doc: dict) -> DataSpec:
-    _check_keys(
-        doc,
-        "data",
-        {"kind", "n_classes", "dim", "separation", "per_class_n", "seed", "images", "labels", "path"},
-    )
-    kind = doc.get("kind")
+def _value(value, tp, path: str):
+    """Check one JSON value against a field annotation and convert it."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _value(value, tp, path)
+    if tp is DataSpec:
+        return _parse_data(value, path)
+    if dataclasses.is_dataclass(tp):
+        return _parse(tp, value, path)
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{path}' must be a list, got {_show(value)}")
+        return origin(_value(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    what, accepts = _SCALARS[tp]
+    if not accepts(value):
+        raise ConfigError(f"'{path}' must be {what}, got {_show(value)}")
+    return float(value) if tp is float else value
+
+
+def _parse(cls, doc, path: str):
+    """Build dataclass ``cls`` from a JSON object, one key per field."""
+    fields = dataclasses.fields(cls)
+    required = [
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    _check_keys(doc, path, [f.name for f in fields], required)
+    hints = typing.get_type_hints(cls)
+    kwargs = {name: _value(v, hints[name], _key(path, name)) for name, v in doc.items()}
+    return _build(path, cls, **kwargs)
+
+
+def _parse_data(doc, path: str) -> DataSpec:
+    _check_keys(doc, path, doc, ["kind"])  # the other keys depend on the kind
+    kind = doc["kind"]
+    rest = {k: v for k, v in doc.items() if k != "kind"}
     if kind == "synthetic":
-        for key in ("n_classes", "dim", "separation", "per_class_n"):
-            if key not in doc:
-                raise ConfigError(f"missing required key 'data.{key}' for synthetic data")
-        gaussian = _build(
-            "data",
-            GaussianMixtureSpec,
-            n_classes=int(doc["n_classes"]),
-            dim=int(doc["dim"]),
-            separation=float(doc["separation"]),
-            per_class_n=int(doc["per_class_n"]),
-            seed=int(doc.get("seed", 0)),
+        return DataSpec(kind=kind, gaussian=_parse(GaussianMixtureSpec, rest, path))
+    if kind not in _DATA_KEYS:
+        raise ConfigError(
+            f"'{_key(path, 'kind')}' must be synthetic, idx, or csv, got {_show(kind)}"
         )
-        return DataSpec(kind="synthetic", gaussian=gaussian)
-    if kind == "idx":
-        if "images" not in doc or "labels" not in doc:
-            raise ConfigError("idx data needs 'data.images' and 'data.labels' paths")
-        return DataSpec(kind="idx", images_path=str(doc["images"]), labels_path=str(doc["labels"]))
-    if kind == "csv":
-        if "path" not in doc:
-            raise ConfigError("csv data needs 'data.path'")
-        return DataSpec(kind="csv", csv_path=str(doc["path"]))
-    raise ConfigError(f"'data.kind' must be synthetic, idx, or csv, got {kind!r}")
+    keys = _DATA_KEYS[kind]
+    _check_keys(rest, path, keys, keys)
+    paths = {field: _value(rest[key], str, _key(path, key)) for key, field in keys.items()}
+    return DataSpec(kind=kind, **paths)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON document, rejecting unknown keys."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _check_keys(
-        doc,
-        "<root>",
-        {
-            "data",
-            "split",
-            "net",
-            "adam",
-            "kmeans",
-            "policy",
-            "learnability",
-            "epochs_initial",
-            "epochs_per_round",
-            "rounds",
-            "ood_mode",
-            "detector_quantile",
-            "seed",
-        },
-    )
-    data = _parse_data(_section(doc, "data", required=True))
-
-    split_doc = _section(doc, "split", required=True)
-    _check_keys(split_doc, "split", {"held_out_classes", "per_class_cap", "seed"})
-    if "held_out_classes" not in split_doc:
-        raise ConfigError("missing required key 'split.held_out_classes'")
-    ood_mode = doc.get("ood_mode", "oracle")
-
-    split = _build(
-        "split",
-        SplitSpec,
-        held_out_classes=frozenset(int(c) for c in split_doc["held_out_classes"]),
-        per_class_cap=(
-            int(split_doc["per_class_cap"]) if split_doc.get("per_class_cap") is not None else None
-        ),
-        oracle_split=(ood_mode == "oracle"),
-        seed=int(split_doc.get("seed", 0)),
-    )
-
-    net_doc = _section(doc, "net")
-    _check_keys(net_doc, "net", {"hidden_dims", "input_dim", "output_classes"})
-    net = _build(
-        "net",
-        NetworkConfig,
-        input_dim=(int(net_doc["input_dim"]) if net_doc.get("input_dim") is not None else None),
-        output_classes=(
-            int(net_doc["output_classes"]) if net_doc.get("output_classes") is not None else None
-        ),
-        hidden_dims=tuple(int(h) for h in net_doc.get("hidden_dims", (128,))),
-    )
-
-    adam_doc = _section(doc, "adam")
-    _check_keys(
-        adam_doc, "adam", {"learning_rate", "beta1", "beta2", "epsilon", "batch_size", "seed"}
-    )
-    adam = _build(
-        "adam",
-        AdamConfig,
-        learning_rate=float(adam_doc.get("learning_rate", 0.001)),
-        beta1=float(adam_doc.get("beta1", 0.9)),
-        beta2=float(adam_doc.get("beta2", 0.999)),
-        epsilon=float(adam_doc.get("epsilon", 1e-7)),
-        batch_size=int(adam_doc.get("batch_size", 128)),
-        seed=int(adam_doc.get("seed", 0)),
-    )
-
-    kmeans_doc = _section(doc, "kmeans")
-    _check_keys(kmeans_doc, "kmeans", {"k", "restarts", "max_iters", "tol", "seed"})
-    kmeans = _build(
-        "kmeans",
-        KMeansConfig,
-        k=int(kmeans_doc.get("k", 15)),
-        restarts=int(kmeans_doc.get("restarts", 10)),
-        max_iters=int(kmeans_doc.get("max_iters", 300)),
-        tol=float(kmeans_doc.get("tol", 1e-4)),
-        seed=int(kmeans_doc.get("seed", 0)),
-    )
-
-    policy_doc = _section(doc, "policy")
-    _check_keys(policy_doc, "policy", {"kind", "seed", "min_accuracy"})
-    policy = _build(
-        "policy",
-        SelectionPolicy,
-        kind=str(policy_doc.get("kind", "learnability")),
-        seed=int(policy_doc.get("seed", 0)),
-        min_accuracy=float(policy_doc.get("min_accuracy", 0.95)),
-    )
-
-    learn_doc = _section(doc, "learnability")
-    _check_keys(
-        learn_doc,
-        "learnability",
-        {"holdout_fraction", "hidden_dims", "epochs", "use_embeddings", "include_existing"},
-    )
-    learnability = _build(
-        "learnability",
-        LearnabilityConfig,
-        holdout_fraction=float(learn_doc.get("holdout_fraction", 0.2)),
-        hidden_dims=tuple(int(h) for h in learn_doc.get("hidden_dims", (32,))),
-        epochs=int(learn_doc.get("epochs", 30)),
-        use_embeddings=bool(learn_doc.get("use_embeddings", False)),
-        include_existing=bool(learn_doc.get("include_existing", False)),
-    )
-
-    return _build(
-        "<root>",
-        ExperimentConfig,
-        data=data,
-        split=split,
-        net=net,
-        adam=adam,
-        kmeans=kmeans,
-        policy=policy,
-        learnability=learnability,
-        epochs_initial=int(doc.get("epochs_initial", 1)),
-        epochs_per_round=int(doc.get("epochs_per_round", 1)),
-        rounds=(int(doc["rounds"]) if doc.get("rounds") is not None else None),
-        ood_mode=str(ood_mode),
-        detector_quantile=float(doc.get("detector_quantile", 0.95)),
-        seed=int(doc.get("seed", 0)),
-    )
+    return _parse(ExperimentConfig, doc, "")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -230,99 +149,43 @@ def load_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """Exact JSON echo of a configuration, all defaults materialized."""
-    data: dict[str, Any] = {"kind": cfg.data.kind}
-    if cfg.data.kind == "synthetic":
-        g = cfg.data.gaussian
-        data.update(
-            n_classes=g.n_classes,
-            dim=g.dim,
-            separation=g.separation,
-            per_class_n=g.per_class_n,
-            seed=g.seed,
-        )
-    elif cfg.data.kind == "idx":
-        data.update(images=cfg.data.images_path, labels=cfg.data.labels_path)
+    return _echo(cfg)
+
+
+def _echo(value):
+    if isinstance(value, DataSpec):
+        doc = {"kind": value.kind}
+        if value.kind == "synthetic":
+            doc.update(_echo(value.gaussian))
+        else:
+            keys = _DATA_KEYS[value.kind].items()
+            doc.update({key: getattr(value, field) for key, field in keys})
+        return doc
+    if dataclasses.is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def _class_counts(spec: DataSpec) -> dict[int, int]:
+    """Samples per class; idx data is read up to the labels, never the pixels."""
+    if spec.kind == "synthetic":
+        g = spec.gaussian
+        return {c: g.per_class_n for c in range(g.n_classes)}
+    if spec.kind == "idx":
+        with open(spec.images_path, "rb") as f:
+            img_header = f.read(16)
+        with open(spec.labels_path, "rb") as f:
+            lbl_bytes = f.read()
+        n, _, _ = read_idx_header(img_header, lbl_bytes, spec.images_path, spec.labels_path)
+        labels = np.frombuffer(lbl_bytes[8 : 8 + n], dtype=np.uint8)
     else:
-        data.update(path=cfg.data.csv_path)
-    return {
-        "data": data,
-        "split": {
-            "held_out_classes": sorted(cfg.split.held_out_classes),
-            "per_class_cap": cfg.split.per_class_cap,
-            "seed": cfg.split.seed,
-        },
-        "net": {
-            "hidden_dims": list(cfg.net.hidden_dims),
-            "input_dim": cfg.net.input_dim,
-            "output_classes": cfg.net.output_classes,
-        },
-        "adam": {
-            "learning_rate": cfg.adam.learning_rate,
-            "beta1": cfg.adam.beta1,
-            "beta2": cfg.adam.beta2,
-            "epsilon": cfg.adam.epsilon,
-            "batch_size": cfg.adam.batch_size,
-            "seed": cfg.adam.seed,
-        },
-        "kmeans": {
-            "k": cfg.kmeans.k,
-            "restarts": cfg.kmeans.restarts,
-            "max_iters": cfg.kmeans.max_iters,
-            "tol": cfg.kmeans.tol,
-            "seed": cfg.kmeans.seed,
-        },
-        "policy": {
-            "kind": cfg.policy.kind,
-            "seed": cfg.policy.seed,
-            "min_accuracy": cfg.policy.min_accuracy,
-        },
-        "learnability": {
-            "holdout_fraction": cfg.learnability.holdout_fraction,
-            "hidden_dims": list(cfg.learnability.hidden_dims),
-            "epochs": cfg.learnability.epochs,
-            "use_embeddings": cfg.learnability.use_embeddings,
-            "include_existing": cfg.learnability.include_existing,
-        },
-        "epochs_initial": cfg.epochs_initial,
-        "epochs_per_round": cfg.epochs_per_round,
-        "rounds": cfg.rounds,
-        "ood_mode": cfg.ood_mode,
-        "detector_quantile": cfg.detector_quantile,
-        "seed": cfg.seed,
-    }
-
-
-def _idx_class_counts(images_path: str, labels_path: str, problems: list[str]):
-    for path in (images_path, labels_path):
-        if not os.path.exists(path):
-            problems.append(f"data file missing: {path}")
-    if problems:
-        return None
-    try:
-        with open(images_path, "rb") as f:
-            header = f.read(16)
-        if len(header) < 16:
-            problems.append(f"{images_path}: truncated header")
-            return None
-        magic, n_images, _, _ = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            problems.append(f"{images_path}: bad magic {magic}")
-        with open(labels_path, "rb") as f:
-            lbl_header = f.read(8)
-            payload = f.read()
-        if len(lbl_header) < 8:
-            problems.append(f"{labels_path}: truncated header")
-            return None
-        lbl_magic, n_labels = struct.unpack(">II", lbl_header)
-        if lbl_magic != IDX_LABELS_MAGIC:
-            problems.append(f"{labels_path}: bad magic {lbl_magic}")
-        if n_images != n_labels:
-            problems.append(f"count mismatch: {n_images} images vs {n_labels} labels")
-        labels = np.frombuffer(payload[:n_labels], dtype=np.uint8)
-        return {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
-    except OSError as exc:
-        problems.append(f"cannot read data files: {exc}")
-        return None
+        labels = load_csv(spec.csv_path).true_labels
+    ids, ns = np.unique(labels, return_counts=True)
+    return {int(c): int(n) for c, n in zip(ids, ns)}
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
@@ -337,37 +200,30 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             f"rounds ({cfg.rounds}) exceeds the number of held-out classes ({len(held_out)})"
         )
 
-    counts: dict[int, int] | None = None
-    if cfg.data.kind == "synthetic":
-        g = cfg.data.gaussian
-        counts = {c: g.per_class_n for c in range(g.n_classes)}
-    elif cfg.data.kind == "idx":
-        counts = _idx_class_counts(cfg.data.images_path, cfg.data.labels_path, problems)
-    else:
-        if not os.path.exists(cfg.data.csv_path):
-            problems.append(f"data file missing: {cfg.data.csv_path}")
-        else:
-            try:
-                from .dataset import load_csv
+    files = [p for p in (cfg.data.images_path, cfg.data.labels_path, cfg.data.csv_path) if p]
+    missing_files = [p for p in files if not os.path.exists(p)]
+    problems.extend(f"data file missing: {p}" for p in missing_files)
+    if missing_files:
+        return problems
+    try:
+        counts = _class_counts(cfg.data)
+    except (OSError, ValueError) as exc:
+        problems.append(f"cannot load data: {exc}")
+        return problems
 
-                data = load_csv(cfg.data.csv_path)
-                labels, ns = np.unique(data.true_labels, return_counts=True)
-                counts = {int(c): int(n) for c, n in zip(labels, ns)}
-            except ValueError as exc:
-                problems.append(f"cannot load csv data: {exc}")
-
-    if counts is not None:
-        missing = sorted(c for c in held_out if c not in counts)
-        if missing:
-            problems.append(f"held-out classes not present in data: {missing}")
-        cap = cfg.split.per_class_cap
-        pool = sum(
-            min(counts[c], cap) if cap is not None else counts[c]
-            for c in held_out
-            if c in counts
+    missing = sorted(c for c in held_out if c not in counts)
+    if missing:
+        problems.append(f"held-out classes not present in data: {missing}")
+    cap = cfg.split.per_class_cap
+    pool = sum(
+        min(counts[c], cap) if cap is not None else counts[c] for c in held_out if c in counts
+    )
+    if held_out and not missing and cfg.kmeans.k > pool:
+        problems.append(f"kmeans.k ({cfg.kmeans.k}) exceeds the OOD pool size ({pool})")
+    trainable = len(counts.keys() - held_out)
+    if trainable < 2:
+        problems.append(
+            f"split.held_out_classes leaves {trainable} of {len(counts)} classes to train on; "
+            "the classifier needs at least 2"
         )
-        if held_out and not missing and cfg.kmeans.k > pool:
-            problems.append(f"kmeans.k ({cfg.kmeans.k}) exceeds the OOD pool size ({pool})")
-        if len(held_out) >= len(counts):
-            problems.append("held_out_classes covers every class; nothing left to train on")
     return problems

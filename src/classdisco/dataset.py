@@ -116,9 +116,8 @@ class Dataset:
 class SplitSpec:
     """How to strip labels from a dataset to create the unlabeled pool."""
 
-    held_out_classes: frozenset[int] = frozenset()
+    held_out_classes: frozenset[int]
     per_class_cap: int | None = None
-    oracle_split: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -157,17 +156,14 @@ def _read_exact(data: bytes, offset: int, count: int, path: str) -> bytes:
     return data[offset : offset + count]
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Load an IDX image/label pair into a fully labeled Dataset.
+def read_idx_header(
+    img_bytes: bytes, lbl_bytes: bytes, images_path: str, labels_path: str
+) -> tuple[int, int, int]:
+    """Check the magic numbers and sample counts of an IDX image/label pair.
 
-    Pixels are scaled to [0, 1] by dividing the raw bytes by 255 and flattened
-    row-major. All labels are present with human provenance.
+    Only the 16-byte image header and the 8-byte label header are read, so
+    the payloads may be cut off or absent. Returns (count, rows, cols).
     """
-    with open(images_path, "rb") as f:
-        img_bytes = f.read()
-    with open(labels_path, "rb") as f:
-        lbl_bytes = f.read()
-
     (img_magic,) = struct.unpack(">I", _read_exact(img_bytes, 0, 4, images_path))
     if img_magic != IDX_IMAGES_MAGIC:
         raise IdxFormatError(
@@ -187,9 +183,23 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
             f"count mismatch at byte offset 4: {images_path} declares {n_images} images, "
             f"{labels_path} declares {n_labels} labels"
         )
+    return n_images, rows, cols
 
+
+def load_idx(images_path: str, labels_path: str) -> Dataset:
+    """Load an IDX image/label pair into a fully labeled Dataset.
+
+    Pixels are scaled to [0, 1] by dividing the raw bytes by 255 and flattened
+    row-major. All labels are present with human provenance.
+    """
+    with open(images_path, "rb") as f:
+        img_bytes = f.read()
+    with open(labels_path, "rb") as f:
+        lbl_bytes = f.read()
+
+    n_images, rows, cols = read_idx_header(img_bytes, lbl_bytes, images_path, labels_path)
     pixels = _read_exact(img_bytes, 16, n_images * rows * cols, images_path)
-    labels_raw = _read_exact(lbl_bytes, 8, n_labels, labels_path)
+    labels_raw = _read_exact(lbl_bytes, 8, n_images, labels_path)
 
     features = np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, rows * cols)
     features = features.astype(np.float64) / 255.0

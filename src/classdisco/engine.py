@@ -449,7 +449,6 @@ def run_class_count_experiment(
         split = SplitSpec(
             held_out_classes=frozenset(eval_set),
             per_class_cap=base_cfg.split.per_class_cap,
-            oracle_split=True,
             seed=base_cfg.split.seed,
         )
         data = make_split(raw.select(keep), split)

@@ -1,9 +1,16 @@
 import json
+import re
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classdisco.cli import main
 from classdisco.config import ConfigError, config_to_dict, parse_config
+from classdisco.engine import OOD_MODES
+from classdisco.selection import POLICY_KINDS
 
 
 def base_config(**overrides):
@@ -78,6 +85,28 @@ class TestValidate:
         assert main(["validate", "--config", path]) == 1
         assert "rounds" in capsys.readouterr().err
 
+    def test_split_leaving_one_trainable_class(self, tmp_path, capsys):
+        doc = base_config()
+        doc["data"]["n_classes"] = 3
+        doc["split"]["held_out_classes"] = [1, 2]
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert "split.held_out_classes" in capsys.readouterr().err
+        assert main(["discover", "--config", path, "--out", str(tmp_path / "x")]) == 1
+
+    def test_bad_idx_magic_names_file(self, tmp_path, capsys, idx_writer):
+        images, labels = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        idx_writer(np.zeros((4, 2, 2), dtype=np.uint8), [0, 1, 2, 3], images, labels)
+        with open(images, "r+b") as f:
+            f.write(struct.pack(">I", 9999))
+        doc = base_config()
+        doc["data"] = {"kind": "idx", "images": images, "labels": labels}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "bad magic 9999" in err
+        assert images in err
+
 
 class TestConfigRoundTrip:
     def test_parse_then_echo_is_stable(self, tmp_path):
@@ -98,6 +127,107 @@ class TestConfigRoundTrip:
         doc["adam"]["momentum"] = 0.9
         with pytest.raises(ConfigError, match="momentum"):
             parse_config(doc)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("split.held_out_classes", "59"),
+            ("learnability.use_embeddings", "false"),
+            ("kmeans.k", 15.9),
+            ("kmeans.k", True),
+            ("kmeans.k", "abc"),
+            ("seed", None),
+            ("net.hidden_dims", 128),
+            ("learnability.hidden_dims", 128),
+        ],
+    )
+    def test_wrong_type_names_the_key(self, tmp_path, capsys, key, value):
+        doc = base_config()
+        *section, name = key.split(".")
+        (doc.setdefault(section[0], {}) if section else doc)[name] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+            parse_config(doc)
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+        assert key in capsys.readouterr().err
+
+
+def _section(required=None, **optional):
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+_SEEDS = st.integers(-(2**40), 2**40)
+_SIZES = st.integers(1, 10_000)
+_UNIT = st.floats(0.0, 1.0)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+# Valid documents covering every section, kind and optional key.
+CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "data": st.one_of(
+            _section(
+                {
+                    "kind": st.just("synthetic"),
+                    "n_classes": st.integers(2, 100),
+                    "dim": _SIZES,
+                    "separation": st.integers(0, 100) | st.floats(0.0, 100.0),
+                    "per_class_n": _SIZES,
+                },
+                seed=_SEEDS,
+            ),
+            _section({"kind": st.just("idx"), "images": st.text(), "labels": st.text()}),
+            _section({"kind": st.just("csv"), "path": st.text()}),
+        ),
+        "split": _section(
+            {"held_out_classes": st.lists(st.integers(0, 255))},
+            per_class_cap=st.none() | _SIZES,
+            seed=_SEEDS,
+        ),
+    },
+    optional={
+        "net": _section(
+            hidden_dims=st.lists(_SIZES, max_size=4),
+            input_dim=st.none() | _SIZES,
+            output_classes=st.none() | _SIZES,
+        ),
+        "adam": _section(
+            learning_rate=st.floats(1e-6, 1.0),
+            beta1=st.floats(0.0, 1.0, exclude_max=True),
+            beta2=st.floats(0.0, 1.0, exclude_max=True),
+            epsilon=st.floats(1e-12, 1e-3),
+            batch_size=_SIZES,
+            seed=_SEEDS,
+        ),
+        "kmeans": _section(
+            k=_SIZES, restarts=_SIZES, max_iters=_SIZES, tol=st.floats(0.0, 1.0), seed=_SEEDS
+        ),
+        "policy": _section(kind=st.sampled_from(POLICY_KINDS), seed=_SEEDS, min_accuracy=_UNIT),
+        "learnability": _section(
+            holdout_fraction=_OPEN_UNIT,
+            hidden_dims=st.lists(_SIZES, max_size=4),
+            epochs=_SIZES,
+            use_embeddings=st.booleans(),
+            include_existing=st.booleans(),
+        ),
+        "epochs_initial": st.integers(0, 1000),
+        "epochs_per_round": st.integers(0, 1000),
+        "rounds": st.none() | st.integers(0, 1000),
+        "ood_mode": st.sampled_from(OOD_MODES),
+        "detector_quantile": _OPEN_UNIT,
+        "seed": _SEEDS,
+    },
+)
+
+
+class TestConfigFixpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIG_DOCS)
+    def test_parse_echo_is_a_fixpoint(self, doc):
+        cfg = parse_config(doc)
+        echoed = config_to_dict(cfg)
+        assert parse_config(echoed) == cfg
+        assert json.dumps(config_to_dict(parse_config(echoed))) == json.dumps(echoed)
 
 
 class TestDiscover:

@@ -3,11 +3,9 @@ import pytest
 
 from classdisco.clustering import (
     KMeansConfig,
-    choose_k,
     fit_with_restarts,
     kmeanspp_init,
     lloyd_fit,
-    silhouette_score,
 )
 from conftest import blobs
 
@@ -25,32 +23,6 @@ def brute_force_two_partition_inertia(points):
             sse += ((member - center) ** 2).sum()
         best = min(best, sse)
     return best
-
-
-def silhouette_oracle(points, assignments):
-    """Direct per-sample loop computation, independent of the vectorized path."""
-    n = len(points)
-    scores = []
-    clusters = sorted(set(int(a) for a in assignments))
-    for i in range(n):
-        own = assignments[i]
-        own_others = [j for j in range(n) if assignments[j] == own and j != i]
-        if not own_others:
-            scores.append(0.0)
-            continue
-        a = float(np.mean([np.linalg.norm(points[i] - points[j]) for j in own_others]))
-        b = min(
-            float(
-                np.mean(
-                    [np.linalg.norm(points[i] - points[j]) for j in range(n) if assignments[j] == c]
-                )
-            )
-            for c in clusters
-            if c != own
-        )
-        denom = max(a, b)
-        scores.append(0.0 if denom == 0 else (b - a) / denom)
-    return float(np.mean(scores))
 
 
 class TestKmeansPlusPlus:
@@ -197,69 +169,3 @@ class TestRestarts:
         b = fit_with_restarts(points, cfg)
         assert a.centroids.tobytes() == b.centroids.tobytes()
 
-
-class TestSilhouette:
-    def test_two_far_blobs_score_high(self):
-        points, labels = blobs([[0, 0], [50, 0]], n_per=25, noise=0.5, seed=6)
-        score = silhouette_score(points, labels)
-        assert score > 0.9
-        assert score == pytest.approx(silhouette_oracle(points, labels), abs=1e-8)
-
-    def test_random_split_scores_near_zero(self):
-        for seed in range(6):
-            rng = np.random.default_rng(200 + seed)
-            points = rng.standard_normal((40, 2))
-            assignments = rng.integers(0, 2, size=40)
-            if len(np.unique(assignments)) < 2:
-                continue
-            assert abs(silhouette_score(points, assignments)) < 0.2
-
-    def test_matches_oracle_on_random_instances(self):
-        for seed in range(8):
-            rng = np.random.default_rng(300 + seed)
-            points = rng.standard_normal((30, 3))
-            assignments = rng.integers(0, 4, size=30)
-            if len(np.unique(assignments)) < 2:
-                continue
-            assert silhouette_score(points, assignments) == pytest.approx(
-                silhouette_oracle(points, assignments), abs=1e-8
-            )
-
-    def test_identical_points_split_scores_zero(self):
-        points = np.zeros((10, 2))
-        assignments = np.array([0] * 5 + [1] * 5)
-        assert silhouette_score(points, assignments) == 0.0
-
-    def test_singletons_score_zero(self):
-        points = np.array([[0.0, 0.0], [10.0, 0.0]])
-        assert silhouette_score(points, [0, 1]) == 0.0
-
-    def test_single_cluster_rejected(self):
-        with pytest.raises(ValueError, match="two clusters"):
-            silhouette_score(np.zeros((5, 2)), np.zeros(5, dtype=int))
-
-
-class TestChooseK:
-    def test_three_blobs(self):
-        points, _ = blobs([[0, 0], [30, 0], [0, 30]], n_per=25, noise=1.0, seed=7)
-        assert choose_k(points, 2, 6, KMeansConfig(restarts=5, seed=0)) == 3
-
-    def test_k_min_equals_k_max(self):
-        rng = np.random.default_rng(9)
-        points = rng.standard_normal((30, 2))
-        assert choose_k(points, 4, 4, KMeansConfig(restarts=3, seed=0)) == 4
-
-    def test_tie_takes_smaller_k(self):
-        # Two duplicated point groups: every k in range produces the same two
-        # nonempty clusters, so the silhouette ties and k_min must win.
-        points = np.array([[0.0, 0.0]] * 4 + [[10.0, 0.0]] * 4)
-        assert choose_k(points, 2, 3, KMeansConfig(restarts=3, seed=1)) == 2
-
-    def test_bounds_checked(self):
-        points = np.zeros((10, 2))
-        with pytest.raises(ValueError):
-            choose_k(points, 1, 3, KMeansConfig())
-        with pytest.raises(ValueError):
-            choose_k(points, 3, 2, KMeansConfig())
-        with pytest.raises(ValueError):
-            choose_k(points, 2, 10, KMeansConfig())
