@@ -170,22 +170,24 @@ def _echo(value):
     return value
 
 
-def _class_counts(spec: DataSpec) -> dict[int, int]:
-    """Samples per class; idx data is read up to the labels, never the pixels."""
+def _data_shape(spec: DataSpec) -> tuple[int, dict[int, int]]:
+    """Feature width and samples per class; idx data is read up to the labels, never the pixels."""
     if spec.kind == "synthetic":
         g = spec.gaussian
-        return {c: g.per_class_n for c in range(g.n_classes)}
+        return g.dim, {c: g.per_class_n for c in range(g.n_classes)}
     if spec.kind == "idx":
         with open(spec.images_path, "rb") as f:
             img_header = f.read(16)
         with open(spec.labels_path, "rb") as f:
             lbl_bytes = f.read()
-        n, _, _ = read_idx_header(img_header, lbl_bytes, spec.images_path, spec.labels_path)
+        n, rows, cols = read_idx_header(img_header, lbl_bytes, spec.images_path, spec.labels_path)
+        width = rows * cols
         labels = np.frombuffer(lbl_bytes[8 : 8 + n], dtype=np.uint8)
     else:
-        labels = load_csv(spec.csv_path).true_labels
+        data = load_csv(spec.csv_path)
+        width, labels = data.n_features, data.true_labels
     ids, ns = np.unique(labels, return_counts=True)
-    return {int(c): int(n) for c, n in zip(ids, ns)}
+    return width, {int(c): int(n) for c, n in zip(ids, ns)}
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
@@ -206,7 +208,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if missing_files:
         return problems
     try:
-        counts = _class_counts(cfg.data)
+        width, counts = _data_shape(cfg.data)
     except (OSError, ValueError) as exc:
         problems.append(f"cannot load data: {exc}")
         return problems
@@ -226,4 +228,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             f"split.held_out_classes leaves {trainable} of {len(counts)} classes to train on; "
             "the classifier needs at least 2"
         )
+    for key, resolved in (("input_dim", width), ("output_classes", trainable)):
+        value = getattr(cfg.net, key)
+        if value is not None and value != resolved:
+            problems.append(f"net.{key} ({value}) differs from the data's value ({resolved})")
     return problems

@@ -215,12 +215,25 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def load_csv(path: str) -> Dataset:
-    """Load a CSV with a header row; last column is the integer class label."""
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
+    """Load a CSV with a header row; last column is the integer class label.
+
+    Every feature must be a finite number; the first one that is not (an
+    empty or non-numeric cell, nan, inf) is reported by line and header column.
+    """
+    with open(path) as f:
+        header, *lines = f.read().splitlines() or [""]
+    rows = [(n, line) for n, line in enumerate(lines, 2) if line.split("#", 1)[0].strip()]
+    raw = np.genfromtxt([line for _, line in rows], delimiter=",", dtype=np.float64)
     if raw.ndim == 1:
         raw = raw.reshape(1, -1)
     if raw.shape[1] < 2:
         raise ValueError(f"{path}: need at least one feature column plus a label column")
+    bad = np.argwhere(~np.isfinite(raw[:, :-1]))
+    if len(bad):
+        row, col = bad[0]
+        names = header.split(",")
+        name = names[col].strip() if col < len(names) else f"#{col + 1}"
+        raise ValueError(f"{path}: line {rows[row][0]}, column {name!r}: not a finite number")
     labels = raw[:, -1]
     if not np.all(labels == np.round(labels)):
         raise ValueError(f"{path}: last column must contain integer labels")

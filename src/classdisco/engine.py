@@ -97,25 +97,13 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 0")
 
 
-@dataclass(frozen=True)
-class AcceptedCluster:
-    """Log entry for one accepted cluster; duck-typed as a frozen cluster for DRA."""
+@dataclass(frozen=True, kw_only=True)
+class AcceptedCluster(metrics.FrozenCluster):
+    """Log entry for one accepted cluster; scored for DRA as the frozen cluster it is."""
 
     round: int
     new_label: int
-    plurality_label: int
-    true_labels: np.ndarray
-    indices: np.ndarray
     learnability: float
-    size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "true_labels", np.asarray(self.true_labels, dtype=np.int64))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-
-    @property
-    def overlap(self) -> int:
-        return int(np.count_nonzero(self.true_labels == self.plurality_label))
 
 
 @dataclass(frozen=True)
@@ -157,15 +145,6 @@ def load_data(spec: DataSpec) -> Dataset:
     if spec.kind == "idx":
         return load_idx(spec.images_path, spec.labels_path)
     return load_csv(spec.csv_path)
-
-
-def _resolve_net(cfg: ExperimentConfig, data: Dataset) -> NetworkConfig:
-    net = cfg.net
-    if net.input_dim is None:
-        net = replace(net, input_dim=data.n_features)
-    if net.output_classes is None:
-        net = replace(net, output_classes=data.n_classes_visible)
-    return net
 
 
 def _mean_recent_losses(model: Model, epochs: int) -> float:
@@ -230,12 +209,19 @@ def _evaluate(
     )
 
 
-def _prepare(cfg: ExperimentConfig, workers: int | None) -> tuple[DiscoveryState, _RoundEval]:
-    """Load, split, train the initial model, and run the round-0 evaluation."""
-    data = make_split(load_data(cfg.data), cfg.split)
+def _prepare(
+    cfg: ExperimentConfig, raw: Dataset, workers: int | None
+) -> tuple[DiscoveryState, _RoundEval]:
+    """Split ``raw``, train the initial model, and run the round-0 evaluation."""
+    data = make_split(raw, cfg.split)
     if len(data.unlabeled_indices()) == 0:
         raise ValueError("empty OOD pool: no held-out classes were stripped")
-    model = init_model(_resolve_net(cfg, data), seed=cfg.seed)
+    net = cfg.net
+    if net.input_dim is None:
+        net = replace(net, input_dim=data.n_features)
+    if net.output_classes is None:
+        net = replace(net, output_classes=data.n_classes_visible)
+    model = init_model(net, seed=cfg.seed)
     if cfg.epochs_initial > 0:
         labeled = data.select(data.labeled_indices())
         model = train_epochs(model, labeled, cfg.adam, cfg.epochs_initial)
@@ -266,7 +252,7 @@ def run_static(cfg: ExperimentConfig, workers: int | None = None):
     With epochs_initial=0 the embedder is untrained (the random-embedding
     baseline); otherwise it is the semi-supervised variant.
     """
-    state, _ = _prepare(cfg, workers)
+    state, _ = _prepare(cfg, load_data(cfg.data), workers)
     return state, state.history[0].report
 
 
@@ -347,7 +333,7 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None):
     if rounds > n_held_out:
         raise ValueError(f"rounds={rounds} exceeds the {n_held_out} held-out classes")
 
-    state, ev = _prepare(cfg, workers)
+    state, ev = _prepare(cfg, load_data(cfg.data), workers)
     dataset, model = state.dataset, state.model
 
     for r in range(1, rounds + 1):
@@ -376,7 +362,6 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None):
                 true_labels=dataset.true_labels[members],
                 indices=members,
                 learnability=sel_features.learnability,
-                size=len(members),
             )
         )
         dataset = add_class(dataset, members, r)
@@ -421,9 +406,10 @@ def run_class_count_experiment(
 ) -> list[tuple[int, float]]:
     """Cluster accuracy on a fixed OOD pool as a function of training class count.
 
-    For each count c, train on the first c non-evaluation classes (with the
-    configured per-class cap applied uniformly), cluster the evaluation pool,
-    and report the size-weighted mean cluster accuracy.
+    For each count c, run round 0 of discovery on the first c non-evaluation
+    classes plus the held-out evaluation classes (the configured per-class cap
+    applied uniformly, the pool routed by the oracle) and report the
+    size-weighted mean cluster accuracy of the pool.
     """
     raw = load_data(base_cfg.data)
     classes = [int(c) for c in np.unique(raw.true_labels)]
@@ -442,25 +428,11 @@ def run_class_count_experiment(
         if c > len(non_eval):
             raise ValueError(f"class count {c} exceeds the {len(non_eval)} available classes")
 
+    split = replace(base_cfg.split, held_out_classes=frozenset(eval_set))
+    cfg = replace(base_cfg, split=split, ood_mode="oracle")
     rows: list[tuple[int, float]] = []
     for count in class_counts:
-        train_classes = set(non_eval[:count])
-        keep = np.flatnonzero(np.isin(raw.true_labels, sorted(train_classes | eval_set)))
-        split = SplitSpec(
-            held_out_classes=frozenset(eval_set),
-            per_class_cap=base_cfg.split.per_class_cap,
-            seed=base_cfg.split.seed,
-        )
-        data = make_split(raw.select(keep), split)
-        model = init_model(_resolve_net(base_cfg, data), seed=base_cfg.seed)
-        if base_cfg.epochs_initial > 0:
-            model = train_epochs(
-                model, data.select(data.labeled_indices()), base_cfg.adam, base_cfg.epochs_initial
-            )
-        pool = data.unlabeled_indices()
-        emb = embed(model, data.features[pool])
-        kmeans = replace(base_cfg.kmeans, k=min(base_cfg.kmeans.k, len(pool)))
-        clustering = fit_with_restarts(emb, kmeans, workers=workers)
-        mapping = metrics.cluster_accuracy(clustering.assignments, data.true_labels[pool])
-        rows.append((count, mapping.weighted_accuracy))
+        keep = np.flatnonzero(np.isin(raw.true_labels, sorted(set(non_eval[:count]) | eval_set)))
+        _, ev = _prepare(cfg, raw.select(keep), workers)
+        rows.append((count, ev.report.weighted_ood_accuracy))
     return rows

@@ -35,19 +35,21 @@ class NetworkConfig:
     hidden_dims: tuple[int, ...] = (128,)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-
-    def validate(self) -> None:
-        if self.input_dim is None or self.output_classes is None:
-            raise ValueError("input_dim and output_classes must be set before building a model")
-        if self.input_dim < 1:
+        object.__setattr__(self, "hidden_dims", self.check_hidden_dims(self.hidden_dims))
+        if self.input_dim is not None and self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if self.output_classes < 2:
+        if self.output_classes is not None and self.output_classes < 2:
             raise ValueError("output_classes must be >= 2")
-        if not self.hidden_dims:
+
+    @staticmethod
+    def check_hidden_dims(hidden_dims) -> tuple[int, ...]:
+        """Hidden layer widths as a tuple: at least one layer, each >= 1."""
+        dims = tuple(int(h) for h in hidden_dims)
+        if not dims:
             raise ValueError("at least one hidden layer is required (it is the embedding)")
-        if any(h < 1 for h in self.hidden_dims):
+        if any(h < 1 for h in dims):
             raise ValueError("hidden dims must be >= 1")
+        return dims
 
 
 @dataclass(frozen=True)
@@ -72,35 +74,38 @@ class AdamConfig:
 
 @dataclass
 class Model:
-    """Weights plus optimizer state. Treat as owned during training; inference is read-only."""
+    """Weights plus optimizer state. Treat as owned during training; inference is read-only.
+
+    ``params`` is ``[W0, b0, W1, b1, ...]``; the Adam moments ``m`` and ``v``
+    hold one array per entry of ``params``, in the same order.
+    """
 
     config: NetworkConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    params: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step: int = 0
     epochs_trained: int = 0
     loss_log: tuple[float, ...] = ()
 
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return self.params[0::2]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return self.params[1::2]
+
     def copy(self) -> "Model":
-        return Model(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            m_w=[a.copy() for a in self.m_w],
-            v_w=[a.copy() for a in self.v_w],
-            m_b=[a.copy() for a in self.m_b],
-            v_b=[a.copy() for a in self.v_b],
-            step=self.step,
-            epochs_trained=self.epochs_trained,
-            loss_log=self.loss_log,
+        return replace(
+            self,
+            params=[p.copy() for p in self.params],
+            m=[a.copy() for a in self.m],
+            v=[a.copy() for a in self.v],
         )
 
     def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return sum(p.size for p in self.params)
 
 
 def _layer_sizes(cfg: NetworkConfig) -> list[tuple[int, int]]:
@@ -110,20 +115,18 @@ def _layer_sizes(cfg: NetworkConfig) -> list[tuple[int, int]]:
 
 def init_model(cfg: NetworkConfig, seed: int) -> Model:
     """Fan-in-scaled normal init (std sqrt(2/fan_in)), zero biases, zero Adam state."""
-    cfg.validate()
+    if cfg.input_dim is None or cfg.output_classes is None:
+        raise ValueError("input_dim and output_classes must be set before building a model")
     rng = seeds.spawn(seed)
-    weights, biases = [], []
+    params = []
     for fan_in, fan_out in _layer_sizes(cfg):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        params.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+        params.append(np.zeros(fan_out))
     return Model(
         config=cfg,
-        weights=weights,
-        biases=biases,
-        m_w=[np.zeros_like(w) for w in weights],
-        v_w=[np.zeros_like(w) for w in weights],
-        m_b=[np.zeros_like(b) for b in biases],
-        v_b=[np.zeros_like(b) for b in biases],
+        params=params,
+        m=[np.zeros_like(p) for p in params],
+        v=[np.zeros_like(p) for p in params],
     )
 
 
@@ -183,7 +186,7 @@ def cross_entropy(model: Model, features, labels) -> float:
 
 
 def loss_and_gradients(model: Model, features, labels):
-    """Cross-entropy loss and its gradients w.r.t. every weight and bias."""
+    """Cross-entropy loss and its gradients, one per entry of ``model.params``."""
     x = _check_width(model, features)
     y = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
@@ -199,31 +202,26 @@ def loss_and_gradients(model: Model, features, labels):
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grads_w = [np.empty(0)] * len(model.weights)
-    grads_b = [np.empty(0)] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+    grads = [np.empty(0)] * len(model.params)
+    for layer in range(len(model.params) // 2 - 1, -1, -1):
+        grads[2 * layer] = acts[layer].T @ delta
+        grads[2 * layer + 1] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0)
-    return loss, grads_w, grads_b
+            delta = (delta @ model.params[2 * layer].T) * (acts[layer] > 0)
+    return loss, grads
 
 
-def _adam_update(model: Model, grads_w, grads_b, adam: AdamConfig) -> None:
+def _adam_update(model: Model, grads, adam: AdamConfig) -> None:
     model.step += 1
     t = model.step
     bc1 = 1.0 - adam.beta1**t
     bc2 = 1.0 - adam.beta2**t
-    for i in range(len(model.weights)):
-        for param, grad, m, v in (
-            (model.weights[i], grads_w[i], model.m_w[i], model.v_w[i]),
-            (model.biases[i], grads_b[i], model.m_b[i], model.v_b[i]),
-        ):
-            m *= adam.beta1
-            m += (1.0 - adam.beta1) * grad
-            v *= adam.beta2
-            v += (1.0 - adam.beta2) * grad**2
-            param -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
+    for param, grad, m, v in zip(model.params, grads, model.m, model.v):
+        m *= adam.beta1
+        m += (1.0 - adam.beta1) * grad
+        v *= adam.beta2
+        v += (1.0 - adam.beta2) * grad**2
+        param -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
 
 
 def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> Model:
@@ -255,13 +253,13 @@ def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> 
         total = 0.0
         for start in range(0, n, adam.batch_size):
             batch = order[start : start + adam.batch_size]
-            loss, gw, gb = loss_and_gradients(out, x[batch], y[batch])
+            loss, grads = loss_and_gradients(out, x[batch], y[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {out.epochs_trained}, "
                     f"batch starting at sample {start}"
                 )
-            _adam_update(out, gw, gb, adam)
+            _adam_update(out, grads, adam)
             total += loss * len(batch)
         out.epochs_trained += 1
         out.loss_log = out.loss_log + (total / n,)
@@ -280,17 +278,22 @@ def expand_outputs(model: Model, new_output_classes: int, seed: int) -> Model:
         raise ValueError(f"cannot shrink outputs from {old} to {new_output_classes}")
     out = model.copy()
     extra = new_output_classes - old
-    fan_in = out.weights[-1].shape[0]
+    fan_in = out.params[-2].shape[0]
     rng = seeds.spawn(seed)
     new_cols = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, extra))
-    out.weights[-1] = np.concatenate([out.weights[-1], new_cols], axis=1)
-    out.biases[-1] = np.concatenate([out.biases[-1], np.zeros(extra)])
-    out.m_w[-1] = np.concatenate([out.m_w[-1], np.zeros((fan_in, extra))], axis=1)
-    out.v_w[-1] = np.concatenate([out.v_w[-1], np.zeros((fan_in, extra))], axis=1)
-    out.m_b[-1] = np.concatenate([out.m_b[-1], np.zeros(extra)])
-    out.v_b[-1] = np.concatenate([out.v_b[-1], np.zeros(extra)])
+    out.params[-2] = np.concatenate([out.params[-2], new_cols], axis=1)
+    out.params[-1] = np.concatenate([out.params[-1], np.zeros(extra)])
+    for moments in (out.m, out.v):
+        moments[-2] = np.concatenate([moments[-2], np.zeros((fan_in, extra))], axis=1)
+        moments[-1] = np.concatenate([moments[-1], np.zeros(extra)])
     out.config = replace(out.config, output_classes=new_output_classes)
     return out
+
+
+def _npz_keys(n_layers: int) -> list[list[str]]:
+    """Checkpoint keys of params, m and v: [w0, b0, w1, ...], [mw0, mb0, ...], [vw0, ...]."""
+    names = [f"{kind}{i}" for i in range(n_layers) for kind in "wb"]
+    return [[prefix + name for name in names] for prefix in ("", "m", "v")]
 
 
 def save_model(model: Model, path: str) -> None:
@@ -306,13 +309,8 @@ def save_model(model: Model, path: str) -> None:
         "n_layers": len(model.weights),
     }
     arrays = {}
-    for i in range(len(model.weights)):
-        arrays[f"w{i}"] = model.weights[i]
-        arrays[f"b{i}"] = model.biases[i]
-        arrays[f"mw{i}"] = model.m_w[i]
-        arrays[f"vw{i}"] = model.v_w[i]
-        arrays[f"mb{i}"] = model.m_b[i]
-        arrays[f"vb{i}"] = model.v_b[i]
+    for keys, tensors in zip(_npz_keys(meta["n_layers"]), (model.params, model.m, model.v)):
+        arrays.update(zip(keys, tensors))
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(path, "wb") as f:
         np.savez(f, **arrays)
@@ -328,15 +326,12 @@ def load_model(path: str) -> Model:
             output_classes=meta["output_classes"],
             hidden_dims=tuple(meta["hidden_dims"]),
         )
-        n = meta["n_layers"]
+        params, m, v = ([data[k] for k in keys] for keys in _npz_keys(meta["n_layers"]))
         return Model(
             config=cfg,
-            weights=[data[f"w{i}"] for i in range(n)],
-            biases=[data[f"b{i}"] for i in range(n)],
-            m_w=[data[f"mw{i}"] for i in range(n)],
-            v_w=[data[f"vw{i}"] for i in range(n)],
-            m_b=[data[f"mb{i}"] for i in range(n)],
-            v_b=[data[f"vb{i}"] for i in range(n)],
+            params=params,
+            m=m,
+            v=v,
             step=meta["step"],
             epochs_trained=meta["epochs_trained"],
             loss_log=tuple(meta["loss_log"]),

@@ -33,14 +33,6 @@ class ClusterOverlap:
 @dataclass(frozen=True)
 class OverlapMapping:
     clusters: tuple[ClusterOverlap, ...]
-    n_points: int
-
-    @property
-    def weighted_accuracy(self) -> float:
-        """Size-weighted mean cluster accuracy: sum_k w_k * a_k."""
-        if self.n_points == 0:
-            return 0.0
-        return sum(c.overlap for c in self.clusters) / self.n_points
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ def cluster_accuracy(assignments, true_labels) -> OverlapMapping:
                 weight=size / n,
             )
         )
-    return OverlapMapping(clusters=tuple(rows), n_points=n)
+    return OverlapMapping(clusters=tuple(rows))
 
 
 def dataset_reconstruction_accuracy(

@@ -60,7 +60,7 @@ class LearnabilityConfig:
     include_existing: bool = False  # add the already-labeled classes as distractors
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", NetworkConfig.check_hidden_dims(self.hidden_dims))
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must lie strictly between 0 and 1")
         if self.epochs < 1:

@@ -90,22 +90,20 @@ def test_criterion_3_learner_and_clustering_numerics():
     x = rng.standard_normal((10, 8))
     y = rng.integers(0, 2, size=10)
     model = init_model(NetworkConfig(input_dim=8, output_classes=2, hidden_dims=(4,)), seed=3)
-    _, grads_w, grads_b = loss_and_gradients(model, x, y)
+    _, grads = loss_and_gradients(model, x, y)
     h = 1e-4
     worst = 0.0
-    for layer in range(len(model.weights)):
-        for arrays, grads in ((model.weights, grads_w), (model.biases, grads_b)):
-            param, grad = arrays[layer], grads[layer]
-            for idx in np.ndindex(param.shape):
-                orig = param[idx]
-                param[idx] = orig + h
-                up = cross_entropy(model, x, y)
-                param[idx] = orig - h
-                down = cross_entropy(model, x, y)
-                param[idx] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(grad[idx]), 1e-8)
-                worst = max(worst, abs(fd - grad[idx]) / denom)
+    for param, grad in zip(model.params, grads):
+        for idx in np.ndindex(param.shape):
+            orig = param[idx]
+            param[idx] = orig + h
+            up = cross_entropy(model, x, y)
+            param[idx] = orig - h
+            down = cross_entropy(model, x, y)
+            param[idx] = orig
+            fd = (up - down) / (2 * h)
+            denom = max(abs(fd), abs(grad[idx]), 1e-8)
+            worst = max(worst, abs(fd - grad[idx]) / denom)
     ok_grad = worst < 1e-4
 
     # Lloyd inertia non-increasing on every iteration of 50 seeded runs

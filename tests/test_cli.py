@@ -94,6 +94,36 @@ class TestValidate:
         assert "split.held_out_classes" in capsys.readouterr().err
         assert main(["discover", "--config", path, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "net, ok",
+        [
+            ({"input_dim": 7}, False),
+            ({"output_classes": 2}, False),
+            ({"output_classes": 4}, False),
+            ({"input_dim": 8, "output_classes": 3}, True),
+        ],
+    )
+    def test_net_resolved_against_data(self, tmp_path, capsys, net, ok):
+        doc = base_config()
+        doc["net"].update(net)
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == (0 if ok else 1)
+        if not ok:
+            assert f"net.{next(iter(net))}" in capsys.readouterr().err
+            assert main(["discover", "--config", path, "--out", str(tmp_path / "x")]) == 1
+
+    def test_non_finite_csv_feature_names_line_and_column(self, tmp_path, capsys):
+        csv = tmp_path / "data.csv"
+        csv.write_text("f0,f1,label\n0.5,1.5,0\n1.0,2.0,1\n-1.0,,1\n0.0,0.5,2\n")
+        doc = base_config()
+        doc["data"] = {"kind": "csv", "path": str(csv)}
+        doc["split"]["held_out_classes"] = [2]
+        doc["kmeans"]["k"] = 1
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert "line 4, column 'f1'" in capsys.readouterr().err
+        assert main(["discover", "--config", path, "--out", str(tmp_path / "x")]) == 1
+
     def test_bad_idx_magic_names_file(self, tmp_path, capsys, idx_writer):
         images, labels = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
         idx_writer(np.zeros((4, 2, 2), dtype=np.uint8), [0, 1, 2, 3], images, labels)
@@ -153,6 +183,27 @@ class TestConfigTypes:
         assert key in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("net.hidden_dims", []),
+            ("net.hidden_dims", [0]),
+            ("net.output_classes", 1),
+            ("learnability.hidden_dims", []),
+            ("learnability.hidden_dims", [0]),
+        ],
+    )
+    def test_bad_value_names_the_section(self, tmp_path, capsys, key, value):
+        doc = base_config()
+        section, name = key.split(".")
+        doc.setdefault(section, {})[name] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{section}'")):
+            parse_config(doc)
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["discover", "--config", path, "--out", str(tmp_path / "x")]) == 1
+
+
 def _section(required=None, **optional):
     return st.fixed_dictionaries(required or {}, optional=optional)
 
@@ -187,9 +238,9 @@ CONFIG_DOCS = st.fixed_dictionaries(
     },
     optional={
         "net": _section(
-            hidden_dims=st.lists(_SIZES, max_size=4),
+            hidden_dims=st.lists(_SIZES, min_size=1, max_size=4),
             input_dim=st.none() | _SIZES,
-            output_classes=st.none() | _SIZES,
+            output_classes=st.none() | st.integers(2, 10_000),
         ),
         "adam": _section(
             learning_rate=st.floats(1e-6, 1.0),
@@ -205,7 +256,7 @@ CONFIG_DOCS = st.fixed_dictionaries(
         "policy": _section(kind=st.sampled_from(POLICY_KINDS), seed=_SEEDS, min_accuracy=_UNIT),
         "learnability": _section(
             holdout_fraction=_OPEN_UNIT,
-            hidden_dims=st.lists(_SIZES, max_size=4),
+            hidden_dims=st.lists(_SIZES, min_size=1, max_size=4),
             epochs=_SIZES,
             use_embeddings=st.booleans(),
             include_existing=st.booleans(),
@@ -331,7 +382,8 @@ class TestDiscover:
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         csv = tmp_path / "poisoned.csv"
-        rows = ["f0,f1,label", "nan,0.3,0"]  # poisoned training sample
+        # poisoned training sample: finite, so it loads, but it overflows the forward pass
+        rows = ["f0,f1,label", "1e308,0.3,0"]
         rows += [f"0.{i},0.{i},{i % 2}" for i in range(1, 9)]
         rows += ["0.5,9.0,2", "0.6,9.1,2", "0.7,9.2,2"]
         csv.write_text("\n".join(rows) + "\n")

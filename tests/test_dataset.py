@@ -93,6 +93,24 @@ def test_load_csv(tmp_path):
     assert data.n_classes_visible == 2
 
 
+@pytest.mark.parametrize(
+    "cell, line",
+    [("", 3), ("nan", 3), ("inf", 3), ("abc", 3)],
+)
+def test_load_csv_rejects_non_finite_features(tmp_path, cell, line):
+    path = tmp_path / "data.csv"
+    path.write_text(f"f0, f1 ,label\n0.5,1.5,0\n-1.0,{cell},1\n")
+    with pytest.raises(ValueError, match=rf"data\.csv: line {line}, column 'f1'"):
+        load_csv(str(path))
+
+
+def test_load_csv_line_numbers_skip_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,f1,label\n\n# note\n0.5,1.5,0\n\n,2.0,1\n")
+    with pytest.raises(ValueError, match="line 6, column 'f0'"):
+        load_csv(str(path))
+
+
 class TestSynthGaussian:
     def test_zero_separation_centers_coincide(self):
         data = synth_gaussian(GaussianMixtureSpec(2, 1, 0.0, 5, seed=7))

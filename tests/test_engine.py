@@ -266,6 +266,11 @@ class TestClassCountExperiment:
         with pytest.raises(ValueError):
             run_class_count_experiment(cfg, [6])
 
+    def test_routing_is_always_the_oracle(self):
+        cfg = world(seed=1, n_classes=10, per_class=40, held_out=(5, 6, 7, 8, 9), k=5)
+        oracle = run_class_count_experiment(cfg, [2, 3])
+        assert run_class_count_experiment(replace(cfg, ood_mode="detector"), [2, 3]) == oracle
+
     def test_uses_per_class_cap(self):
         cfg = world(seed=2, n_classes=10, per_class=50, held_out=(5, 6, 7, 8, 9), k=5)
         cfg = replace(cfg, split=replace(cfg.split, per_class_cap=20))

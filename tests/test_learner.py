@@ -86,24 +86,21 @@ class TestGradients:
         """Finite-difference oracle over every parameter of the toy network."""
         x, y = toy_batch(seed=4)
         model = init_model(TOY_NET, seed=7)
-        _, grads_w, grads_b = loss_and_gradients(model, x, y)
+        _, grads = loss_and_gradients(model, x, y)
 
         h = 1e-4
         worst = 0.0
-        for layer in range(len(model.weights)):
-            for arrays, grads in ((model.weights, grads_w), (model.biases, grads_b)):
-                param = arrays[layer]
-                grad = grads[layer]
-                for idx in np.ndindex(param.shape):
-                    orig = param[idx]
-                    param[idx] = orig + h
-                    up = cross_entropy(model, x, y)
-                    param[idx] = orig - h
-                    down = cross_entropy(model, x, y)
-                    param[idx] = orig
-                    fd = (up - down) / (2 * h)
-                    denom = max(abs(fd), abs(grad[idx]), 1e-8)
-                    worst = max(worst, abs(fd - grad[idx]) / denom)
+        for param, grad in zip(model.params, grads):
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
+                up = cross_entropy(model, x, y)
+                param[idx] = orig - h
+                down = cross_entropy(model, x, y)
+                param[idx] = orig
+                fd = (up - down) / (2 * h)
+                denom = max(abs(fd), abs(grad[idx]), 1e-8)
+                worst = max(worst, abs(fd - grad[idx]) / denom)
         assert worst < 1e-4
 
     def test_first_update_does_not_increase_loss(self):
@@ -295,8 +292,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.loss_log == model.loss_log
     for a, b in zip(model.weights, loaded.weights):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(model.m_w, loaded.m_w):
+    for a, b in zip(model.m, loaded.m):
         assert a.tobytes() == b.tobytes()
+    with np.load(path) as archive:
+        keys = set(archive.files)
+    layers = range(len(model.weights))
+    assert keys == {"meta"} | {f"{k}{i}" for i in layers for k in ("w", "b", "mw", "vw", "mb", "vb")}
     # training continues identically from a restored checkpoint
     more_a = train_epochs(model, data, AdamConfig(batch_size=32, seed=1), epochs=1)
     more_b = train_epochs(loaded, data, AdamConfig(batch_size=32, seed=1), epochs=1)

@@ -219,3 +219,7 @@ def test_learnability_config_validation():
         LearnabilityConfig(holdout_fraction=1.0)
     with pytest.raises(ValueError):
         LearnabilityConfig(epochs=0)
+    with pytest.raises(ValueError, match="hidden layer"):
+        LearnabilityConfig(hidden_dims=())
+    with pytest.raises(ValueError, match="hidden dims"):
+        LearnabilityConfig(hidden_dims=(0,))
