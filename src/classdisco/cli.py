@@ -9,6 +9,7 @@ so any run can be re-executed exactly from its own report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,6 @@ from .clustering import WORKERS_ENV
 from .config import ConfigError, config_to_dict, load_config, validate_config
 from .dataset import IdxFormatError
 from .engine import DiscoveryState, ExperimentConfig
-from .learner import TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,6 +41,8 @@ CLUSTERS_COLUMNS = (
     "density",
     "accepted",
 )
+CLASSCOUNT_COLUMNS = ("class_count", "mean_cluster_accuracy")
+ACCEPTED_KEYS = ("round", "new_label", "plurality_label", "size", "learnability")
 
 
 def _fmt(x) -> str:
@@ -49,43 +51,71 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _none_if_nan(x: float):
+def _none_if_nan(x):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
-def _seed_registry(cfg: ExperimentConfig) -> dict:
-    return {
-        "master": cfg.seed,
-        "split": cfg.split.seed,
-        "adam": cfg.adam.seed,
-        "kmeans": cfg.kmeans.seed,
-        "policy": cfg.policy.seed,
-        "data": cfg.data.gaussian.seed if cfg.data.kind == "synthetic" else None,
+def _csv(columns, rows) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _scalars(obj) -> dict:
+    """The non-tuple dataclass fields of ``obj`` in declaration order, NaN as null."""
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {name: _none_if_nan(v) for name, v in values if not isinstance(v, tuple)}
+
+
+def _out_dir(path: str) -> str:
+    """Create the output directory before the run, so a bad ``--out`` costs no training."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
+def _write(out: str, name: str, text: str) -> str:
+    """Write ``out/name`` through a temporary file, so it is never left half-written."""
+    path = os.path.join(out, name)
+    with open(path + ".tmp", "w") as f:
+        f.write(text)
+    os.replace(path + ".tmp", path)
+    return path
+
+
+def _report(mode: str, cfg: ExperimentConfig, **body) -> str:
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "mode": mode,
+        "config": config_to_dict(cfg),
+        "seed_registry": {
+            "master": cfg.seed,
+            "split": cfg.split.seed,
+            "adam": cfg.adam.seed,
+            "kmeans": cfg.kmeans.seed,
+            "policy": cfg.policy.seed,
+            "data": cfg.data.gaussian.seed if cfg.data.kind == "synthetic" else None,
+        },
+        **body,
     }
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_curves(path: str, state: DiscoveryState) -> None:
-    lines = [",".join(CURVES_COLUMNS)]
-    for rec in state.history:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.round),
-                    _fmt(rec.dra),
-                    _fmt(rec.mean_cluster_accuracy),
-                    str(rec.ood_pool_size),
-                    _fmt(rec.train_loss),
-                )
-            )
-        )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+def _curve_rows(state: DiscoveryState):
+    return [[getattr(rec, c) for c in CURVES_COLUMNS] for rec in state.history]
 
 
-def _write_clusters(path: str, state: DiscoveryState) -> None:
+def _overlap(row) -> list:
+    """The ClusterOverlap attributes that clusters.csv names, in column order."""
+    return [getattr(row, c) for c in CLUSTERS_COLUMNS[2:7]]
+
+
+def _cluster_rows(state: DiscoveryState):
     """One row per evaluated cluster; learnability/density/accepted are filled
     from the following round's acceptance pass when one happened."""
-    lines = [",".join(CLUSTERS_COLUMNS)]
+    rows = []
     history = state.history
     for i, rec in enumerate(history):
         nxt = history[i + 1] if i + 1 < len(history) else None
@@ -93,109 +123,25 @@ def _write_clusters(path: str, state: DiscoveryState) -> None:
         accepted_id = nxt.accepted_cluster if nxt else None
         for row in rec.report.clusters:
             f = scores.get(row.cluster_id)
-            lines.append(
-                ",".join(
-                    (
-                        str(rec.round),
-                        "cluster",
-                        str(row.cluster_id),
-                        str(row.size),
-                        _fmt(row.accuracy),
-                        str(row.mapped_label),
-                        _fmt(row.weight),
-                        _fmt(f.learnability if f else math.nan),
-                        _fmt(f.density if f else math.nan),
-                        str(int(row.cluster_id == accepted_id)),
-                    )
-                )
-            )
+            learn, density = (f.learnability, f.density) if f else (math.nan, math.nan)
+            accepted = int(row.cluster_id == accepted_id)
+            rows.append((rec.round, "cluster", *_overlap(row), learn, density, accepted))
         for j, row in enumerate(rec.report.frozen):
             learn = state.accepted[j].learnability if j < len(state.accepted) else math.nan
-            lines.append(
-                ",".join(
-                    (
-                        str(rec.round),
-                        "frozen",
-                        str(row.cluster_id),
-                        str(row.size),
-                        _fmt(row.accuracy),
-                        str(row.mapped_label),
-                        _fmt(row.weight),
-                        _fmt(float(learn)),
-                        _fmt(math.nan),
-                        "1",
-                    )
-                )
-            )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+            rows.append((rec.round, "frozen", *_overlap(row), float(learn), math.nan, 1))
+    return rows
 
 
-def _report_doc(mode: str, cfg: ExperimentConfig, state: DiscoveryState, wall: float, workers) -> dict:
-    rounds = []
-    for rec in state.history:
-        rounds.append(
-            {
-                "round": rec.round,
-                "dra": rec.dra,
-                "mean_cluster_accuracy": rec.mean_cluster_accuracy,
-                "ood_pool_size": rec.ood_pool_size,
-                "train_loss": _none_if_nan(rec.train_loss),
-                "report": {
-                    "ell": rec.report.ell,
-                    "o": rec.report.o,
-                    "n_total": rec.report.n_total,
-                    "weighted_ood_accuracy": rec.report.weighted_ood_accuracy,
-                    "dra": rec.report.dra,
-                    "routed_total": rec.report.routed_total,
-                    "routed_correct": rec.report.routed_correct,
-                },
-                "scored_clusters": [
-                    {
-                        "cluster_id": f.cluster_id,
-                        "size": f.size,
-                        "learnability": _none_if_nan(f.learnability),
-                        "density": f.density,
-                        "flagged_small": f.flagged_small,
-                    }
-                    for f in rec.cluster_features
-                ],
-                "accepted_cluster": rec.accepted_cluster,
-            }
-        )
-    accepted = [
+def _rounds(state: DiscoveryState) -> list[dict]:
+    return [
         {
-            "round": a.round,
-            "new_label": a.new_label,
-            "plurality_label": a.plurality_label,
-            "size": a.size,
-            "learnability": _none_if_nan(a.learnability),
+            **{c: _none_if_nan(v) for c, v in zip(CURVES_COLUMNS, values)},
+            "report": _scalars(rec.report),
+            "scored_clusters": [_scalars(f) for f in rec.cluster_features],
+            "accepted_cluster": rec.accepted_cluster,
         }
-        for a in state.accepted
+        for rec, values in zip(state.history, _curve_rows(state))
     ]
-    detector = None
-    if state.detector is not None:
-        detector = {
-            "threshold": state.detector.threshold,
-            "quantile": state.detector.quantile,
-            "calibration_size": state.detector.calibration_size,
-        }
-    return {
-        "schema": REPORT_SCHEMA,
-        "mode": mode,
-        "config": config_to_dict(cfg),
-        "seed_registry": _seed_registry(cfg),
-        "workers": workers,
-        # accepted clusters keep their acceptance-time labels; the residual
-        # pool is re-clustered at every evaluation
-        "dra_accounting": "frozen-accepted-plus-reclustered-residual",
-        "rounds": rounds,
-        "accepted": accepted,
-        "detector": detector,
-        "final_dra": state.history[-1].dra,
-        "stopped_early": state.stopped_early,
-        "wall_clock_seconds": wall,
-    }
 
 
 def _resolve_workers(args) -> int | None:
@@ -205,40 +151,33 @@ def _resolve_workers(args) -> int | None:
     return int(env) if env.isdigit() else None
 
 
-def cmd_discover(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    problems = validate_config(cfg)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
-
+def cmd_discover(args, cfg: ExperimentConfig) -> int:
+    out = _out_dir(args.out)
     workers = _resolve_workers(args)
+    run = engine.run_static if args.mode == "static" else engine.run_dynamic
     start = time.perf_counter()
-    try:
-        if args.mode == "static":
-            state, _ = engine.run_static(cfg, workers=workers)
-        else:
-            state, _ = engine.run_dynamic(cfg, workers=workers)
-    except (FileNotFoundError, IdxFormatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TrainingDivergedError, RuntimeError, ValueError, FloatingPointError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    state, _ = run(cfg, workers=workers)
     wall = time.perf_counter() - start
 
-    os.makedirs(args.out, exist_ok=True)
-    report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w") as f:
-        json.dump(_report_doc(args.mode, cfg, state, wall, workers or 1), f, indent=2)
-        f.write("\n")
-    _write_curves(os.path.join(args.out, "curves.csv"), state)
-    _write_clusters(os.path.join(args.out, "clusters.csv"), state)
+    report = _report(
+        args.mode,
+        cfg,
+        workers=workers or 1,
+        # accepted clusters keep their acceptance-time labels; the residual
+        # pool is re-clustered at every evaluation
+        dra_accounting="frozen-accepted-plus-reclustered-residual",
+        rounds=_rounds(state),
+        accepted=[
+            {k: _none_if_nan(getattr(a, k)) for k in ACCEPTED_KEYS} for a in state.accepted
+        ],
+        detector=_scalars(state.detector) if state.detector is not None else None,
+        final_dra=state.history[-1].dra,
+        stopped_early=state.stopped_early,
+        wall_clock_seconds=wall,
+    )
+    report_path = _write(out, "report.json", report)
+    _write(out, "curves.csv", _csv(CURVES_COLUMNS, _curve_rows(state)))
+    _write(out, "clusters.csv", _csv(CLUSTERS_COLUMNS, _cluster_rows(state)))
 
     final = state.history[-1]
     print(f"{args.mode} run finished: rounds={final.round} dra={final.dra:.4f}")
@@ -261,67 +200,29 @@ def _parse_counts(raw: str) -> list[int]:
     return deduped
 
 
-def cmd_classcount(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        counts = _parse_counts(args.counts)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    workers = _resolve_workers(args)
+def cmd_classcount(args, cfg: ExperimentConfig) -> int:
+    counts = _parse_counts(args.counts)
+    out = _out_dir(args.out)
     start = time.perf_counter()
-    try:
-        rows = engine.run_class_count_experiment(cfg, counts, workers=workers)
-    except (FileNotFoundError, IdxFormatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TrainingDivergedError, RuntimeError, FloatingPointError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    rows = engine.run_class_count_experiment(cfg, counts, workers=_resolve_workers(args))
     wall = time.perf_counter() - start
 
-    os.makedirs(args.out, exist_ok=True)
-    table_path = os.path.join(args.out, "classcount.csv")
-    with open(table_path, "w") as f:
-        f.write("class_count,mean_cluster_accuracy\n")
-        for count, acc in rows:
-            f.write(f"{count},{_fmt(acc)}\n")
-    with open(os.path.join(args.out, "report.json"), "w") as f:
-        json.dump(
-            {
-                "schema": REPORT_SCHEMA,
-                "mode": "classcount",
-                "config": config_to_dict(cfg),
-                "seed_registry": _seed_registry(cfg),
-                "counts": counts,
-                "rows": [{"class_count": c, "mean_cluster_accuracy": a} for c, a in rows],
-                "wall_clock_seconds": wall,
-            },
-            f,
-            indent=2,
-        )
-        f.write("\n")
+    table_path = _write(out, "classcount.csv", _csv(CLASSCOUNT_COLUMNS, rows))
+    report = _report(
+        "classcount",
+        cfg,
+        counts=counts,
+        rows=[dict(zip(CLASSCOUNT_COLUMNS, row)) for row in rows],
+        wall_clock_seconds=wall,
+    )
+    _write(out, "report.json", report)
     for count, acc in rows:
         print(f"classes={count} cluster_accuracy={acc:.4f}")
     print(f"table: {table_path}")
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    problems = validate_config(cfg)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_validate(args, cfg: ExperimentConfig) -> int:
     print("config ok")
     return EXIT_OK
 
@@ -334,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("discover", help="run a static or dynamic discovery experiment")
+    d.set_defaults(run=cmd_discover)
     d.add_argument("--config", required=True, help="JSON config (or a previous report.json)")
     d.add_argument("--mode", choices=("static", "dynamic"), default="dynamic")
     d.add_argument("--out", required=True, help="output directory")
@@ -342,23 +244,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     c = sub.add_parser("classcount", help="cluster accuracy vs number of training classes")
+    c.set_defaults(run=cmd_classcount)
     c.add_argument("--config", required=True)
     c.add_argument("--counts", default="2,3,4,5", help="comma-separated training class counts")
     c.add_argument("--out", required=True)
     c.add_argument("--workers", type=int, default=None)
 
     v = sub.add_parser("validate", help="check a config without running it")
+    v.set_defaults(run=cmd_validate)
     v.add_argument("--config", required=True)
     return parser
 
 
 def main(argv=None) -> int:
+    """Load and validate the config, run the subcommand, and map failures to exit codes."""
     args = build_parser().parse_args(argv)
-    if args.command == "discover":
-        return cmd_discover(args)
-    if args.command == "classcount":
-        return cmd_classcount(args)
-    return cmd_validate(args)
+    try:
+        cfg = load_config(args.config)
+        problems = validate_config(cfg)
+        for p in problems:
+            print(f"config error: {p}", file=sys.stderr)
+        if problems:
+            return EXIT_CONFIG
+        return args.run(args, cfg)
+    except (ConfigError, FileNotFoundError, IdxFormatError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (RuntimeError, ValueError, FloatingPointError) as exc:
+        # RuntimeError covers learner.TrainingDivergedError
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -23,12 +23,7 @@ from typing import Any
 import numpy as np
 
 from .dataset import GaussianMixtureSpec, load_csv, read_idx_header
-from .engine import DataSpec, ExperimentConfig
-
-
-class ConfigError(ValueError):
-    """A configuration document is malformed; the message names the field."""
-
+from .engine import ConfigError, DataSpec, ExperimentConfig
 
 # `data` is a union tagged by `kind`. Synthetic data takes the fields of
 # GaussianMixtureSpec flat under `data`; the file kinds map JSON keys to

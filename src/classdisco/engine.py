@@ -51,6 +51,10 @@ OOD_MODES = ("oracle", "detector")
 DATA_KINDS = ("synthetic", "idx", "csv")
 
 
+class ConfigError(ValueError):
+    """A configuration document is malformed; the message names the field."""
+
+
 @dataclass(frozen=True)
 class DataSpec:
     kind: str
@@ -109,13 +113,19 @@ class AcceptedCluster(metrics.FrozenCluster):
 @dataclass(frozen=True)
 class RoundRecord:
     round: int
-    dra: float
-    mean_cluster_accuracy: float
     ood_pool_size: int
     train_loss: float
     report: ReconstructionReport
     cluster_features: tuple[ClusterFeatures, ...] = ()
     accepted_cluster: int | None = None
+
+    @property
+    def dra(self) -> float:
+        return self.report.dra
+
+    @property
+    def mean_cluster_accuracy(self) -> float:
+        return self.report.weighted_ood_accuracy
 
 
 @dataclass
@@ -228,8 +238,6 @@ def _prepare(
     ev = _evaluate(data, model, cfg, [], 0, workers)
     record = RoundRecord(
         round=0,
-        dra=ev.report.dra,
-        mean_cluster_accuracy=ev.report.weighted_ood_accuracy,
         ood_pool_size=len(data.unlabeled_indices()),
         train_loss=_mean_recent_losses(model, cfg.epochs_initial),
         report=ev.report,
@@ -378,8 +386,6 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None):
         state.history.append(
             RoundRecord(
                 round=r,
-                dra=ev.report.dra,
-                mean_cluster_accuracy=ev.report.weighted_ood_accuracy,
                 ood_pool_size=len(dataset.unlabeled_indices()),
                 train_loss=_mean_recent_losses(model, cfg.epochs_per_round),
                 report=ev.report,
@@ -411,22 +417,27 @@ def run_class_count_experiment(
     applied uniformly, the pool routed by the oracle) and report the
     size-weighted mean cluster accuracy of the pool.
     """
+    if base_cfg.net.output_classes is not None:
+        raise ConfigError(
+            f"net.output_classes ({base_cfg.net.output_classes}) must be unset: "
+            "each class count derives its own output width"
+        )
     raw = load_data(base_cfg.data)
     classes = [int(c) for c in np.unique(raw.true_labels)]
     if eval_classes is None:
         if len(classes) <= 5:
-            raise ValueError("need more than 5 classes to hold 5 out for evaluation")
+            raise ConfigError("need more than 5 classes to hold 5 out for evaluation")
         eval_set = set(classes[-5:])
     else:
         eval_set = {int(c) for c in eval_classes}
         if not eval_set <= set(classes):
-            raise ValueError("eval classes not present in the data")
+            raise ConfigError("eval classes not present in the data")
     non_eval = [c for c in classes if c not in eval_set]
     for c in class_counts:
         if c < 2:
-            raise ValueError(f"class count {c} must be >= 2")
+            raise ConfigError(f"class count {c} must be >= 2")
         if c > len(non_eval):
-            raise ValueError(f"class count {c} exceeds the {len(non_eval)} available classes")
+            raise ConfigError(f"class count {c} exceeds the {len(non_eval)} available classes")
 
     split = replace(base_cfg.split, held_out_classes=frozenset(eval_set))
     cfg = replace(base_cfg, split=split, ood_mode="oracle")

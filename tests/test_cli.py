@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import struct
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classdisco import cli, engine
 from classdisco.cli import main
 from classdisco.config import ConfigError, config_to_dict, parse_config
 from classdisco.engine import OOD_MODES
@@ -40,6 +42,22 @@ def write_config(tmp_path, doc, name="exp.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def classcount_config(**overrides):
+    doc = base_config(**overrides)
+    doc["data"]["n_classes"] = 10
+    doc["data"]["per_class_n"] = 40
+    doc["kmeans"]["k"] = 5
+    doc["epochs_initial"] = 3
+    return doc
+
+
+def no_training(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("a model was trained")
+
+    monkeypatch.setattr(engine, "_prepare", fail)
 
 
 class TestValidate:
@@ -443,3 +461,180 @@ class TestClassCount:
         doc["data"]["per_class_n"] = 40
         path = write_config(tmp_path, doc)
         assert main(["classcount", "--config", path, "--counts", "1", "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("output_classes", [3, 7])
+    def test_set_output_classes_fails_before_training(
+        self, tmp_path, capsys, monkeypatch, output_classes
+    ):
+        # 3 differs from the 7 trainable classes, so validation rejects it; 7
+        # passes validation but is wrong for every count, so the engine does.
+        doc = classcount_config()
+        doc["net"]["output_classes"] = output_classes
+        path = write_config(tmp_path, doc)
+        no_training(monkeypatch)
+        argv = ["classcount", "--config", path, "--counts", "2,3,4", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert "net.output_classes" in capsys.readouterr().err
+
+
+def _argv(command, path, out):
+    if command == "validate":
+        return ["validate", "--config", path]
+    if command == "discover":
+        return ["discover", "--config", path, "--mode", "static", "--out", out]
+    return ["classcount", "--config", path, "--counts", "2", "--out", out]
+
+
+def _poisoned_csv(tmp_path):
+    """Seven classes, one training sample finite but large enough to overflow the forward pass."""
+    rows = ["f0,f1,label", "1e308,0.3,0"]
+    rows += [f"0.{i},0.{i},{i % 2}" for i in range(1, 9)]
+    rows += [f"0.{i},9.{c},{c}" for c in range(2, 7) for i in range(5, 8)]
+    csv = tmp_path / "poisoned.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    doc = base_config()
+    doc["data"] = {"kind": "csv", "path": str(csv)}
+    doc["split"] = {"held_out_classes": [2], "seed": 0}
+    doc["kmeans"]["k"] = 2
+    return doc
+
+
+def _unknown_key(tmp_path):
+    return classcount_config(extra_knob=3)
+
+
+def _missing_data(tmp_path):
+    doc = base_config()
+    doc["data"] = {"kind": "csv", "path": str(tmp_path / "absent.csv")}
+    return doc
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, make_doc, code, message",
+        [
+            (command, _unknown_key, 1, "extra_knob")
+            for command in ("validate", "discover", "classcount")
+        ]
+        + [
+            (command, _missing_data, 1, "absent.csv")
+            for command in ("validate", "discover", "classcount")
+        ]
+        + [(command, _poisoned_csv, 2, "runtime failure") for command in ("discover", "classcount")],
+    )
+    def test_every_subcommand_maps_failures_alike(
+        self, tmp_path, capsys, command, make_doc, code, message
+    ):
+        path = write_config(tmp_path, make_doc(tmp_path))
+        assert main(_argv(command, path, str(tmp_path / "out"))) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["discover", "classcount"])
+    def test_uncreatable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = write_config(tmp_path, classcount_config())
+        no_training(monkeypatch)
+        assert main(_argv(command, path, str(blocker / "out"))) == 1
+        err = capsys.readouterr().err
+        assert "config error: cannot create output directory" in err
+        assert str(blocker / "out") in err
+
+
+class TestReportFormat:
+    def test_discover_report_keys_are_pinned(self, tmp_path):
+        def run(doc, mode):
+            out = tmp_path / mode
+            path = write_config(tmp_path, doc, f"{mode}.json")
+            assert main(["discover", "--config", path, "--mode", mode, "--out", str(out)]) == 0
+            return json.loads((out / "report.json").read_text())
+
+        report = run(base_config(), "dynamic")
+        assert list(report) == [
+            "schema",
+            "mode",
+            "config",
+            "seed_registry",
+            "workers",
+            "dra_accounting",
+            "rounds",
+            "accepted",
+            "detector",
+            "final_dra",
+            "stopped_early",
+            "wall_clock_seconds",
+        ]
+        for rec in report["rounds"]:
+            assert list(rec) == [
+                "round",
+                "dra",
+                "mean_cluster_accuracy",
+                "ood_pool_size",
+                "train_loss",
+                "report",
+                "scored_clusters",
+                "accepted_cluster",
+            ]
+            assert list(rec["report"]) == [
+                "ell",
+                "o",
+                "n_total",
+                "weighted_ood_accuracy",
+                "dra",
+                "routed_total",
+                "routed_correct",
+            ]
+        scored = [f for rec in report["rounds"] for f in rec["scored_clusters"]]
+        assert scored and report["accepted"]
+        for f in scored:
+            assert list(f) == ["cluster_id", "size", "learnability", "density", "flagged_small"]
+        for a in report["accepted"]:
+            assert list(a) == ["round", "new_label", "plurality_label", "size", "learnability"]
+        detector = run(base_config(ood_mode="detector", detector_quantile=0.9), "static")["detector"]
+        assert list(detector) == ["threshold", "quantile", "calibration_size"]
+
+    def test_classcount_report_keys_are_pinned(self, tmp_path):
+        out = tmp_path / "cc"
+        path = write_config(tmp_path, classcount_config())
+        assert main(["classcount", "--config", path, "--counts", "2", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == [
+            "schema",
+            "mode",
+            "config",
+            "seed_registry",
+            "counts",
+            "rows",
+            "wall_clock_seconds",
+        ]
+        assert [list(row) for row in report["rows"]] == [["class_count", "mean_cluster_accuracy"]]
+
+
+class _DiskFull:
+    """A file that keeps half of the first write, then fails as a full disk does."""
+
+    def __init__(self, path, mode="r"):
+        self._file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def write(self, text):
+        self._file.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicOutputs:
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, base_config())
+        argv = ["discover", "--config", path, "--mode", "static", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        report = tmp_path / "run" / "report.json"
+        before = report.read_bytes()
+        monkeypatch.setattr(cli, "open", _DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            main(argv)
+        assert report.read_bytes() == before
