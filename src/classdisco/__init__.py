@@ -13,8 +13,10 @@ from .clustering import (
     lloyd_fit,
 )
 from .dataset import (
+    CsvData,
     Dataset,
     GaussianMixtureSpec,
+    IdxData,
     IdxFormatError,
     SplitSpec,
     add_class,
@@ -25,10 +27,10 @@ from .dataset import (
 )
 from .engine import (
     AcceptedCluster,
-    DataSpec,
     DiscoveryState,
     ExperimentConfig,
     RoundRecord,
+    class_count_config,
     evaluate_state,
     run_class_count_experiment,
     run_dynamic,

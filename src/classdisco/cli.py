@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import engine
-from .clustering import WORKERS_ENV
+from .clustering import WORKERS_ENV, resolve_workers
 from .config import ConfigError, config_to_dict, load_config, validate_config
 from .dataset import IdxFormatError
 from .engine import DiscoveryState, ExperimentConfig
@@ -79,9 +79,16 @@ def _out_dir(path: str) -> str:
 def _write(out: str, name: str, text: str) -> str:
     """Write ``out/name`` through a temporary file, so it is never left half-written."""
     path = os.path.join(out, name)
-    with open(path + ".tmp", "w") as f:
-        f.write(text)
-    os.replace(path + ".tmp", path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        # a RuntimeError (exit 2): an OSError such as FileNotFoundError reads as a missing input
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -96,7 +103,7 @@ def _report(mode: str, cfg: ExperimentConfig, **body) -> str:
             "adam": cfg.adam.seed,
             "kmeans": cfg.kmeans.seed,
             "policy": cfg.policy.seed,
-            "data": cfg.data.gaussian.seed if cfg.data.kind == "synthetic" else None,
+            "data": getattr(cfg.data, "seed", None),
         },
         **body,
     }
@@ -144,16 +151,17 @@ def _rounds(state: DiscoveryState) -> list[dict]:
     ]
 
 
-def _resolve_workers(args) -> int | None:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV, "")
-    return int(env) if env.isdigit() else None
+def _workers(args) -> int:
+    """``--workers``, else ``$CLASSDISCO_WORKERS``, else 1; a bad value is a config error."""
+    try:
+        return resolve_workers(args.workers)
+    except ValueError as exc:
+        raise ConfigError(f"--workers: {exc}" if args.workers is not None else str(exc)) from exc
 
 
 def cmd_discover(args, cfg: ExperimentConfig) -> int:
+    workers = _workers(args)
     out = _out_dir(args.out)
-    workers = _resolve_workers(args)
     run = engine.run_static if args.mode == "static" else engine.run_dynamic
     start = time.perf_counter()
     state, _ = run(cfg, workers=workers)
@@ -162,7 +170,7 @@ def cmd_discover(args, cfg: ExperimentConfig) -> int:
     report = _report(
         args.mode,
         cfg,
-        workers=workers or 1,
+        workers=workers,
         # accepted clusters keep their acceptance-time labels; the residual
         # pool is re-clustered at every evaluation
         dra_accounting="frozen-accepted-plus-reclustered-residual",
@@ -202,9 +210,10 @@ def _parse_counts(raw: str) -> list[int]:
 
 def cmd_classcount(args, cfg: ExperimentConfig) -> int:
     counts = _parse_counts(args.counts)
+    workers = _workers(args)
     out = _out_dir(args.out)
     start = time.perf_counter()
-    rows = engine.run_class_count_experiment(cfg, counts, workers=_resolve_workers(args))
+    rows = engine.run_class_count_experiment(cfg, counts, workers=workers)
     wall = time.perf_counter() - start
 
     table_path = _write(out, "classcount.csv", _csv(CLASSCOUNT_COLUMNS, rows))
@@ -261,7 +270,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        problems = validate_config(cfg)
+        # classcount runs its own split, so that is the one to check
+        problems = validate_config(
+            engine.class_count_config(cfg) if args.command == "classcount" else cfg
+        )
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         if problems:

@@ -166,11 +166,16 @@ def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -
     )
 
 
-def _workers(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get(WORKERS_ENV, "")
-    return max(1, int(env)) if env.isdigit() else 1
+def resolve_workers(requested: int | None = None) -> int:
+    """Worker count for the restarts: ``requested``, else ``$CLASSDISCO_WORKERS``, else 1."""
+    if requested is None:
+        env = os.environ.get(WORKERS_ENV) or "1"
+        if not env.isdigit() or int(env) < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        return int(env)
+    if requested < 1:
+        raise ValueError(f"the worker count must be >= 1, got {requested}")
+    return requested
 
 
 def fit_with_restarts(points, cfg: KMeansConfig, workers: int | None = None) -> Clustering:
@@ -184,7 +189,7 @@ def fit_with_restarts(points, cfg: KMeansConfig, workers: int | None = None) -> 
         init = kmeanspp_init(pts, cfg.k, seed=cfg.seed + i)
         return lloyd_fit(pts, init, max_iters=cfg.max_iters, tol=cfg.tol)
 
-    n_workers = _workers(workers)
+    n_workers = resolve_workers(workers)
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(trial, range(cfg.restarts)))

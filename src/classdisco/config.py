@@ -20,18 +20,7 @@ import types
 import typing
 from typing import Any
 
-import numpy as np
-
-from .dataset import GaussianMixtureSpec, load_csv, read_idx_header
-from .engine import ConfigError, DataSpec, ExperimentConfig
-
-# `data` is a union tagged by `kind`. Synthetic data takes the fields of
-# GaussianMixtureSpec flat under `data`; the file kinds map JSON keys to
-# DataSpec fields, every one of them a required path.
-_DATA_KEYS = {
-    "idx": {"images": "images_path", "labels": "labels_path"},
-    "csv": {"path": "csv_path"},
-}
+from .engine import ConfigError, ExperimentConfig
 
 # JSON type a scalar annotation accepts: (description, check).
 _SCALARS = {
@@ -62,7 +51,7 @@ def _check_keys(doc, path: str, allowed, required=()) -> None:
             raise ConfigError(f"missing required key '{_key(path, name)}'")
 
 
-def _build(path: str, factory, **kwargs):
+def _build(path: str, factory, kwargs: dict):
     try:
         return factory(**kwargs)
     except ValueError as exc:
@@ -72,13 +61,13 @@ def _build(path: str, factory, **kwargs):
 def _value(value, tp, path: str):
     """Check one JSON value against a field annotation and convert it."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        if value is None:
+    if origin in (typing.Union, types.UnionType):
+        members = [a for a in args if a is not type(None)]
+        if value is None and len(members) < len(args):  # X | None
             return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _value(value, tp, path)
-    if tp is DataSpec:
-        return _parse_data(value, path)
+        if len(members) > 1:
+            return _parse_tagged(members, value, path)
+        return _value(value, members[0], path)
     if dataclasses.is_dataclass(tp):
         return _parse(tp, value, path)
     if origin in (tuple, frozenset):
@@ -102,23 +91,18 @@ def _parse(cls, doc, path: str):
     _check_keys(doc, path, [f.name for f in fields], required)
     hints = typing.get_type_hints(cls)
     kwargs = {name: _value(v, hints[name], _key(path, name)) for name, v in doc.items()}
-    return _build(path, cls, **kwargs)
+    return _build(path, cls, kwargs)
 
 
-def _parse_data(doc, path: str) -> DataSpec:
+def _parse_tagged(members, doc, path: str):
+    """Build the member of a union of dataclasses that the ``kind`` key names."""
     _check_keys(doc, path, doc, ["kind"])  # the other keys depend on the kind
     kind = doc["kind"]
-    rest = {k: v for k, v in doc.items() if k != "kind"}
-    if kind == "synthetic":
-        return DataSpec(kind=kind, gaussian=_parse(GaussianMixtureSpec, rest, path))
-    if kind not in _DATA_KEYS:
-        raise ConfigError(
-            f"'{_key(path, 'kind')}' must be synthetic, idx, or csv, got {_show(kind)}"
-        )
-    keys = _DATA_KEYS[kind]
-    _check_keys(rest, path, keys, keys)
-    paths = {field: _value(rest[key], str, _key(path, key)) for key, field in keys.items()}
-    return DataSpec(kind=kind, **paths)
+    cls = next((m for m in members if m.kind == kind), None)
+    if cls is None:
+        kinds = ", ".join(m.kind for m in members)
+        raise ConfigError(f"'{_key(path, 'kind')}' must be one of {kinds}; got {_show(kind)}")
+    return _parse(cls, {k: v for k, v in doc.items() if k != "kind"}, path)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -148,41 +132,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def _echo(value):
-    if isinstance(value, DataSpec):
-        doc = {"kind": value.kind}
-        if value.kind == "synthetic":
-            doc.update(_echo(value.gaussian))
-        else:
-            keys = _DATA_KEYS[value.kind].items()
-            doc.update({key: getattr(value, field) for key, field in keys})
-        return doc
     if dataclasses.is_dataclass(value):
-        return {f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        doc = {f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        if "kind" not in doc and hasattr(value, "kind"):  # a data source's ClassVar tag
+            return {"kind": value.kind, **doc}
+        return doc
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, tuple):
         return list(value)
     return value
-
-
-def _data_shape(spec: DataSpec) -> tuple[int, dict[int, int]]:
-    """Feature width and samples per class; idx data is read up to the labels, never the pixels."""
-    if spec.kind == "synthetic":
-        g = spec.gaussian
-        return g.dim, {c: g.per_class_n for c in range(g.n_classes)}
-    if spec.kind == "idx":
-        with open(spec.images_path, "rb") as f:
-            img_header = f.read(16)
-        with open(spec.labels_path, "rb") as f:
-            lbl_bytes = f.read()
-        n, rows, cols = read_idx_header(img_header, lbl_bytes, spec.images_path, spec.labels_path)
-        width = rows * cols
-        labels = np.frombuffer(lbl_bytes[8 : 8 + n], dtype=np.uint8)
-    else:
-        data = load_csv(spec.csv_path)
-        width, labels = data.n_features, data.true_labels
-    ids, ns = np.unique(labels, return_counts=True)
-    return width, {int(c): int(n) for c, n in zip(ids, ns)}
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
@@ -197,13 +156,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             f"rounds ({cfg.rounds}) exceeds the number of held-out classes ({len(held_out)})"
         )
 
-    files = [p for p in (cfg.data.images_path, cfg.data.labels_path, cfg.data.csv_path) if p]
-    missing_files = [p for p in files if not os.path.exists(p)]
+    missing_files = [p for p in cfg.data.files if not os.path.exists(p)]
     problems.extend(f"data file missing: {p}" for p in missing_files)
     if missing_files:
         return problems
     try:
-        width, counts = _data_shape(cfg.data)
+        width, counts = cfg.data.shape()
     except (OSError, ValueError) as exc:
         problems.append(f"cannot load data: {exc}")
         return problems

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -130,6 +131,9 @@ class SplitSpec:
 class GaussianMixtureSpec:
     """Synthetic benchmark: isotropic unit-variance Gaussians around class centers."""
 
+    kind: ClassVar[str] = "synthetic"
+    files: ClassVar[tuple[str, ...]] = ()
+
     n_classes: int
     dim: int
     separation: float
@@ -145,6 +149,72 @@ class GaussianMixtureSpec:
             raise ValueError("separation must be >= 0")
         if self.per_class_n < 1:
             raise ValueError("per_class_n must be >= 1")
+
+    def load(self) -> Dataset:
+        return synth_gaussian(self)
+
+    def shape(self) -> tuple[int, dict[int, int]]:
+        return self.dim, {c: self.per_class_n for c in range(self.n_classes)}
+
+
+@dataclass(frozen=True)
+class IdxData:
+    """An IDX image/label file pair."""
+
+    kind: ClassVar[str] = "idx"
+
+    images: str
+    labels: str
+
+    @property
+    def files(self) -> tuple[str, ...]:
+        return self.images, self.labels
+
+    def load(self) -> Dataset:
+        return load_idx(self.images, self.labels)
+
+    def shape(self) -> tuple[int, dict[int, int]]:
+        """Read up to the labels, never the pixels."""
+        with open(self.images, "rb") as f:
+            img_header = f.read(16)
+        with open(self.labels, "rb") as f:
+            lbl_bytes = f.read()
+        n, rows, cols = read_idx_header(img_header, lbl_bytes, self.images, self.labels)
+        return rows * cols, _class_counts(np.frombuffer(lbl_bytes[8 : 8 + n], dtype=np.uint8))
+
+
+@dataclass(frozen=True)
+class CsvData:
+    """A CSV file with a header row; the last column is the class label."""
+
+    kind: ClassVar[str] = "csv"
+
+    path: str
+
+    @property
+    def files(self) -> tuple[str, ...]:
+        return (self.path,)
+
+    def load(self) -> Dataset:
+        return load_csv(self.path)
+
+    def shape(self) -> tuple[int, dict[int, int]]:
+        data = self.load()
+        return data.n_features, _class_counts(data.true_labels)
+
+
+# The data sources a config can name, each tagged by its ``kind``.
+DataSource = GaussianMixtureSpec | IdxData | CsvData
+
+
+def load_data(source: DataSource) -> Dataset:
+    """Load any data source through one named entry point, which the benchmark times."""
+    return source.load()
+
+
+def _class_counts(labels) -> dict[int, int]:
+    ids, ns = np.unique(labels, return_counts=True)
+    return {int(c): int(n) for c, n in zip(ids, ns)}
 
 
 def _read_exact(data: bytes, offset: int, count: int, path: str) -> bytes:

@@ -21,16 +21,7 @@ import numpy as np
 
 from . import metrics, ood, selection
 from .clustering import Clustering, KMeansConfig, fit_with_restarts
-from .dataset import (
-    Dataset,
-    GaussianMixtureSpec,
-    SplitSpec,
-    add_class,
-    load_csv,
-    load_idx,
-    make_split,
-    synth_gaussian,
-)
+from .dataset import DataSource, Dataset, SplitSpec, add_class, load_data, make_split
 from .learner import (
     AdamConfig,
     Model,
@@ -48,7 +39,7 @@ _EXPAND_SEED_STRIDE = 100003
 _LEARNABILITY_SEED_STRIDE = 200003
 
 OOD_MODES = ("oracle", "detector")
-DATA_KINDS = ("synthetic", "idx", "csv")
+N_EVAL_CLASSES = 5  # the class-count experiment holds out the last five classes
 
 
 class ConfigError(ValueError):
@@ -56,27 +47,8 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class DataSpec:
-    kind: str
-    gaussian: GaussianMixtureSpec | None = None
-    images_path: str | None = None
-    labels_path: str | None = None
-    csv_path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in DATA_KINDS:
-            raise ValueError(f"unknown data kind {self.kind!r}, expected one of {DATA_KINDS}")
-        if self.kind == "synthetic" and self.gaussian is None:
-            raise ValueError("synthetic data needs a gaussian mixture spec")
-        if self.kind == "idx" and (self.images_path is None or self.labels_path is None):
-            raise ValueError("idx data needs images_path and labels_path")
-        if self.kind == "csv" and self.csv_path is None:
-            raise ValueError("csv data needs csv_path")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    data: DataSpec
+    data: DataSource
     split: SplitSpec
     net: NetworkConfig = NetworkConfig()
     adam: AdamConfig = AdamConfig()
@@ -147,14 +119,6 @@ class _RoundEval:
     cluster_indices: np.ndarray
     embeddings: np.ndarray | None
     detector: OodDetector | None
-
-
-def load_data(spec: DataSpec) -> Dataset:
-    if spec.kind == "synthetic":
-        return synth_gaussian(spec.gaussian)
-    if spec.kind == "idx":
-        return load_idx(spec.images_path, spec.labels_path)
-    return load_csv(spec.csv_path)
 
 
 def _mean_recent_losses(model: Model, epochs: int) -> float:
@@ -294,10 +258,8 @@ def _score_clusters(
         raw = selection.learnability_scores(
             score_input,
             clustering.assignments,
-            holdout_fraction=cfg.learnability.holdout_fraction,
+            cfg.learnability,
             seed=cfg.seed + _LEARNABILITY_SEED_STRIDE * round_idx,
-            hidden_dims=cfg.learnability.hidden_dims,
-            epochs=cfg.learnability.epochs,
             extra_classes=extra_classes,
         )
         ids = np.unique(clustering.assignments)
@@ -313,21 +275,6 @@ def _score_clusters(
         )
         for cid in present
     ]
-
-
-def _pick(features: list[ClusterFeatures], policy: SelectionPolicy, round_idx: int) -> int | None:
-    pol = policy
-    if pol.kind == "random":
-        pol = replace(pol, seed=pol.seed + round_idx)
-    chosen = selection.select(features, pol)
-    if pol.kind != "threshold":
-        return int(chosen)
-    if not chosen:
-        return None
-    # One class is integrated per round; take the most learnable of the passing set.
-    passing = [f for f in features if f.cluster_id in set(chosen)]
-    best = min(passing, key=lambda f: (-f.learnability, -f.size, f.cluster_id))
-    return best.cluster_id
 
 
 def run_dynamic(cfg: ExperimentConfig, workers: int | None = None):
@@ -353,7 +300,8 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None):
         except ValueError as exc:
             state.stopped_early = f"round {r}: {exc}"
             break
-        selected = _pick(features, cfg.policy, r)
+        policy = replace(cfg.policy, seed=cfg.policy.seed + r)
+        selected = selection.select(features, policy)
         if selected is None:
             state.stopped_early = f"round {r}: no cluster above the acceptance threshold"
             break
@@ -404,43 +352,47 @@ def evaluate_state(state: DiscoveryState, workers: int | None = None) -> Reconst
     return ev.report
 
 
+def class_count_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The configuration each class count runs: the last five classes held out
+    for evaluation, the pool routed by the oracle, and no discovery rounds."""
+    if cfg.net.output_classes is not None:
+        raise ConfigError(
+            f"net.output_classes ({cfg.net.output_classes}) must be unset: "
+            "each class count derives its own output width"
+        )
+    try:
+        _, counts = cfg.data.shape()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load data: {exc}") from exc
+    classes = sorted(counts)
+    if len(classes) <= N_EVAL_CLASSES:
+        raise ConfigError(
+            f"need more than {N_EVAL_CLASSES} classes to hold {N_EVAL_CLASSES} out for evaluation"
+        )
+    split = replace(cfg.split, held_out_classes=frozenset(classes[-N_EVAL_CLASSES:]))
+    return replace(cfg, split=split, ood_mode="oracle", rounds=None)
+
+
 def run_class_count_experiment(
-    base_cfg: ExperimentConfig,
-    class_counts: list[int],
-    eval_classes: set[int] | None = None,
-    workers: int | None = None,
+    base_cfg: ExperimentConfig, class_counts: list[int], workers: int | None = None
 ) -> list[tuple[int, float]]:
     """Cluster accuracy on a fixed OOD pool as a function of training class count.
 
-    For each count c, run round 0 of discovery on the first c non-evaluation
-    classes plus the held-out evaluation classes (the configured per-class cap
-    applied uniformly, the pool routed by the oracle) and report the
-    size-weighted mean cluster accuracy of the pool.
+    For each count c, run round 0 of discovery under ``class_count_config`` on
+    the first c non-evaluation classes plus the evaluation classes (the
+    configured per-class cap applied uniformly) and report the size-weighted
+    mean cluster accuracy of the pool.
     """
-    if base_cfg.net.output_classes is not None:
-        raise ConfigError(
-            f"net.output_classes ({base_cfg.net.output_classes}) must be unset: "
-            "each class count derives its own output width"
-        )
-    raw = load_data(base_cfg.data)
-    classes = [int(c) for c in np.unique(raw.true_labels)]
-    if eval_classes is None:
-        if len(classes) <= 5:
-            raise ConfigError("need more than 5 classes to hold 5 out for evaluation")
-        eval_set = set(classes[-5:])
-    else:
-        eval_set = {int(c) for c in eval_classes}
-        if not eval_set <= set(classes):
-            raise ConfigError("eval classes not present in the data")
-    non_eval = [c for c in classes if c not in eval_set]
+    cfg = class_count_config(base_cfg)
+    eval_set = cfg.split.held_out_classes
+    raw = load_data(cfg.data)
+    non_eval = [int(c) for c in np.unique(raw.true_labels) if c not in eval_set]
     for c in class_counts:
         if c < 2:
             raise ConfigError(f"class count {c} must be >= 2")
         if c > len(non_eval):
             raise ConfigError(f"class count {c} exceeds the {len(non_eval)} available classes")
 
-    split = replace(base_cfg.split, held_out_classes=frozenset(eval_set))
-    cfg = replace(base_cfg, split=split, ood_mode="oracle")
     rows: list[tuple[int, float]] = []
     for count in class_counts:
         keep = np.flatnonzero(np.isin(raw.true_labels, sorted(set(non_eval[:count]) | eval_set)))

@@ -70,13 +70,14 @@ class LearnabilityConfig:
 def learnability_scores(
     features,
     assignments,
-    holdout_fraction: float = 0.2,
+    cfg: LearnabilityConfig = LearnabilityConfig(),
     seed: int = 0,
-    hidden_dims: tuple[int, ...] = (32,),
-    epochs: int = 30,
     extra_classes=None,
 ) -> np.ndarray:
     """Held-out recall per cluster from a fresh classifier trained to predict clusters.
+
+    ``cfg`` sets the classifier's shape, epochs and holdout fraction; the
+    caller applies its ``use_embeddings`` and ``include_existing`` flags.
 
     Returns one score per cluster id present in ``assignments``, in ascending
     id order. Clusters below MIN_SCOREABLE_SIZE members are excluded from the
@@ -114,7 +115,7 @@ def learnability_scores(
     hold_lbl: list[np.ndarray] = []
 
     def split_class(rows: np.ndarray, label: int) -> None:
-        n_hold = max(1, int(np.floor(holdout_fraction * len(rows))))
+        n_hold = max(1, int(np.floor(cfg.holdout_fraction * len(rows))))
         perm = rng.permutation(len(rows))
         hold_x.append(rows[perm[:n_hold]])
         hold_lbl.append(np.full(n_hold, label, dtype=np.int64))
@@ -139,7 +140,9 @@ def learnability_scores(
     tr_y = np.concatenate(train_lbl)
     ho_x = np.concatenate(hold_x)
     ho_y = np.concatenate(hold_lbl)
-    net = NetworkConfig(input_dim=x.shape[1], output_classes=n_classes, hidden_dims=hidden_dims)
+    net = NetworkConfig(
+        input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims
+    )
     sub_seed = int(rng.integers(2**32))
     model = init_model(net, seed=sub_seed)
     train_data = Dataset(
@@ -151,7 +154,7 @@ def learnability_scores(
     )
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
-    run_epochs = max(epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
+    run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
     model = train_epochs(model, train_data, adam, epochs=run_epochs)
     preds = predict_proba(model, ho_x).argmax(axis=1)
 
@@ -177,28 +180,24 @@ def density_score(embeddings, clustering: Clustering) -> np.ndarray:
     return out
 
 
-def select(features: list[ClusterFeatures], policy: SelectionPolicy):
-    """Pick the cluster(s) to accept.
+def select(features: list[ClusterFeatures], policy: SelectionPolicy) -> int | None:
+    """Pick the one cluster to accept this round, or None when none qualifies.
 
     learnability: argmax learnability, ties to larger size then lower id.
+    threshold: the learnability pick if its learnability is strictly above
+    min_accuracy, else None.
     random: uniform over cluster ids, deterministic per policy seed.
     density: argmin density, ties to lower id.
-    threshold: every cluster with learnability strictly above min_accuracy
-    (returns a list, possibly empty).
     """
     if not features:
         raise ValueError("no clusters to select from")
-    if policy.kind == "learnability":
-        best = min(features, key=lambda f: (-f.learnability, -f.size, f.cluster_id))
-        return best.cluster_id
     if policy.kind == "density":
-        best = min(features, key=lambda f: (f.density, f.cluster_id))
-        return best.cluster_id
+        return min(features, key=lambda f: (f.density, f.cluster_id)).cluster_id
     if policy.kind == "random":
         ids = sorted(f.cluster_id for f in features)
         rng = seeds.spawn(policy.seed)
         return ids[int(rng.integers(len(ids)))]
-    # threshold
-    return sorted(
-        f.cluster_id for f in features if f.learnability > policy.min_accuracy
-    )
+    best = min(features, key=lambda f: (-f.learnability, -f.size, f.cluster_id))
+    if policy.kind == "threshold" and not best.learnability > policy.min_accuracy:
+        return None
+    return best.cluster_id

@@ -16,9 +16,8 @@ import pytest
 
 from classdisco.cli import main
 from classdisco.clustering import KMeansConfig, fit_with_restarts, kmeanspp_init, lloyd_fit
-from classdisco.dataset import GaussianMixtureSpec, SplitSpec
+from classdisco.dataset import GaussianMixtureSpec, IdxData, SplitSpec
 from classdisco.engine import (
-    DataSpec,
     ExperimentConfig,
     run_class_count_experiment,
     run_dynamic,
@@ -157,9 +156,7 @@ def test_criterion_4_ood_calibration():
 
 def _synthetic_cfg(seed: int, policy: str) -> ExperimentConfig:
     return ExperimentConfig(
-        data=DataSpec(
-            kind="synthetic", gaussian=GaussianMixtureSpec(10, 16, 6.0, 200, seed=seed)
-        ),
+        data=GaussianMixtureSpec(10, 16, 6.0, 200, seed=seed),
         split=SplitSpec(held_out_classes=frozenset({5, 6, 7, 8, 9})),
         net=NetworkConfig(hidden_dims=(128,)),
         adam=AdamConfig(seed=seed),
@@ -203,7 +200,7 @@ def test_criterion_5_synthetic_end_to_end():
 
 def _mnist_cfg(images, labels, seed, epochs_initial) -> ExperimentConfig:
     return ExperimentConfig(
-        data=DataSpec(kind="idx", images_path=images, labels_path=labels),
+        data=IdxData(images=images, labels=labels),
         split=SplitSpec(held_out_classes=frozenset({5, 6, 7, 8, 9}), per_class_cap=2000, seed=seed),
         net=NetworkConfig(hidden_dims=(128,)),
         adam=AdamConfig(seed=seed),  # learning_rate 0.001, betas 0.9/0.999, epsilon 1e-7

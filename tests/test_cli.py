@@ -2,6 +2,7 @@ import errno
 import json
 import re
 import struct
+import typing
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from classdisco import cli, engine
 from classdisco.cli import main
 from classdisco.config import ConfigError, config_to_dict, parse_config
+from classdisco.dataset import DataSource
 from classdisco.engine import OOD_MODES
 from classdisco.selection import POLICY_KINDS
 
@@ -170,6 +172,15 @@ class TestConfigRoundTrip:
         assert doc["kmeans"]["restarts"] == 3
         assert doc["ood_mode"] == "oracle"
 
+    @pytest.mark.parametrize("kind", ["parquet", None, ["csv"]])
+    def test_unknown_data_kind_names_data_kind(self, tmp_path, capsys, kind):
+        doc = base_config()
+        doc["data"]["kind"] = kind
+        with pytest.raises(ConfigError, match=re.escape("'data.kind'")):
+            parse_config(doc)
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+        assert "data.kind" in capsys.readouterr().err
+
     def test_nested_unknown_key(self):
         doc = base_config()
         doc["adam"]["momentum"] = 0.9
@@ -231,23 +242,26 @@ _SIZES = st.integers(1, 10_000)
 _UNIT = st.floats(0.0, 1.0)
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
+# Valid `data` documents, one strategy per data kind.
+DATA_DOCS = {
+    "synthetic": _section(
+        {
+            "kind": st.just("synthetic"),
+            "n_classes": st.integers(2, 100),
+            "dim": _SIZES,
+            "separation": st.integers(0, 100) | st.floats(0.0, 100.0),
+            "per_class_n": _SIZES,
+        },
+        seed=_SEEDS,
+    ),
+    "idx": _section({"kind": st.just("idx"), "images": st.text(), "labels": st.text()}),
+    "csv": _section({"kind": st.just("csv"), "path": st.text()}),
+}
+
 # Valid documents covering every section, kind and optional key.
 CONFIG_DOCS = st.fixed_dictionaries(
     {
-        "data": st.one_of(
-            _section(
-                {
-                    "kind": st.just("synthetic"),
-                    "n_classes": st.integers(2, 100),
-                    "dim": _SIZES,
-                    "separation": st.integers(0, 100) | st.floats(0.0, 100.0),
-                    "per_class_n": _SIZES,
-                },
-                seed=_SEEDS,
-            ),
-            _section({"kind": st.just("idx"), "images": st.text(), "labels": st.text()}),
-            _section({"kind": st.just("csv"), "path": st.text()}),
-        ),
+        "data": st.one_of(*DATA_DOCS.values()),
         "split": _section(
             {"held_out_classes": st.lists(st.integers(0, 255))},
             per_class_cap=st.none() | _SIZES,
@@ -294,9 +308,13 @@ class TestConfigFixpoint:
     @given(CONFIG_DOCS)
     def test_parse_echo_is_a_fixpoint(self, doc):
         cfg = parse_config(doc)
+        assert cfg.data.kind == doc["data"]["kind"]
         echoed = config_to_dict(cfg)
         assert parse_config(echoed) == cfg
         assert json.dumps(config_to_dict(parse_config(echoed))) == json.dumps(echoed)
+
+    def test_draws_every_data_kind(self):
+        assert set(DATA_DOCS) == {source.kind for source in typing.get_args(DataSource)}
 
 
 class TestDiscover:
@@ -425,6 +443,32 @@ class TestDiscover:
         assert report["workers"] == 3
 
 
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["discover", "classcount"])
+    @pytest.mark.parametrize(
+        "flag, env, named",
+        [
+            ("-2", None, "--workers"),
+            ("0", None, "--workers"),
+            (None, "two", "CLASSDISCO_WORKERS"),
+            (None, "-1", "CLASSDISCO_WORKERS"),
+        ],
+    )
+    def test_bad_worker_count_fails_before_training(
+        self, tmp_path, capsys, monkeypatch, command, flag, env, named
+    ):
+        path = write_config(tmp_path, classcount_config())
+        if env is not None:
+            monkeypatch.setenv("CLASSDISCO_WORKERS", env)
+        argv = _argv(command, path, str(tmp_path / "out"))
+        if flag is not None:
+            argv += ["--workers", flag]
+        no_training(monkeypatch)
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestClassCount:
     def test_writes_table(self, tmp_path):
         doc = base_config()
@@ -461,6 +505,34 @@ class TestClassCount:
         doc["data"]["per_class_n"] = 40
         path = write_config(tmp_path, doc)
         assert main(["classcount", "--config", path, "--counts", "1", "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize(
+        "held_out, k", [([], 5), ([9], 50)], ids=["no-held-out", "k-above-configured-pool"]
+    )
+    def test_validates_its_own_split(self, tmp_path, capsys, held_out, k):
+        # classcount always holds out the last five classes; the configured
+        # split is not what it runs, so it must not be what it checks
+        def run(held, name):
+            doc = classcount_config()
+            doc["split"]["held_out_classes"] = held
+            doc["kmeans"]["k"] = k
+            out = tmp_path / name
+            argv = ["classcount", "--config", write_config(tmp_path, doc, f"{name}.json")]
+            assert main(argv + ["--counts", "2,3", "--out", str(out)]) == 0, capsys.readouterr().err
+            return (out / "classcount.csv").read_bytes()
+
+        assert run(held_out, "configured") == run([5, 6, 7, 8, 9], "default")
+
+    def test_bad_data_fails_as_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "data.csv"
+        rows = [f"{c}.0,{c}.5,{c}" for c in range(7) for _ in range(3)]
+        rows[4] = "nan,1.5,1"
+        csv.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        doc = classcount_config()
+        doc["data"] = {"kind": "csv", "path": str(csv)}
+        argv = ["classcount", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert "line 6, column 'f0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("output_classes", [3, 7])
     def test_set_output_classes_fails_before_training(
@@ -628,13 +700,16 @@ class _DiskFull:
 
 
 class TestAtomicOutputs:
-    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, base_config())
         argv = ["discover", "--config", path, "--mode", "static", "--out", str(tmp_path / "run")]
         assert main(argv) == 0
         report = tmp_path / "run" / "report.json"
         before = report.read_bytes()
         monkeypatch.setattr(cli, "open", _DiskFull, raising=False)
-        with pytest.raises(OSError, match="No space left"):
-            main(argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"runtime failure: cannot write {report}" in err
+        assert "No space left" in err
+        assert not list((tmp_path / "run").glob("*.tmp"))
         assert report.read_bytes() == before

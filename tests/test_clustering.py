@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from classdisco.clustering import (
     KMeansConfig,
@@ -98,6 +101,24 @@ class TestLloyd:
             assert len(trace) >= 1
             for earlier, later in zip(trace, trace[1:]):
                 assert later <= earlier * (1 + 1e-12) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(2, 40), st.integers(1, 4)),
+            elements=st.floats(-100.0, 100.0),
+        ),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inertia_trace_never_increases(self, points, k, seed):
+        # any points, duplicates and collinear sets included; the trace covers
+        # every Lloyd iteration plus the final reconciliation
+        init = kmeanspp_init(points, min(k, len(points)), seed=seed)
+        trace = lloyd_fit(points, init, max_iters=50).inertia_trace
+        for earlier, later in zip(trace, trace[1:]):
+            assert later <= earlier * (1 + 1e-12) + 1e-12
 
     def test_assignments_point_to_nearest_centroid(self):
         for seed in range(10):

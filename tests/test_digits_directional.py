@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from classdisco.clustering import KMeansConfig
-from classdisco.dataset import SplitSpec
-from classdisco.engine import DataSpec, ExperimentConfig, run_dynamic, run_static
+from classdisco.dataset import CsvData, SplitSpec
+from classdisco.engine import ExperimentConfig, run_dynamic, run_static
 from classdisco.learner import AdamConfig, NetworkConfig
 from classdisco.selection import SelectionPolicy
 
@@ -39,7 +39,7 @@ def digits_csv(tmp_path_factory):
 
 def digits_cfg(path, seed, epochs_initial):
     return ExperimentConfig(
-        data=DataSpec(kind="csv", csv_path=path),
+        data=CsvData(path=path),
         split=SplitSpec(held_out_classes=frozenset({5, 6, 7, 8, 9}), seed=seed),
         net=NetworkConfig(hidden_dims=(128,)),
         adam=AdamConfig(seed=seed),

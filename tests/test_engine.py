@@ -7,7 +7,6 @@ import pytest
 from classdisco.clustering import KMeansConfig
 from classdisco.dataset import PROV_HUMAN, GaussianMixtureSpec, SplitSpec
 from classdisco.engine import (
-    DataSpec,
     ExperimentConfig,
     evaluate_state,
     run_class_count_experiment,
@@ -22,10 +21,7 @@ def world(seed=0, policy="learnability", n_classes=6, per_class=100, dim=8, sepa
           held_out=(3, 4, 5), epochs_initial=20, epochs_per_round=4, k=8, rounds=None,
           ood_mode="oracle"):
     return ExperimentConfig(
-        data=DataSpec(
-            kind="synthetic",
-            gaussian=GaussianMixtureSpec(n_classes, dim, separation, per_class, seed=seed),
-        ),
+        data=GaussianMixtureSpec(n_classes, dim, separation, per_class, seed=seed),
         split=SplitSpec(held_out_classes=frozenset(held_out)),
         net=NetworkConfig(hidden_dims=(64,)),
         adam=AdamConfig(seed=seed),

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from classdisco.dataset import PROV_HUMAN, Dataset
 from classdisco.learner import AdamConfig, NetworkConfig, init_model, train_epochs
@@ -124,6 +127,29 @@ class TestPartition:
         part = partition(det, model, data)
         merged = np.sort(np.concatenate([part.in_dist_indices, part.ood_indices]))
         assert np.array_equal(merged, np.arange(80))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        features=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 30), st.just(3)),
+            elements=st.floats(-50.0, 50.0),
+        ),
+        # confidences lie in [1/4, 1]; the edge values are drawn on purpose
+        threshold=st.floats(0.0, 1.0) | st.sampled_from([math.nan, math.inf, -math.inf, 0.25]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exhaustive_and_disjoint_at_any_threshold(self, features, threshold, seed):
+        net = NetworkConfig(input_dim=3, output_classes=4, hidden_dims=(5,))
+        model = init_model(net, seed=seed)
+        det = OodDetector(threshold=threshold, quantile=0.95, calibration_size=1)
+        part = partition(det, model, as_dataset(features))
+        n = len(features)
+        assert len(part.in_dist_indices) + len(part.ood_indices) == n
+        merged = np.sort(np.concatenate([part.in_dist_indices, part.ood_indices]))
+        assert np.array_equal(merged, np.arange(n))
+        assert len(part.in_dist_labels) == len(part.in_dist_indices)
+        assert ((part.in_dist_labels >= 0) & (part.in_dist_labels < 4)).all()
 
     def test_tie_goes_in_distribution(self):
         model = confidence_model()

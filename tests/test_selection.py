@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classdisco.clustering import Clustering
 from classdisco.selection import (
@@ -155,11 +157,27 @@ class TestSelect:
     def test_threshold_returns_passing_set(self):
         rows = [features_row(0, 0.99), features_row(1, 0.96), features_row(2, 0.80)]
         out = select(rows, SelectionPolicy(kind="threshold", min_accuracy=0.95))
-        assert out == [0, 1]
+        assert out == 0
 
     def test_threshold_strict_inequality_and_empty(self):
         rows = [features_row(0, 0.95), features_row(1, 0.80)]
-        assert select(rows, SelectionPolicy(kind="threshold", min_accuracy=0.95)) == []
+        assert select(rows, SelectionPolicy(kind="threshold", min_accuracy=0.95)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from([0.5, 0.9, 0.95, 0.96, 1.0]), st.integers(1, 4)),
+            min_size=1,
+            max_size=8,
+        ),
+        min_accuracy=st.sampled_from([0.0, 0.5, 0.9, 0.95, 1.0]),
+    )
+    def test_threshold_is_the_passing_sets_learnability_pick(self, rows, min_accuracy):
+        features = [features_row(i, learn, size=size) for i, (learn, size) in enumerate(rows)]
+        passing = [f for f in features if f.learnability > min_accuracy]
+        expected = select(passing, SelectionPolicy(kind="learnability")) if passing else None
+        policy = SelectionPolicy(kind="threshold", min_accuracy=min_accuracy)
+        assert select(features, policy) == expected
 
     def test_random_deterministic(self):
         rows = [features_row(i, 0.5) for i in range(6)]
