@@ -55,14 +55,17 @@ class Clustering:
         return np.bincount(self.assignments, minlength=self.k)
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n, k), clipped at zero against rounding."""
+def _sq_dists(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (n, k), clipped at zero against rounding.
+
+    norms is ``(points * points).sum(axis=1)``, computed once per fit by the caller.
+    """
     d2 = (
-        (points * points).sum(axis=1)[:, None]
+        norms[:, None]
         + (centroids * centroids).sum(axis=1)[None, :]
         - 2.0 * points @ centroids.T
     )
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
@@ -74,7 +77,8 @@ def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
     rng = seeds.spawn(seed)
     centroids = np.empty((k, pts.shape[1]))
     centroids[0] = pts[rng.integers(n)]
-    closest = _sq_dists(pts, centroids[:1])[:, 0]
+    norms = (pts * pts).sum(axis=1)
+    closest = _sq_dists(pts, norms, centroids[:1])[:, 0]
     for i in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -82,13 +86,21 @@ def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
         else:  # every point coincides with a chosen centroid
             idx = rng.integers(n)
         centroids[i] = pts[idx]
-        np.minimum(closest, _sq_dists(pts, centroids[i : i + 1])[:, 0], out=closest)
+        np.minimum(closest, _sq_dists(pts, norms, centroids[i : i + 1])[:, 0], out=closest)
     return centroids
 
 
 def _class_means(points, assign, k, fallback):
-    sums = np.zeros((k, points.shape[1]))
-    np.add.at(sums, assign, points)
+    """Cluster means; an empty cluster keeps its fallback row.
+
+    Each cluster's rows are summed in index order, as np.add.at adds them, so
+    the means are bit-identical to it. numpy sums one column pairwise, not in
+    order, so a single column goes through bincount, which adds in order.
+    """
+    if points.shape[1] == 1:
+        sums = np.bincount(assign, weights=points[:, 0], minlength=k)[:, None]
+    else:
+        sums = np.array([points[assign == j].sum(axis=0) for j in range(k)])
     counts = np.bincount(assign, minlength=k)
     means = fallback.copy()
     nonempty = counts > 0
@@ -96,17 +108,26 @@ def _class_means(points, assign, k, fallback):
     return means
 
 
-def _repair_empty(points, centroids, assign, k):
+def _inertia(points, centroids, assign, buf):
+    """Sum of squared distances to the assigned centroids, computed in buf (n, d)."""
+    # assign is in range (from argmin); mode="raise" would copy through a temporary
+    np.take(centroids, assign, axis=0, out=buf, mode="clip")
+    np.subtract(points, buf, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return float(buf.sum())
+
+
+def _repair_empty(points, norms, centroids, assign, k):
     """Reseed each empty cluster at the point farthest from its assigned centroid."""
     for _ in range(k):
         counts = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             break
-        d2 = _sq_dists(points, centroids)
+        d2 = _sq_dists(points, norms, centroids)
         dist_to_own = d2[np.arange(len(assign)), assign]
         centroids[empties[0]] = points[int(dist_to_own.argmax())]
-        assign = _sq_dists(points, centroids).argmin(axis=1)
+        assign = _sq_dists(points, norms, centroids).argmin(axis=1)
     return centroids, assign
 
 
@@ -124,17 +145,18 @@ def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -
     if centroids.shape[1] != pts.shape[1]:
         raise ValueError("centroid width does not match point width")
     k = centroids.shape[0]
+    norms = (pts * pts).sum(axis=1)
+    buf = np.empty(pts.shape)
 
     prev_inertia = None
     trace: list[float] = []
     iterations = 0
     assign = np.zeros(pts.shape[0], dtype=np.int64)
     for it in range(max_iters):
-        assign = _sq_dists(pts, centroids).argmin(axis=1)
-        centroids, assign = _repair_empty(pts, centroids, assign, k)
+        assign = _sq_dists(pts, norms, centroids).argmin(axis=1)
+        centroids, assign = _repair_empty(pts, norms, centroids, assign, k)
         new_centroids = _class_means(pts, assign, k, fallback=centroids)
-        diff = pts - new_centroids[assign]
-        inertia = float((diff * diff).sum())
+        inertia = _inertia(pts, new_centroids, assign, buf)
         trace.append(inertia)
         iterations = it + 1
         if prev_inertia is not None and inertia > prev_inertia * (1 + 1e-12) + 1e-12:
@@ -150,12 +172,11 @@ def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -
         prev_inertia = inertia
 
     # Reconcile against the final centroids so assignments are truly nearest.
-    final_assign = _sq_dists(pts, centroids).argmin(axis=1)
+    final_assign = _sq_dists(pts, norms, centroids).argmin(axis=1)
     if not np.array_equal(final_assign, assign):
-        centroids, final_assign = _repair_empty(pts, centroids, final_assign, k)
+        centroids, final_assign = _repair_empty(pts, norms, centroids, final_assign, k)
         assign = final_assign
-        diff = pts - centroids[assign]
-        inertia = float((diff * diff).sum())
+        inertia = _inertia(pts, centroids, assign, buf)
         trace.append(inertia)
     return Clustering(
         centroids=centroids,

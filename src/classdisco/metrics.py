@@ -218,8 +218,7 @@ def nmi(assignments, true_labels) -> float:
     _, u = np.unique(assign, return_inverse=True)
     _, v = np.unique(truth, return_inverse=True)
     ku, kv = u.max() + 1, v.max() + 1
-    table = np.zeros((ku, kv))
-    np.add.at(table, (u, v), 1.0)
+    table = np.bincount(u * kv + v, minlength=ku * kv).reshape(ku, kv)
     pij = table / n
     pi = pij.sum(axis=1)
     pj = pij.sum(axis=0)

@@ -171,8 +171,7 @@ def density_score(embeddings, clustering: Clustering) -> np.ndarray:
     assign = clustering.assignments
     k = clustering.k
     dists = np.linalg.norm(pts - clustering.centroids[assign], axis=1)
-    totals = np.zeros(k)
-    np.add.at(totals, assign, dists)
+    totals = np.bincount(assign, weights=dists, minlength=k)
     counts = np.bincount(assign, minlength=k)
     out = np.zeros(k)
     nonempty = counts > 0

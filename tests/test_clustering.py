@@ -1,11 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from classdisco import clustering
 from classdisco.clustering import (
     KMeansConfig,
+    _class_means,
+    _inertia,
+    _sq_dists,
     fit_with_restarts,
     kmeanspp_init,
     lloyd_fit,
@@ -189,4 +195,145 @@ class TestRestarts:
         a = fit_with_restarts(points, cfg)
         b = fit_with_restarts(points, cfg)
         assert a.centroids.tobytes() == b.centroids.tobytes()
+
+
+# Reference kernels: the straightforward formulas the fast kernels must match
+# bit for bit (np.add.at sums, an allocating inertia, norms on every call).
+
+
+def reference_sq_dists(points, centroids):
+    d2 = (
+        (points * points).sum(axis=1)[:, None]
+        + (centroids * centroids).sum(axis=1)[None, :]
+        - 2.0 * points @ centroids.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def reference_class_means(points, assign, k, fallback):
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, assign, points)
+    counts = np.bincount(assign, minlength=k)
+    means = fallback.copy()
+    nonempty = counts > 0
+    means[nonempty] = sums[nonempty] / counts[nonempty][:, None]
+    return means
+
+
+def reference_inertia(points, centroids, assign):
+    return float(((points - centroids[assign]) * (points - centroids[assign])).sum())
+
+
+def reference_repair_empty(points, centroids, assign, k):
+    for _ in range(k):
+        counts = np.bincount(assign, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            break
+        d2 = reference_sq_dists(points, centroids)
+        dist_to_own = d2[np.arange(len(assign)), assign]
+        centroids[empties[0]] = points[int(dist_to_own.argmax())]
+        assign = reference_sq_dists(points, centroids).argmin(axis=1)
+    return centroids, assign
+
+
+def reference_lloyd(points, init_centroids, max_iters=300, tol=1e-4):
+    """Lloyd's loop built from the reference kernels; returns (centroids, assign, trace)."""
+    centroids = np.array(init_centroids, dtype=np.float64, copy=True)
+    k = centroids.shape[0]
+    trace, prev = [], None
+    for _ in range(max_iters):
+        assign = reference_sq_dists(points, centroids).argmin(axis=1)
+        centroids, assign = reference_repair_empty(points, centroids, assign, k)
+        new_centroids = reference_class_means(points, assign, k, fallback=centroids)
+        inertia = reference_inertia(points, new_centroids, assign)
+        trace.append(inertia)
+        converged = np.array_equal(new_centroids, centroids)
+        centroids = new_centroids
+        if converged or (prev is not None and (prev - inertia) < tol * prev):
+            break
+        prev = inertia
+    final = reference_sq_dists(points, centroids).argmin(axis=1)
+    if not np.array_equal(final, assign):
+        centroids, assign = reference_repair_empty(points, centroids, final, k)
+        trace.append(reference_inertia(points, centroids, assign))
+    return centroids, assign, trace
+
+
+@st.composite
+def labelled_points(draw, max_n=40, max_d=5, max_k=8):
+    """Points (zeros of both signs included), k, and in-range assignments.
+
+    k often exceeds the labels drawn, so some clusters are empty.
+    """
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    k = draw(st.integers(1, max_k))
+    points = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-100.0, 100.0)))
+    assign = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return points, assign, k
+
+
+class TestKernelsBitIdentical:
+    @settings(max_examples=80, deadline=None)
+    @given(data=labelled_points(), seed=st.integers(0, 2**32 - 1))
+    def test_class_means_match_add_at(self, data, seed):
+        points, assign, k = data
+        fallback = np.random.default_rng(seed).standard_normal((k, points.shape[1]))
+        means = _class_means(points, assign, k, fallback)
+        assert means.tobytes() == reference_class_means(points, assign, k, fallback).tobytes()
+        empty = np.bincount(assign, minlength=k) == 0
+        assert means[empty].tobytes() == fallback[empty].tobytes()
+
+    def test_class_means_match_add_at_at_embedding_width(self):
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal((3000, 128)) * 10
+        assign = rng.integers(0, 14, 3000)  # cluster 14 of 15 stays empty
+        fallback = rng.standard_normal((15, 128))
+        expected = reference_class_means(points, assign, 15, fallback)
+        assert _class_means(points, assign, 15, fallback).tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labelled_points(), seed=st.integers(0, 2**32 - 1))
+    def test_inertia_matches_allocating_form(self, data, seed):
+        points, assign, k = data
+        centroids = np.random.default_rng(seed).standard_normal((k, points.shape[1]))
+        buf = np.full(points.shape, np.nan)  # a reused buffer holds stale values
+        assert _inertia(points, centroids, assign, buf) == reference_inertia(
+            points, centroids, assign
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=labelled_points(), seed=st.integers(0, 2**32 - 1))
+    def test_sq_dists_with_precomputed_norms(self, data, seed):
+        points, _, k = data
+        centroids = np.random.default_rng(seed).standard_normal((k, points.shape[1])) * 50
+        norms = (points * points).sum(axis=1)
+        expected = reference_sq_dists(points, centroids)
+        assert _sq_dists(points, norms, centroids).tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(4, 40), st.integers(1, 4)),
+            elements=st.floats(-100.0, 100.0),
+        ),
+        k=st.integers(2, 4),
+    )
+    def test_lloyd_from_duplicate_centroids_matches_reference(self, points, k):
+        init = points[:k].copy()
+        init[-1] = init[0]  # argmin ties go to the lower index, so cluster k-1 starts empty
+        with mock.patch.object(
+            clustering, "_repair_empty", wraps=clustering._repair_empty
+        ) as spy:
+            result = lloyd_fit(points, init, max_iters=50)
+        assert any(
+            (np.bincount(call.args[3], minlength=k) == 0).any() for call in spy.call_args_list
+        )
+        centroids, assign, trace = reference_lloyd(points, init, max_iters=50)
+        assert result.centroids.tobytes() == centroids.tobytes()
+        assert np.array_equal(result.assignments, assign)
+        assert result.inertia_trace == tuple(trace)
+        assert result.inertia == trace[-1]
 

@@ -273,3 +273,23 @@ class TestNmi:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             nmi(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+
+    def test_matches_add_at_contingency_table(self):
+        def add_at_nmi(assignments, labels):
+            _, u = np.unique(assignments, return_inverse=True)
+            _, v = np.unique(labels, return_inverse=True)
+            table = np.zeros((u.max() + 1, v.max() + 1))
+            np.add.at(table, (u, v), 1.0)
+            pij = table / len(assignments)
+            pi, pj = pij.sum(axis=1), pij.sum(axis=0)
+            nz = pij > 0
+            mi = float((pij[nz] * np.log(pij[nz] / np.outer(pi, pj)[nz])).sum())
+            hu = float(-(pi[pi > 0] * np.log(pi[pi > 0])).sum())
+            hv = float(-(pj[pj > 0] * np.log(pj[pj > 0])).sum())
+            denom = 0.5 * (hu + hv)
+            return 0.0 if denom == 0.0 else min(1.0, max(0.0, mi / denom))
+
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            assignments, truths = random_instance(rng)
+            assert nmi(assignments, truths) == add_at_nmi(assignments, truths)

@@ -127,6 +127,28 @@ class TestDensity:
         dens = density_score(points, clustering)
         assert dens[0] < dens[1]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_add_at_form(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, 3)) * 10
+        assignments = rng.integers(0, k, n)  # some clusters may stay empty
+        centroids = rng.standard_normal((k, 3))
+        clustering = Clustering(
+            centroids=centroids, assignments=assignments, inertia=0.0, iterations_run=1
+        )
+        dists = np.linalg.norm(points - centroids[assignments], axis=1)
+        totals = np.zeros(k)
+        np.add.at(totals, assignments, dists)
+        counts = np.bincount(assignments, minlength=k)
+        expected = np.zeros(k)
+        expected[counts > 0] = totals[counts > 0] / counts[counts > 0]
+        assert density_score(points, clustering).tobytes() == expected.tobytes()
+
 
 class TestSelect:
     def test_learnability_argmax(self):
