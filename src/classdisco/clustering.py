@@ -59,11 +59,13 @@ def _sq_dists(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> n
     """Squared Euclidean distances, (n, k), clipped at zero against rounding.
 
     norms is ``(points * points).sum(axis=1)``, computed once per fit by the caller.
+    The factor 2 scales the (k, d) centroids, not the (n, d) points; doubling
+    is exact, so the product is bit-identical to ``2.0 * points @ centroids.T``.
     """
     d2 = (
         norms[:, None]
         + (centroids * centroids).sum(axis=1)[None, :]
-        - 2.0 * points @ centroids.T
+        - points @ (2.0 * centroids).T
     )
     return np.maximum(d2, 0.0, out=d2)
 

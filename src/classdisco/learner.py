@@ -14,7 +14,8 @@ architecture, only about ``predict_proba`` and ``embed``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,7 +78,12 @@ class Model:
     """Weights plus optimizer state. Treat as owned during training; inference is read-only.
 
     ``params`` is ``[W0, b0, W1, b1, ...]``; the Adam moments ``m`` and ``v``
-    hold one array per entry of ``params``, in the same order.
+    hold one array per entry of ``params``, in the same order. Construction
+    copies the three lists into the rows of one new ``(3, size)`` block:
+    ``flat_params``, ``flat_m`` and ``flat_v`` are those rows and the list
+    entries are views of them, so an Adam step is a few whole-vector ufuncs.
+    One block rather than three vectors keeps the allocator's peak RSS at the
+    per-array layout's.
     """
 
     config: NetworkConfig
@@ -87,6 +93,17 @@ class Model:
     step: int = 0
     epochs_trained: int = 0
     loss_log: tuple[float, ...] = ()
+    flat_params: np.ndarray = field(init=False, repr=False)
+    flat_m: np.ndarray = field(init=False, repr=False)
+    flat_v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = [np.shape(p) for p in self.params]
+        block = np.empty((3, sum(math.prod(shape) for shape in shapes)))
+        for row, arrays in zip(block, (self.params, self.m, self.v)):
+            np.concatenate([np.ravel(a) for a in arrays], out=row)
+        self.flat_params, self.flat_m, self.flat_v = block
+        self.params, self.m, self.v = (_views(row, shapes) for row in block)
 
     @property
     def weights(self) -> list[np.ndarray]:
@@ -97,15 +114,26 @@ class Model:
         return self.params[1::2]
 
     def copy(self) -> "Model":
-        return replace(
-            self,
-            params=[p.copy() for p in self.params],
-            m=[a.copy() for a in self.m],
-            v=[a.copy() for a in self.v],
-        )
+        """An independent model: construction copies every array into a new block."""
+        return replace(self)
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.params)
+        return self.flat_params.size
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of ``flat``, one per shape."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def _workspace(model: Model) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Training buffers: a ``(3, size)`` array and views of its row 0 shaped like ``params``.
+
+    Row 0 holds the flat gradient, rows 1 and 2 are Adam's scratch.
+    """
+    work = np.zeros((3, model.flat_params.size))
+    return work, _views(work[0], [p.shape for p in model.params])
 
 
 def _layer_sizes(cfg: NetworkConfig) -> list[tuple[int, int]]:
@@ -122,12 +150,8 @@ def init_model(cfg: NetworkConfig, seed: int) -> Model:
     for fan_in, fan_out in _layer_sizes(cfg):
         params.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         params.append(np.zeros(fan_out))
-    return Model(
-        config=cfg,
-        params=params,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+    zeros = [np.zeros_like(p) for p in params]
+    return Model(config=cfg, params=params, m=zeros, v=zeros)
 
 
 def _check_width(model: Model, features: np.ndarray) -> np.ndarray:
@@ -185,8 +209,12 @@ def cross_entropy(model: Model, features, labels) -> float:
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
-def loss_and_gradients(model: Model, features, labels):
-    """Cross-entropy loss and its gradients, one per entry of ``model.params``."""
+def loss_and_gradients(model: Model, features, labels, grads=None):
+    """Cross-entropy loss and its gradients, one per entry of ``model.params``.
+
+    The gradients are written into ``grads`` when it is given (arrays shaped
+    like ``model.params``), else into new arrays, and returned.
+    """
     x = _check_width(model, features)
     y = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
@@ -194,34 +222,50 @@ def loss_and_gradients(model: Model, features, labels):
 
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    lse = np.log(e.sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), y]))
+    e_sum = e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    # sum / n is np.mean's own arithmetic, without its per-call Python overhead
+    loss = float((np.log(e_sum[:, 0]) - z[rows, y]).sum() / n)
 
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
+    delta = e / e_sum
+    delta[rows, y] -= 1.0
     delta /= n
 
-    grads = [np.empty(0)] * len(model.params)
-    for layer in range(len(model.params) // 2 - 1, -1, -1):
-        grads[2 * layer] = acts[layer].T @ delta
-        grads[2 * layer + 1] = delta.sum(axis=0)
+    if grads is None:
+        grads = [np.empty_like(p) for p in model.params]
+    for layer in range(len(grads) // 2 - 1, -1, -1):
+        np.matmul(acts[layer].T, delta, out=grads[2 * layer])
+        delta.sum(axis=0, out=grads[2 * layer + 1])
         if layer > 0:
             delta = (delta @ model.params[2 * layer].T) * (acts[layer] > 0)
     return loss, grads
 
 
-def _adam_update(model: Model, grads, adam: AdamConfig) -> None:
+def _adam_update(model: Model, work: np.ndarray, adam: AdamConfig) -> None:
+    """One Adam step from the gradient in ``work[0]``, in place and without allocating.
+
+    ``work`` comes from ``_workspace``. Per element the step computes, in this
+    order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, keeping the intermediates in
+    ``work[1]`` and ``work[2]``.
+    """
     model.step += 1
     t = model.step
     bc1 = 1.0 - adam.beta1**t
     bc2 = 1.0 - adam.beta2**t
-    for param, grad, m, v in zip(model.params, grads, model.m, model.v):
-        m *= adam.beta1
-        m += (1.0 - adam.beta1) * grad
-        v *= adam.beta2
-        v += (1.0 - adam.beta2) * grad**2
-        param -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
+    m, v = model.flat_m, model.flat_v
+    g, num, den = work
+    m *= adam.beta1
+    m += np.multiply(g, 1.0 - adam.beta1, out=num)
+    v *= adam.beta2
+    np.multiply(g, g, out=num)
+    v += np.multiply(num, 1.0 - adam.beta2, out=num)
+    np.divide(m, bc1, out=num)
+    np.multiply(num, adam.learning_rate, out=num)
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += adam.epsilon
+    model.flat_params -= np.divide(num, den, out=num)
 
 
 def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> Model:
@@ -244,6 +288,7 @@ def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> 
         )
 
     out = model.copy()
+    work, grads = _workspace(out)
     x = _check_width(out, data.features)
     y = data.labels
     n = len(y)
@@ -253,13 +298,13 @@ def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> 
         total = 0.0
         for start in range(0, n, adam.batch_size):
             batch = order[start : start + adam.batch_size]
-            loss, grads = loss_and_gradients(out, x[batch], y[batch])
-            if not np.isfinite(loss):
+            loss, _ = loss_and_gradients(out, x[batch], y[batch], grads)
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {out.epochs_trained}, "
                     f"batch starting at sample {start}"
                 )
-            _adam_update(out, grads, adam)
+            _adam_update(out, work, adam)
             total += loss * len(batch)
         out.epochs_trained += 1
         out.loss_log = out.loss_log + (total / n,)
@@ -276,18 +321,26 @@ def expand_outputs(model: Model, new_output_classes: int, seed: int) -> Model:
     old = model.config.output_classes
     if new_output_classes <= old:
         raise ValueError(f"cannot shrink outputs from {old} to {new_output_classes}")
-    out = model.copy()
     extra = new_output_classes - old
-    fan_in = out.params[-2].shape[0]
+    fan_in = model.params[-2].shape[0]
     rng = seeds.spawn(seed)
     new_cols = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, extra))
-    out.params[-2] = np.concatenate([out.params[-2], new_cols], axis=1)
-    out.params[-1] = np.concatenate([out.params[-1], np.zeros(extra)])
-    for moments in (out.m, out.v):
-        moments[-2] = np.concatenate([moments[-2], np.zeros((fan_in, extra))], axis=1)
-        moments[-1] = np.concatenate([moments[-1], np.zeros(extra)])
-    out.config = replace(out.config, output_classes=new_output_classes)
-    return out
+
+    def widened(arrays, cols):
+        return [
+            *arrays[:-2],
+            np.concatenate([arrays[-2], cols], axis=1),
+            np.concatenate([arrays[-1], np.zeros(extra)]),
+        ]
+
+    zeros = np.zeros((fan_in, extra))
+    return replace(
+        model,
+        config=replace(model.config, output_classes=new_output_classes),
+        params=widened(model.params, new_cols),
+        m=widened(model.m, zeros),
+        v=widened(model.v, zeros),
+    )
 
 
 def _npz_keys(n_layers: int) -> list[list[str]]:

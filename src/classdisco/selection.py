@@ -90,7 +90,7 @@ def learnability_scores(
     """
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
-    ids, dense = np.unique(assign, return_inverse=True)
+    ids, first_member, dense = np.unique(assign, return_index=True, return_inverse=True)
     if len(ids) < 2:
         raise ValueError("learnability needs at least two clusters")
 
@@ -103,9 +103,6 @@ def learnability_scores(
 
     # Canonical class order: rank clusters by their first member index, which
     # depends only on the partition, never on the id values.
-    first_member = np.full(len(ids), np.iinfo(np.int64).max, dtype=np.int64)
-    for pos in range(len(ids)):
-        first_member[pos] = int(np.flatnonzero(dense == pos)[0])
     canon_order = scoreable[np.argsort(first_member[scoreable], kind="stable")]
 
     rng = seeds.spawn(seed)
