@@ -6,7 +6,9 @@ collects them. Run them from the root of a checkout, one BLAS thread:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m pytest microbench
 
 Shapes: Lloyd kernels at 5000x128 and 1000x128 points with k=15 (the pool
-sizes of the ``mnist784-dynamic`` workload), Adam at 16-128-15 and 784-128-15.
+sizes of the ``mnist784-dynamic`` workload), Adam at 16-128-15 and 784-128-15,
+and one whole training step (gradients plus Adam) at batch 32 on the
+learnability scorer's 16-32-15 and 784-32-6 networks.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from classdisco import clustering, learner  # noqa: E402
 K = 15
 POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="1000x128")]
 NETS = [pytest.param(16, id="16-128-15"), pytest.param(784, id="784-128-15")]
+SCORER_NETS = [pytest.param(16, 15, id="16-32-15"), pytest.param(784, 6, id="784-32-6")]
 
 
 def pool(n, d):
@@ -53,5 +56,23 @@ def test_inertia(benchmark, n, d):
 def test_adam_update(benchmark, input_dim):
     net = learner.NetworkConfig(input_dim=input_dim, output_classes=K, hidden_dims=(128,))
     model = learner.init_model(net, seed=0)
-    grads = [np.full_like(p, 1e-3) for p in model.params]
-    benchmark(learner._adam_update, model, grads, learner.AdamConfig())
+    work, _ = learner._workspace(model)
+    work[0] = 1e-3
+    benchmark(learner._adam_update, model, work, learner.AdamConfig())
+
+
+@pytest.mark.parametrize("input_dim,classes", SCORER_NETS)
+def test_train_step(benchmark, input_dim, classes):
+    net = learner.NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(32,))
+    model = learner.init_model(net, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, input_dim))
+    y = rng.integers(0, classes, 32)
+    adam = learner.AdamConfig(batch_size=32)
+    work, grads = learner._workspace(model)
+
+    def step():
+        learner.loss_and_gradients(model, x, y, grads)
+        learner._adam_update(model, work, adam)
+
+    benchmark(step)

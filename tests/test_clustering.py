@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -308,6 +308,25 @@ class TestKernelsBitIdentical:
     def test_sq_dists_with_precomputed_norms(self, data, seed):
         points, _, k = data
         centroids = np.random.default_rng(seed).standard_normal((k, points.shape[1])) * 50
+        norms = (points * points).sum(axis=1)
+        expected = reference_sq_dists(points, centroids)
+        assert _sq_dists(points, norms, centroids).tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        d=st.integers(1, 200),
+        k=st.integers(1, 19),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5000, d=128, k=1, scale=1.0, seed=0)
+    @example(n=5000, d=128, k=15, scale=1.0, seed=1)
+    def test_sq_dists_match_doubled_points_form(self, n, d, k, scale, seed):
+        """Doubling the centroids gives the bits of ``2.0 * points @ centroids.T``."""
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, d)) * scale
+        centroids = points[rng.integers(0, n, k)] + rng.standard_normal((k, d)) * scale
         norms = (points * points).sum(axis=1)
         expected = reference_sq_dists(points, centroids)
         assert _sq_dists(points, norms, centroids).tobytes() == expected.tobytes()

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from classdisco import learner, seeds
 from classdisco.dataset import PROV_HUMAN, Dataset
 from classdisco.learner import (
     AdamConfig,
@@ -303,3 +308,170 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     more_b = train_epochs(loaded, data, AdamConfig(batch_size=32, seed=1), epochs=1)
     for a, b in zip(more_a.weights, more_b.weights):
         assert a.tobytes() == b.tobytes()
+
+
+def reference_init(dims, seed):
+    """The per-array init: weight then bias per layer, one stream."""
+    rng = seeds.spawn(seed)
+    params = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        params.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+        params.append(np.zeros(fan_out))
+    return params
+
+
+def reference_loss_and_gradients(params, x, y):
+    """Per-array forward and backward pass, one fresh gradient array per parameter."""
+    acts, h = [x], x
+    for W, b in zip(params[0:-2:2], params[1:-2:2]):
+        h = np.maximum(h @ W + b, 0.0)
+        acts.append(h)
+    logits = h @ params[-2] + params[-1]
+    n = x.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    lse = np.log(e.sum(axis=1))
+    loss = float(np.mean(lse - z[np.arange(n), y]))
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads = [None] * len(params)
+    for layer in range(len(params) // 2 - 1, -1, -1):
+        grads[2 * layer] = acts[layer].T @ delta
+        grads[2 * layer + 1] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ params[2 * layer].T) * (acts[layer] > 0)
+    return loss, grads
+
+
+class ReferenceTrainer:
+    """Minibatch Adam with one update expression per parameter array."""
+
+    def __init__(self, dims, seed):
+        self.params = reference_init(dims, seed)
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self.step = 0
+        self.epochs_trained = 0
+        self.loss_log = ()
+
+    def train(self, x, y, adam, epochs):
+        n = len(y)
+        for _ in range(epochs):
+            order = seeds.spawn(adam.seed, self.epochs_trained).permutation(n)
+            total = 0.0
+            for start in range(0, n, adam.batch_size):
+                batch = order[start : start + adam.batch_size]
+                loss, grads = reference_loss_and_gradients(self.params, x[batch], y[batch])
+                self.step += 1
+                bc1 = 1.0 - adam.beta1**self.step
+                bc2 = 1.0 - adam.beta2**self.step
+                for param, grad, m, v in zip(self.params, grads, self.m, self.v):
+                    m *= adam.beta1
+                    m += (1.0 - adam.beta1) * grad
+                    v *= adam.beta2
+                    v += (1.0 - adam.beta2) * grad**2
+                    param -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
+                total += loss * len(batch)
+            self.epochs_trained += 1
+            self.loss_log = self.loss_log + (total / n,)
+
+    def expand_outputs(self, extra, seed):
+        fan_in = self.params[-2].shape[0]
+        cols = seeds.spawn(seed).normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, extra))
+        self.params[-2] = np.concatenate([self.params[-2], cols], axis=1)
+        self.params[-1] = np.concatenate([self.params[-1], np.zeros(extra)])
+        for moments in (self.m, self.v):
+            moments[-2] = np.concatenate([moments[-2], np.zeros((fan_in, extra))], axis=1)
+            moments[-1] = np.concatenate([moments[-1], np.zeros(extra)])
+
+
+def assert_same_state(model, ref):
+    for got, want in ((model.params, ref.params), (model.m, ref.m), (model.v, ref.v)):
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert (model.step, model.epochs_trained) == (ref.step, ref.epochs_trained)
+    assert model.loss_log == ref.loss_log
+
+
+def views_share_flat(model):
+    """Every params, m and v entry is a view of its model's flat vector."""
+    return all(
+        np.shares_memory(view, flat)
+        for views, flat in (
+            (model.params, model.flat_params),
+            (model.m, model.flat_m),
+            (model.v, model.flat_v),
+        )
+        for view in views
+    )
+
+
+class TestFlatTraining:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        input_dim=st.integers(1, 10),
+        classes=st.integers(2, 5),
+        extra=st.integers(1, 3),
+        n=st.integers(2, 60),
+        batch_size=st.integers(1, 70),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(hidden=[8, 4], input_dim=6, classes=3, extra=2, n=50, batch_size=16, epochs=2, seed=0)
+    def test_matches_per_array_reference(
+        self, hidden, input_dim, classes, extra, n, batch_size, epochs, seed
+    ):
+        """Train, widen the softmax, train again: every float equals the per-array form."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, input_dim))
+        y = rng.integers(0, classes, n)
+        adam = AdamConfig(batch_size=batch_size, seed=seed % 1000)
+        net = NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=tuple(hidden))
+        model = init_model(net, seed=seed)
+        ref = ReferenceTrainer([input_dim, *hidden, classes], seed)
+        assert_same_state(model, ref)
+
+        model = train_epochs(model, labeled_dataset(x, y, classes), adam, epochs)
+        ref.train(x, y, adam, epochs)
+        assert_same_state(model, ref)
+
+        model = expand_outputs(model, classes + extra, seed=seed + 1)
+        ref.expand_outputs(extra, seed=seed + 1)
+        assert_same_state(model, ref)
+
+        y2 = rng.integers(0, classes + extra, n)
+        model = train_epochs(model, labeled_dataset(x, y2, classes + extra), adam, epochs)
+        ref.train(x, y2, adam, epochs)
+        assert_same_state(model, ref)
+
+    def test_views_share_the_flat_vectors_and_copies_share_nothing(self, tmp_path):
+        x, y = toy_batch(n=45)
+        adam = AdamConfig(batch_size=8, seed=0)
+        model = init_model(NetworkConfig(input_dim=8, output_classes=2, hidden_dims=(5, 3)), seed=0)
+        assert views_share_flat(model)
+
+        with mock.patch.object(
+            learner, "loss_and_gradients", wraps=learner.loss_and_gradients
+        ) as spy:
+            trained = train_epochs(model, labeled_dataset(x, y, 2), adam, epochs=3)
+        assert spy.call_count == trained.step == 3 * 6  # ceil(45 / 8) steps per epoch
+        assert views_share_flat(trained)
+        grads = spy.call_args.args[3]  # views of row 0 of one training workspace
+        work = grads[0].base
+        assert all(g.base is work and np.shares_memory(g, work[0]) for g in grads)
+
+        widened = expand_outputs(trained, 4, seed=1)
+        assert views_share_flat(widened)
+        path = str(tmp_path / "model.npz")
+        save_model(widened, path)
+        assert views_share_flat(load_model(path))
+
+        copied = widened.copy()
+        assert views_share_flat(copied)
+        mine = [widened.flat_params, widened.flat_m, widened.flat_v]
+        theirs = [copied.flat_params, copied.flat_m, copied.flat_v]
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
