@@ -242,12 +242,11 @@ def loss_and_gradients(model: Model, features, labels, grads=None):
 
 
 def _adam_update(model: Model, work: np.ndarray, adam: AdamConfig) -> None:
-    """One Adam step from the gradient in ``work[0]``, in place and without allocating.
+    """One Adam step from the gradient in ``work[0]`` (see ``_workspace``), in place.
 
-    ``work`` comes from ``_workspace``. Per element the step computes, in this
-    order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
-    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, keeping the intermediates in
-    ``work[1]`` and ``work[2]``.
+    Per element, in this order: ``m = b1*m + (1-b1)*g``, ``v = b2*v +
+    (1-b2)*g**2``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``; the
+    intermediates live in ``work[1]`` and ``work[2]``, so nothing is allocated.
     """
     model.step += 1
     t = model.step
@@ -325,22 +324,14 @@ def expand_outputs(model: Model, new_output_classes: int, seed: int) -> Model:
     fan_in = model.params[-2].shape[0]
     rng = seeds.spawn(seed)
     new_cols = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, extra))
-
-    def widened(arrays, cols):
-        return [
-            *arrays[:-2],
-            np.concatenate([arrays[-2], cols], axis=1),
-            np.concatenate([arrays[-1], np.zeros(extra)]),
-        ]
-
-    zeros = np.zeros((fan_in, extra))
-    return replace(
-        model,
-        config=replace(model.config, output_classes=new_output_classes),
-        params=widened(model.params, new_cols),
-        m=widened(model.m, zeros),
-        v=widened(model.v, zeros),
-    )
+    params, m, v = list(model.params), list(model.m), list(model.v)
+    params[-2] = np.concatenate([params[-2], new_cols], axis=1)
+    params[-1] = np.concatenate([params[-1], np.zeros(extra)])
+    for moments in (m, v):
+        moments[-2] = np.concatenate([moments[-2], np.zeros((fan_in, extra))], axis=1)
+        moments[-1] = np.concatenate([moments[-1], np.zeros(extra)])
+    config = replace(model.config, output_classes=new_output_classes)
+    return replace(model, config=config, params=params, m=m, v=v)
 
 
 def _npz_keys(n_layers: int) -> list[list[str]]:
