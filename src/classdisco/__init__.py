@@ -44,9 +44,7 @@ from .learner import (
     embed,
     expand_outputs,
     init_model,
-    load_model,
     predict_proba,
-    save_model,
     train_epochs,
 )
 from .metrics import (

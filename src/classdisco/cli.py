@@ -19,7 +19,7 @@ import time
 from . import engine
 from .clustering import WORKERS_ENV, resolve_workers
 from .config import ConfigError, config_to_dict, load_config, validate_config
-from .dataset import IdxFormatError
+from .dataset import Dataset, IdxFormatError
 from .engine import DiscoveryState, ExperimentConfig
 
 EXIT_OK = 0
@@ -159,12 +159,12 @@ def _workers(args) -> int:
         raise ConfigError(f"--workers: {exc}" if args.workers is not None else str(exc)) from exc
 
 
-def cmd_discover(args, cfg: ExperimentConfig) -> int:
+def cmd_discover(args, cfg: ExperimentConfig, data: Dataset | None = None) -> int:
     workers = _workers(args)
     out = _out_dir(args.out)
     run = engine.run_static if args.mode == "static" else engine.run_dynamic
     start = time.perf_counter()
-    state, _ = run(cfg, workers=workers)
+    state, _ = run(cfg, workers=workers, data=data)
     wall = time.perf_counter() - start
 
     report = _report(
@@ -208,12 +208,12 @@ def _parse_counts(raw: str) -> list[int]:
     return deduped
 
 
-def cmd_classcount(args, cfg: ExperimentConfig) -> int:
+def cmd_classcount(args, cfg: ExperimentConfig, data: Dataset | None = None) -> int:
     counts = _parse_counts(args.counts)
     workers = _workers(args)
     out = _out_dir(args.out)
     start = time.perf_counter()
-    rows = engine.run_class_count_experiment(cfg, counts, workers=workers)
+    rows = engine.run_class_count_experiment(cfg, counts, workers=workers, data=data)
     wall = time.perf_counter() - start
 
     table_path = _write(out, "classcount.csv", _csv(CLASSCOUNT_COLUMNS, rows))
@@ -231,7 +231,7 @@ def cmd_classcount(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args, cfg: ExperimentConfig) -> int:
+def cmd_validate(args, cfg: ExperimentConfig, data: Dataset | None = None) -> int:
     print("config ok")
     return EXIT_OK
 
@@ -265,20 +265,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_data(cfg: ExperimentConfig) -> Dataset:
+    """The run's one load of its data; a missing file or a bad cell is a config error."""
+    try:
+        return engine.load_data(cfg.data)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load data: {exc}") from exc
+
+
 def main(argv=None) -> int:
     """Load and validate the config, run the subcommand, and map failures to exit codes."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        # a run loads its data once, here; validate reads only what shape() needs
+        data = None if args.command == "validate" else _load_data(cfg)
         # classcount runs its own split, so that is the one to check
         problems = validate_config(
-            engine.class_count_config(cfg) if args.command == "classcount" else cfg
+            engine.class_count_config(cfg, data) if args.command == "classcount" else cfg, data
         )
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         if problems:
             return EXIT_CONFIG
-        return args.run(args, cfg)
+        return args.run(args, cfg, data)
     except (ConfigError, FileNotFoundError, IdxFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

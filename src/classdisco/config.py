@@ -20,6 +20,7 @@ import types
 import typing
 from typing import Any
 
+from .dataset import Dataset
 from .engine import ConfigError, ExperimentConfig
 
 # JSON type a scalar annotation accepts: (description, check).
@@ -144,8 +145,11 @@ def _echo(value):
     return value
 
 
-def validate_config(cfg: ExperimentConfig) -> list[str]:
-    """Cross-field and data-dependent checks; returns human-readable problems."""
+def validate_config(cfg: ExperimentConfig, data: Dataset | None = None) -> list[str]:
+    """Cross-field and data-dependent checks; returns human-readable problems.
+
+    The data checks read ``data`` (``cfg.data`` loaded) when given, else ``cfg.data.shape()``.
+    """
     problems: list[str] = []
 
     held_out = cfg.split.held_out_classes
@@ -161,7 +165,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if missing_files:
         return problems
     try:
-        width, counts = cfg.data.shape()
+        width, counts = (cfg.data if data is None else data).shape()
     except (OSError, ValueError) as exc:
         problems.append(f"cannot load data: {exc}")
         return problems

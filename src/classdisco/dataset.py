@@ -32,10 +32,24 @@ class IdxFormatError(ValueError):
     """Malformed IDX file; the message names the offending byte offset."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
+def _frozen(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only ``dtype`` array, adopted without a copy when it
+    has ``dtype`` already and neither it nor any array on its ``.base`` chain,
+    down to the memory's owner, is writeable. Anything else is copied, so a
+    caller's later write can never reach a Dataset.
+    """
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable and arr.dtype == dtype:
+        if base.base is None:
+            return arr
+        base = base.base
+    return _readonly(np.array(arr, dtype=dtype))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """Hand a freshly made array over to a Dataset, which then adopts it uncopied."""
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -55,10 +69,9 @@ class Dataset:
     label_map: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _frozen(np.asarray(self.features, dtype=np.float64)))
-        object.__setattr__(self, "labels", _frozen(np.asarray(self.labels, dtype=np.int64)))
-        object.__setattr__(self, "true_labels", _frozen(np.asarray(self.true_labels, dtype=np.int64)))
-        object.__setattr__(self, "provenance", _frozen(np.asarray(self.provenance, dtype=np.int64)))
+        object.__setattr__(self, "features", _frozen(self.features, np.float64))
+        for name in ("labels", "true_labels", "provenance"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
         if not self.label_map:
             object.__setattr__(self, "label_map", tuple(range(self.n_classes_visible)))
         self.validate()
@@ -100,14 +113,18 @@ class Dataset:
     def human_labeled_count(self) -> int:
         return int(np.count_nonzero(self.provenance == PROV_HUMAN))
 
+    def shape(self) -> tuple[int, dict[int, int]]:
+        """Feature width and per-class sample counts, as a data source's ``shape()``."""
+        return self.n_features, _class_counts(self.true_labels)
+
     def select(self, indices) -> "Dataset":
         """Row subset; class bookkeeping is preserved unchanged."""
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            true_labels=self.true_labels[idx],
-            provenance=self.provenance[idx],
+            features=_readonly(self.features[idx]),
+            labels=_readonly(self.labels[idx]),
+            true_labels=_readonly(self.true_labels[idx]),
+            provenance=_readonly(self.provenance[idx]),
             n_classes_visible=self.n_classes_visible,
             label_map=self.label_map,
         )
@@ -199,8 +216,7 @@ class CsvData:
         return load_csv(self.path)
 
     def shape(self) -> tuple[int, dict[int, int]]:
-        data = self.load()
-        return data.n_features, _class_counts(data.true_labels)
+        return self.load().shape()
 
 
 # The data sources a config can name, each tagged by its ``kind``.
@@ -272,14 +288,13 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     labels_raw = _read_exact(lbl_bytes, 8, n_images, labels_path)
 
     features = np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, rows * cols)
-    features = features.astype(np.float64) / 255.0
-    labels = np.frombuffer(labels_raw, dtype=np.uint8).astype(np.int64)
+    labels = _readonly(np.frombuffer(labels_raw, dtype=np.uint8).astype(np.int64))
     n_classes = int(labels.max()) + 1 if n_images else 0
     return Dataset(
-        features=features,
+        features=_readonly(features / 255.0),  # float64, one new array
         labels=labels,
         true_labels=labels,
-        provenance=np.full(n_images, PROV_HUMAN, dtype=np.int64),
+        provenance=_readonly(np.full(n_images, PROV_HUMAN, dtype=np.int64)),
         n_classes_visible=n_classes,
     )
 
@@ -307,15 +322,15 @@ def load_csv(path: str) -> Dataset:
     labels = raw[:, -1]
     if not np.all(labels == np.round(labels)):
         raise ValueError(f"{path}: last column must contain integer labels")
-    labels = labels.astype(np.int64)
+    labels = _readonly(labels.astype(np.int64))
     if (labels < 0).any():
         raise ValueError(f"{path}: labels must be non-negative")
     n = raw.shape[0]
     return Dataset(
-        features=raw[:, :-1],
+        features=_readonly(np.ascontiguousarray(raw[:, :-1])),
         labels=labels,
         true_labels=labels,
-        provenance=np.full(n, PROV_HUMAN, dtype=np.int64),
+        provenance=_readonly(np.full(n, PROV_HUMAN, dtype=np.int64)),
         n_classes_visible=int(labels.max()) + 1 if n else 0,
     )
 
@@ -337,14 +352,15 @@ def synth_gaussian(spec: GaussianMixtureSpec) -> Dataset:
     centers = spec.separation * directions / norms
 
     n = spec.n_classes * spec.per_class_n
-    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_n)
-    noise = rng.standard_normal((n, spec.dim))
-    features = centers[labels] + noise
+    labels = _readonly(np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_n))
+    features = rng.standard_normal((n, spec.dim))
+    per_class = features.reshape(spec.n_classes, spec.per_class_n, spec.dim)  # a view
+    per_class += centers[:, None, :]  # noise + center is center + noise, exactly
     return Dataset(
-        features=features,
+        features=_readonly(features),
         labels=labels,
         true_labels=labels,
-        provenance=np.full(n, PROV_HUMAN, dtype=np.int64),
+        provenance=_readonly(np.full(n, PROV_HUMAN, dtype=np.int64)),
         n_classes_visible=spec.n_classes,
     )
 
@@ -377,8 +393,7 @@ def make_split(data: Dataset, spec: SplitSpec) -> Dataset:
                 members = members[np.sort(chosen)]
             keep[members] = True
 
-    kept = np.flatnonzero(keep)
-    sub = data.select(kept)
+    sub = data if keep.all() else data.select(np.flatnonzero(keep))
 
     remap = {orig: dense for dense, orig in enumerate(retained)}
     labels = np.full(sub.n_samples, UNLABELED, dtype=np.int64)
@@ -389,9 +404,9 @@ def make_split(data: Dataset, spec: SplitSpec) -> Dataset:
         provenance[members] = PROV_HUMAN
     return Dataset(
         features=sub.features,
-        labels=labels,
+        labels=_readonly(labels),
         true_labels=sub.true_labels,
-        provenance=provenance,
+        provenance=_readonly(provenance),
         n_classes_visible=len(retained),
         label_map=tuple(retained),
     )
@@ -418,9 +433,9 @@ def add_class(data: Dataset, member_indices, round: int) -> Dataset:
     provenance[members] = round
     return Dataset(
         features=data.features,
-        labels=labels,
+        labels=_readonly(labels),
         true_labels=data.true_labels,
-        provenance=provenance,
+        provenance=_readonly(provenance),
         n_classes_visible=data.n_classes_visible + 1,
         label_map=data.label_map + (DISCOVERED_CLASS,),
     )

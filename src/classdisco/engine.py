@@ -144,6 +144,7 @@ def _evaluate(
     if cfg.ood_mode == "detector" and len(pool_idx):
         labeled = dataset.select(dataset.labeled_indices())
         detector = ood.calibrate(model, labeled, cfg.detector_quantile)
+        del labeled  # freed before clustering
         part = ood.partition(detector, model, dataset.select(pool_idx))
         routed_global = pool_idx[part.in_dist_indices]
         label_map = np.asarray(dataset.label_map, dtype=np.int64)
@@ -183,6 +184,13 @@ def _evaluate(
     )
 
 
+def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: int) -> Model:
+    """Train on the labeled rows, whose copy is freed on return, before the next clustering."""
+    if epochs == 0:
+        return model
+    return train_epochs(model, data.select(data.labeled_indices()), cfg.adam, epochs)
+
+
 def _prepare(
     cfg: ExperimentConfig, raw: Dataset, workers: int | None
 ) -> tuple[DiscoveryState, _RoundEval]:
@@ -195,10 +203,7 @@ def _prepare(
         net = replace(net, input_dim=data.n_features)
     if net.output_classes is None:
         net = replace(net, output_classes=data.n_classes_visible)
-    model = init_model(net, seed=cfg.seed)
-    if cfg.epochs_initial > 0:
-        labeled = data.select(data.labeled_indices())
-        model = train_epochs(model, labeled, cfg.adam, cfg.epochs_initial)
+    model = _train_labeled(init_model(net, seed=cfg.seed), data, cfg, cfg.epochs_initial)
     ev = _evaluate(data, model, cfg, [], 0, workers)
     record = RoundRecord(
         round=0,
@@ -218,13 +223,14 @@ def _prepare(
     return state, ev
 
 
-def run_static(cfg: ExperimentConfig, workers: int | None = None):
+def run_static(cfg: ExperimentConfig, workers: int | None = None, data: Dataset | None = None):
     """One-shot discovery: cluster the whole pool once and label every cluster.
 
     With epochs_initial=0 the embedder is untrained (the random-embedding
-    baseline); otherwise it is the semi-supervised variant.
+    baseline); otherwise it is the semi-supervised variant. ``data`` is
+    ``cfg.data`` already loaded, if the caller has it.
     """
-    state, _ = _prepare(cfg, load_data(cfg.data), workers)
+    state, _ = _prepare(cfg, load_data(cfg.data) if data is None else data, workers)
     return state, state.history[0].report
 
 
@@ -277,18 +283,19 @@ def _score_clusters(
     ]
 
 
-def run_dynamic(cfg: ExperimentConfig, workers: int | None = None):
+def run_dynamic(cfg: ExperimentConfig, workers: int | None = None, data: Dataset | None = None):
     """Accept one cluster per round, retrain, re-embed, re-cluster.
 
     Returns the final state and the per-round reconstruction reports
-    (round 0 is the static baseline under the same seeds).
+    (round 0 is the static baseline under the same seeds). ``data`` is as
+    in ``run_static``.
     """
     n_held_out = len(cfg.split.held_out_classes)
     rounds = cfg.rounds if cfg.rounds is not None else n_held_out
     if rounds > n_held_out:
         raise ValueError(f"rounds={rounds} exceeds the {n_held_out} held-out classes")
 
-    state, ev = _prepare(cfg, load_data(cfg.data), workers)
+    state, ev = _prepare(cfg, load_data(cfg.data) if data is None else data, workers)
     dataset, model = state.dataset, state.model
 
     for r in range(1, rounds + 1):
@@ -324,9 +331,7 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None):
         model = expand_outputs(
             model, dataset.n_classes_visible, seed=cfg.seed + _EXPAND_SEED_STRIDE * r
         )
-        if cfg.epochs_per_round > 0:
-            labeled = dataset.select(dataset.labeled_indices())
-            model = train_epochs(model, labeled, cfg.adam, cfg.epochs_per_round)
+        model = _train_labeled(model, dataset, cfg, cfg.epochs_per_round)
 
         state.dataset, state.model, state.round = dataset, model, r
         ev = _evaluate(dataset, model, cfg, state.accepted, r, workers)
@@ -352,16 +357,17 @@ def evaluate_state(state: DiscoveryState, workers: int | None = None) -> Reconst
     return ev.report
 
 
-def class_count_config(cfg: ExperimentConfig) -> ExperimentConfig:
+def class_count_config(cfg: ExperimentConfig, data: Dataset | None = None) -> ExperimentConfig:
     """The configuration each class count runs: the last five classes held out
-    for evaluation, the pool routed by the oracle, and no discovery rounds."""
+    for evaluation, the pool routed by the oracle, and no discovery rounds.
+    The classes come from ``data`` (``cfg.data`` loaded) when given."""
     if cfg.net.output_classes is not None:
         raise ConfigError(
             f"net.output_classes ({cfg.net.output_classes}) must be unset: "
             "each class count derives its own output width"
         )
     try:
-        _, counts = cfg.data.shape()
+        _, counts = (cfg.data if data is None else data).shape()
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load data: {exc}") from exc
     classes = sorted(counts)
@@ -374,18 +380,21 @@ def class_count_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def run_class_count_experiment(
-    base_cfg: ExperimentConfig, class_counts: list[int], workers: int | None = None
+    base_cfg: ExperimentConfig,
+    class_counts: list[int],
+    workers: int | None = None,
+    data: Dataset | None = None,
 ) -> list[tuple[int, float]]:
     """Cluster accuracy on a fixed OOD pool as a function of training class count.
 
     For each count c, run round 0 of discovery under ``class_count_config`` on
     the first c non-evaluation classes plus the evaluation classes (the
     configured per-class cap applied uniformly) and report the size-weighted
-    mean cluster accuracy of the pool.
+    mean cluster accuracy of the pool. ``data`` is as in ``run_static``.
     """
-    cfg = class_count_config(base_cfg)
+    raw = load_data(base_cfg.data) if data is None else data
+    cfg = class_count_config(base_cfg, raw)
     eval_set = cfg.split.held_out_classes
-    raw = load_data(cfg.data)
     non_eval = [int(c) for c in np.unique(raw.true_labels) if c not in eval_set]
     for c in class_counts:
         if c < 2:
@@ -396,6 +405,7 @@ def run_class_count_experiment(
     rows: list[tuple[int, float]] = []
     for count in class_counts:
         keep = np.flatnonzero(np.isin(raw.true_labels, sorted(set(non_eval[:count]) | eval_set)))
-        _, ev = _prepare(cfg, raw.select(keep), workers)
+        # only the evaluation is kept: no count's split or model outlives its run
+        ev = _prepare(cfg, raw.select(keep), workers)[1]
         rows.append((count, ev.report.weighted_ood_accuracy))
     return rows

@@ -13,7 +13,6 @@ architecture, only about ``predict_proba`` and ``embed``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -21,8 +20,6 @@ import numpy as np
 
 from . import seeds
 from .dataset import Dataset, UNLABELED
-
-CHECKPOINT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -116,9 +113,6 @@ class Model:
     def copy(self) -> "Model":
         """An independent model: construction copies every array into a new block."""
         return replace(self)
-
-    def parameter_count(self) -> int:
-        return self.flat_params.size
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -332,51 +326,3 @@ def expand_outputs(model: Model, new_output_classes: int, seed: int) -> Model:
         moments[-1] = np.concatenate([moments[-1], np.zeros(extra)])
     config = replace(model.config, output_classes=new_output_classes)
     return replace(model, config=config, params=params, m=m, v=v)
-
-
-def _npz_keys(n_layers: int) -> list[list[str]]:
-    """Checkpoint keys of params, m and v: [w0, b0, w1, ...], [mw0, mb0, ...], [vw0, ...]."""
-    names = [f"{kind}{i}" for i in range(n_layers) for kind in "wb"]
-    return [[prefix + name for name in names] for prefix in ("", "m", "v")]
-
-
-def save_model(model: Model, path: str) -> None:
-    """Checkpoint: npz of all tensors plus a JSON metadata blob. Round-trips bit-exactly."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "input_dim": model.config.input_dim,
-        "output_classes": model.config.output_classes,
-        "hidden_dims": list(model.config.hidden_dims),
-        "step": model.step,
-        "epochs_trained": model.epochs_trained,
-        "loss_log": list(model.loss_log),
-        "n_layers": len(model.weights),
-    }
-    arrays = {}
-    for keys, tensors in zip(_npz_keys(meta["n_layers"]), (model.params, model.m, model.v)):
-        arrays.update(zip(keys, tensors))
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
-
-
-def load_model(path: str) -> Model:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        cfg = NetworkConfig(
-            input_dim=meta["input_dim"],
-            output_classes=meta["output_classes"],
-            hidden_dims=tuple(meta["hidden_dims"]),
-        )
-        params, m, v = ([data[k] for k in keys] for keys in _npz_keys(meta["n_layers"]))
-        return Model(
-            config=cfg,
-            params=params,
-            m=m,
-            v=v,
-            step=meta["step"],
-            epochs_trained=meta["epochs_trained"],
-            loss_log=tuple(meta["loss_log"]),
-        )

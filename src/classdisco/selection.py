@@ -106,42 +106,50 @@ def learnability_scores(
     canon_order = scoreable[np.argsort(first_member[scoreable], kind="stable")]
 
     rng = seeds.spawn(seed)
-    train_x: list[np.ndarray] = []
-    train_lbl: list[np.ndarray] = []
-    hold_x: list[np.ndarray] = []
-    hold_lbl: list[np.ndarray] = []
+    # Row indices of each class, per side, in class order: the clusters' rows
+    # index x, the distractors' rows index their own feature array.
+    train_idx: list[np.ndarray] = []
+    hold_idx: list[np.ndarray] = []
 
-    def split_class(rows: np.ndarray, label: int) -> None:
+    def split_class(rows: np.ndarray) -> None:
         n_hold = max(1, int(np.floor(cfg.holdout_fraction * len(rows))))
         perm = rng.permutation(len(rows))
-        hold_x.append(rows[perm[:n_hold]])
-        hold_lbl.append(np.full(n_hold, label, dtype=np.int64))
-        train_x.append(rows[perm[n_hold:]])
-        train_lbl.append(np.full(len(rows) - n_hold, label, dtype=np.int64))
+        hold_idx.append(rows[perm[:n_hold]])
+        train_idx.append(rows[perm[n_hold:]])
 
-    for canon, pos in enumerate(canon_order):
-        split_class(x[np.flatnonzero(dense == pos)], canon)
+    for pos in canon_order:
+        split_class(np.flatnonzero(dense == pos))
 
-    n_classes = len(canon_order)
+    n_clusters = len(canon_order)
     if extra_classes is not None:
         ex_x = np.asarray(extra_classes[0], dtype=np.float64)
         ex_y = np.asarray(extra_classes[1], dtype=np.int64)
         for extra_label in np.unique(ex_y):
-            rows = ex_x[ex_y == extra_label]
-            if len(rows) < 2:
-                continue  # cannot split a singleton distractor class
-            split_class(rows, n_classes)
-            n_classes += 1
+            rows = np.flatnonzero(ex_y == extra_label)
+            if len(rows) >= 2:  # a singleton distractor class cannot be split
+                split_class(rows)
+    n_classes = len(train_idx)
 
-    tr_x = np.concatenate(train_x)
-    tr_y = np.concatenate(train_lbl)
-    ho_x = np.concatenate(hold_x)
-    ho_y = np.concatenate(hold_lbl)
+    def gather(side: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """One side's features, gathered into one new array, and its labels."""
+        sizes = [len(rows) for rows in side]
+        out = np.empty((sum(sizes), x.shape[1]))
+        n_pool = sum(sizes[:n_clusters])
+        # the indices are in range; mode="clip" lets np.take write into out unbuffered
+        np.take(x, np.concatenate(side[:n_clusters]), axis=0, out=out[:n_pool], mode="clip")
+        if n_classes > n_clusters:
+            extra = np.concatenate(side[n_clusters:])
+            np.take(ex_x, extra, axis=0, out=out[n_pool:], mode="clip")
+        return out, np.repeat(np.arange(n_classes, dtype=np.int64), sizes)
+
+    tr_x, tr_y = gather(train_idx)
+    ho_x, ho_y = gather(hold_idx)
     net = NetworkConfig(
         input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims
     )
     sub_seed = int(rng.integers(2**32))
     model = init_model(net, seed=sub_seed)
+    tr_x.flags.writeable = tr_y.flags.writeable = False  # adopted by the Dataset, uncopied
     train_data = Dataset(
         features=tr_x,
         labels=tr_y,

@@ -3,13 +3,14 @@ import json
 import re
 import struct
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classdisco import cli, engine
+from classdisco import cli, dataset, engine
 from classdisco.cli import main
 from classdisco.config import ConfigError, config_to_dict, parse_config
 from classdisco.dataset import DataSource
@@ -547,6 +548,35 @@ class TestClassCount:
         argv = ["classcount", "--config", path, "--counts", "2,3,4", "--out", str(tmp_path / "x")]
         assert main(argv) == 1
         assert "net.output_classes" in capsys.readouterr().err
+
+
+class TestDataLoadedOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discover", "--mode", "dynamic"],
+            ["discover", "--mode", "static"],
+            ["classcount", "--counts", "2"],
+        ],
+        ids=["discover-dynamic", "discover-static", "classcount"],
+    )
+    def test_csv_is_parsed_once_per_run(self, tmp_path, argv):
+        rng = np.random.default_rng(0)
+        rows = [
+            ",".join(f"{c * 6 + v:.3f}" for v in rng.standard_normal(2)) + f",{c}"
+            for c in range(7)
+            for _ in range(12)
+        ]
+        csv = tmp_path / "data.csv"
+        csv.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        doc = classcount_config()
+        doc["data"] = {"kind": "csv", "path": str(csv)}
+        doc["split"]["held_out_classes"] = [5, 6]
+        doc["kmeans"]["k"] = 2
+        path = write_config(tmp_path, doc)
+        with mock.patch.object(dataset, "load_csv", wraps=dataset.load_csv) as spy:
+            assert main(argv + ["--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert spy.call_count == 1
 
 
 def _argv(command, path, out):

@@ -264,3 +264,99 @@ def test_dataset_rejects_label_beyond_visible():
             provenance=np.array([PROV_HUMAN, PROV_HUMAN]),
             n_classes_visible=2,
         )
+
+
+def unlabeled_dataset(features):
+    n = len(features)
+    return Dataset(
+        features=features,
+        labels=np.full(n, UNLABELED),
+        true_labels=np.zeros(n, dtype=np.int64),
+        provenance=np.full(n, PROV_NONE),
+        n_classes_visible=0,
+    )
+
+
+class TestZeroCopy:
+    """Read-only arrays are shared; anything a caller could still write is copied."""
+
+    def test_writable_input_is_copied(self):
+        x = np.ones((4, 3))
+        data = unlabeled_dataset(x)
+        x[0, 0] = 7.0
+        assert not np.shares_memory(data.features, x)
+        assert (data.features == 1.0).all()
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base = np.ones((4, 3))
+        view = base[:]
+        view.flags.writeable = False
+        data = unlabeled_dataset(view)
+        base[0, 0] = 7.0
+        assert not np.shares_memory(data.features, base)
+        assert (data.features == 1.0).all()
+
+    def test_read_only_owned_array_is_adopted(self):
+        x = np.ones((4, 3))
+        x.flags.writeable = False
+        data = unlabeled_dataset(x)
+        assert np.shares_memory(data.features, x)
+        assert data.features is x
+
+    def test_read_only_array_of_another_dtype_is_converted(self):
+        x = np.ones((4, 3), dtype=np.float32)
+        x.flags.writeable = False
+        data = unlabeled_dataset(x)
+        assert data.features.dtype == np.float64
+        assert not data.features.flags.writeable
+
+    def test_uncapped_split_and_add_class_share_features(self):
+        data = small_dataset(n_classes=4, per_class=10)
+        split = make_split(data, SplitSpec(held_out_classes={2, 3}))
+        assert split.features is data.features
+        assert split.true_labels is data.true_labels
+        added = add_class(split, split.unlabeled_indices()[:5], round=1)
+        assert added.features is data.features
+        assert not np.shares_memory(added.labels, split.labels)
+
+    def test_capped_split_copies_only_the_kept_rows(self):
+        data = small_dataset(n_classes=4, per_class=10)
+        split = make_split(data, SplitSpec(held_out_classes={3}, per_class_cap=4))
+        assert split.n_samples == 16
+        assert not np.shares_memory(split.features, data.features)
+
+    def test_split_and_add_class_allocate_less_than_the_features(self):
+        import tracemalloc
+
+        data = synth_gaussian(GaussianMixtureSpec(5, 64, 5.0, 200, seed=1))
+        tracemalloc.start()
+        try:
+            split = make_split(data, SplitSpec(held_out_classes={3, 4}))
+            add_class(split, split.unlabeled_indices()[:50], round=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.features.nbytes
+
+    def test_loaders_hand_over_read_only_owned_arrays(self, tmp_path, idx_writer):
+        img_p, lbl_p = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        idx_writer(np.zeros((3, 2, 2), dtype=np.uint8), [0, 1, 0], img_p, lbl_p)
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        for data in (load_idx(img_p, lbl_p), load_csv(str(csv)), small_dataset()):
+            for arr in (data.features, data.labels, data.true_labels, data.provenance):
+                assert arr.base is None and not arr.flags.writeable
+            assert data.features.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_classes, dim, per_class, seed", [(2, 1, 1, 0), (3, 5, 7, 4), (6, 16, 30, 9)])
+def test_synth_gaussian_features_are_centers_plus_noise(n_classes, dim, per_class, seed):
+    """The in-place add gives the same floats as ``centers[labels] + noise``."""
+    from classdisco import seeds
+
+    data = synth_gaussian(GaussianMixtureSpec(n_classes, dim, 6.0, per_class, seed=seed))
+    rng = seeds.spawn(seed)
+    directions = rng.standard_normal((n_classes, dim))
+    centers = 6.0 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    noise = rng.standard_normal((n_classes * per_class, dim))
+    assert data.features.tobytes() == (centers[data.true_labels] + noise).tobytes()

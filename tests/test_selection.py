@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from classdisco import selection, seeds
 from classdisco.clustering import Clustering
+from classdisco.dataset import PROV_HUMAN, Dataset
+from classdisco.learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 from classdisco.selection import (
     ClusterFeatures,
     LearnabilityConfig,
@@ -263,3 +268,90 @@ def test_learnability_config_validation():
         LearnabilityConfig(hidden_dims=())
     with pytest.raises(ValueError, match="hidden dims"):
         LearnabilityConfig(hidden_dims=(0,))
+
+
+def reference_learnability_scores(features, assignments, cfg, seed, extra_classes=None):
+    """The per-cluster-copy form of ``learnability_scores``: each class's rows are
+    copied, permuted and concatenated, with the same RNG draws in the same order."""
+    x = np.asarray(features, dtype=np.float64)
+    assign = np.asarray(assignments, dtype=np.int64)
+    ids, first_member, dense = np.unique(assign, return_index=True, return_inverse=True)
+    sizes = np.bincount(dense)
+    scoreable = np.flatnonzero(sizes >= selection.MIN_SCOREABLE_SIZE)
+    canon_order = scoreable[np.argsort(first_member[scoreable], kind="stable")]
+
+    rng = seeds.spawn(seed)
+    train_x, train_lbl, hold_x, hold_lbl = [], [], [], []
+
+    def split_class(rows, label):
+        n_hold = max(1, int(np.floor(cfg.holdout_fraction * len(rows))))
+        perm = rng.permutation(len(rows))
+        hold_x.append(rows[perm[:n_hold]])
+        hold_lbl.append(np.full(n_hold, label, dtype=np.int64))
+        train_x.append(rows[perm[n_hold:]])
+        train_lbl.append(np.full(len(rows) - n_hold, label, dtype=np.int64))
+
+    for canon, pos in enumerate(canon_order):
+        split_class(x[np.flatnonzero(dense == pos)], canon)
+    n_classes = len(canon_order)
+    if extra_classes is not None:
+        ex_x = np.asarray(extra_classes[0], dtype=np.float64)
+        ex_y = np.asarray(extra_classes[1], dtype=np.int64)
+        for extra_label in np.unique(ex_y):
+            rows = ex_x[ex_y == extra_label]
+            if len(rows) < 2:
+                continue
+            split_class(rows, n_classes)
+            n_classes += 1
+
+    tr_x, tr_y = np.concatenate(train_x), np.concatenate(train_lbl)
+    ho_x, ho_y = np.concatenate(hold_x), np.concatenate(hold_lbl)
+    net = NetworkConfig(input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims)
+    sub_seed = int(rng.integers(2**32))
+    model = init_model(net, seed=sub_seed)
+    train_data = Dataset(
+        features=tr_x,
+        labels=tr_y,
+        true_labels=tr_y,
+        provenance=np.full(len(tr_y), PROV_HUMAN, dtype=np.int64),
+        n_classes_visible=n_classes,
+    )
+    adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
+    batches_per_epoch = -(-len(tr_y) // adam.batch_size)
+    run_epochs = max(cfg.epochs, -(-selection._MIN_SCORER_UPDATES // batches_per_epoch))
+    model = train_epochs(model, train_data, adam, epochs=run_epochs)
+    preds = predict_proba(model, ho_x).argmax(axis=1)
+    scores = np.zeros(len(ids))
+    for canon, pos in enumerate(canon_order):
+        scores[pos] = float(np.mean(preds[ho_y == canon] == canon))
+    return scores
+
+
+class TestLearnabilityGather:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(10, 50),
+        dim=st.integers(1, 5),
+        id_pool=st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True),
+        extra_sizes=st.none() | st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        holdout_fraction=st.sampled_from([0.2, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=20, dim=3, id_pool=[7, 2], extra_sizes=[1, 6], holdout_fraction=0.2, seed=0)
+    def test_scores_equal_the_per_cluster_copy_form(
+        self, n, dim, id_pool, extra_sizes, holdout_fraction, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, dim))
+        assign = rng.choice(id_pool, size=n)
+        extra = None
+        if extra_sizes is not None:
+            ex_y = np.repeat(np.arange(len(extra_sizes)), extra_sizes)
+            extra = (rng.standard_normal((len(ex_y), dim)), rng.permutation(ex_y))
+        cfg = LearnabilityConfig(holdout_fraction=holdout_fraction, hidden_dims=(3,), epochs=1)
+        ids, sizes = np.unique(assign, return_counts=True)
+        assume(len(ids) >= 2 and (sizes >= selection.MIN_SCOREABLE_SIZE).sum() >= 2)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
+            got = learnability_scores(x, assign, cfg, seed=seed % 1000, extra_classes=extra)
+            want = reference_learnability_scores(x, assign, cfg, seed % 1000, extra)
+        assert got.tobytes() == want.tobytes()
