@@ -185,7 +185,7 @@ def _evaluate(
 
 
 def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: int) -> Model:
-    """Train on the labeled rows, whose copy is freed on return, before the next clustering."""
+    """Train on a copy of the labeled rows, freed on return rather than held through clustering."""
     if epochs == 0:
         return model
     return train_epochs(model, data.select(data.labeled_indices()), cfg.adam, epochs)
