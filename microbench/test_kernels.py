@@ -5,10 +5,12 @@ collects them. Run them from the root of a checkout, one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m pytest microbench
 
-Shapes: Lloyd kernels at 5000x128 and 1000x128 points with k=15 (the pool
-sizes of the ``mnist784-dynamic`` workload), Adam at 16-128-15 and 784-128-15,
-and one whole training step (gradients plus Adam) at batch 32 on the
-learnability scorer's 16-32-15 and 784-32-6 networks.
+Shapes: the ``_sq_dists`` and ``_class_means`` kernels at 5000x128 and
+1000x128 points with k=15 (the pool sizes of the ``mnist784-dynamic``
+workload), a whole ``lloyd_fit`` of 10 iterations at 5000x128 with k=15,
+Adam at 16-128-15 and 784-128-15, and one whole training step (gradients
+plus Adam) at batch 32 on the learnability scorer's 16-32-15 and 784-32-6
+networks.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ K = 15
 POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="1000x128")]
 NETS = [pytest.param(16, id="16-128-15"), pytest.param(784, id="784-128-15")]
 SCORER_NETS = [pytest.param(16, 15, id="16-32-15"), pytest.param(784, 6, id="784-32-6")]
+LLOYD_ITERS = 10
 
 
 def pool(n, d):
@@ -46,10 +49,10 @@ def test_class_means(benchmark, n, d):
     benchmark(clustering._class_means, points, assign, K, centroids)
 
 
-@pytest.mark.parametrize("n,d", POOLS)
-def test_inertia(benchmark, n, d):
-    points, _, centroids, assign = pool(n, d)
-    benchmark(clustering._inertia, points, centroids, assign, np.empty(points.shape))
+def test_lloyd_fit(benchmark):
+    points, _, centroids, _ = pool(5000, 128)
+    result = benchmark(clustering.lloyd_fit, points, centroids, max_iters=LLOYD_ITERS, tol=0.0)
+    assert result.iterations_run == LLOYD_ITERS  # no early stop: every round times the same work
 
 
 @pytest.mark.parametrize("input_dim", NETS)

@@ -110,35 +110,32 @@ def _class_means(points, assign, k, fallback):
     return means
 
 
-def _inertia(points, centroids, assign, buf):
-    """Sum of squared distances to the assigned centroids, computed in buf (n, d)."""
-    # assign is in range (from argmin); mode="raise" would copy through a temporary
-    np.take(centroids, assign, axis=0, out=buf, mode="clip")
-    np.subtract(points, buf, out=buf)
-    np.multiply(buf, buf, out=buf)
-    return float(buf.sum())
+def _repair_empty(points, centroids, d2, assign, dists):
+    """Reseed each empty cluster at the point farthest from its assigned centroid.
 
-
-def _repair_empty(points, norms, centroids, assign, k):
-    """Reseed each empty cluster at the point farthest from its assigned centroid."""
+    d2 is the distance block of centroids; dists(centroids) recomputes it after a move.
+    """
+    k = centroids.shape[0]
     for _ in range(k):
-        counts = np.bincount(assign, minlength=k)
-        empties = np.flatnonzero(counts == 0)
+        empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0)
         if empties.size == 0:
             break
-        d2 = _sq_dists(points, norms, centroids)
         dist_to_own = d2[np.arange(len(assign)), assign]
         centroids[empties[0]] = points[int(dist_to_own.argmax())]
-        assign = _sq_dists(points, norms, centroids).argmin(axis=1)
-    return centroids, assign
+        d2 = dists(centroids)
+        assign = d2.argmin(axis=1)
+    return centroids, d2, assign
 
 
 def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -> Clustering:
     """Lloyd iterations from the given centroids until fixpoint, max_iters, or tol.
 
-    tol is relative inertia improvement. Inertia is checked non-increasing on
-    every iteration; the returned assignments point to the nearest final
-    centroid and the returned inertia is recomputed against them.
+    tol is relative inertia improvement. Distances are taken on points centered
+    at their mean, which keeps _sq_dists precise far from the origin; centroids
+    stay means (or rows) of the given points. Each iteration computes one
+    distance block, for its new centroids: it gives this iteration's inertia
+    and the next one's assignments. Inertia is checked non-increasing on every
+    iteration; the returned assignments point to the nearest final centroid.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[0] == 0:
@@ -147,18 +144,23 @@ def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -
     if centroids.shape[1] != pts.shape[1]:
         raise ValueError("centroid width does not match point width")
     k = centroids.shape[0]
-    norms = (pts * pts).sum(axis=1)
-    buf = np.empty(pts.shape)
+    mu = pts.mean(axis=0)
+    ctr = pts - mu
+    norms = (ctr * ctr).sum(axis=1)
+    rows = np.arange(pts.shape[0])
 
+    def dists(c):
+        return _sq_dists(ctr, norms, c - mu)
+
+    d2 = dists(centroids)
     prev_inertia = None
     trace: list[float] = []
     iterations = 0
-    assign = np.zeros(pts.shape[0], dtype=np.int64)
     for it in range(max_iters):
-        assign = _sq_dists(pts, norms, centroids).argmin(axis=1)
-        centroids, assign = _repair_empty(pts, norms, centroids, assign, k)
+        centroids, d2, assign = _repair_empty(pts, centroids, d2, d2.argmin(axis=1), dists)
         new_centroids = _class_means(pts, assign, k, fallback=centroids)
-        inertia = _inertia(pts, new_centroids, assign, buf)
+        d2 = dists(new_centroids)
+        inertia = float(d2[rows, assign].sum())
         trace.append(inertia)
         iterations = it + 1
         if prev_inertia is not None and inertia > prev_inertia * (1 + 1e-12) + 1e-12:
@@ -173,12 +175,11 @@ def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -
             break
         prev_inertia = inertia
 
-    # Reconcile against the final centroids so assignments are truly nearest.
-    final_assign = _sq_dists(pts, norms, centroids).argmin(axis=1)
+    # Reconcile against the final centroids (d2 is their block) so assignments are truly nearest.
+    final_assign = d2.argmin(axis=1)
     if not np.array_equal(final_assign, assign):
-        centroids, final_assign = _repair_empty(pts, norms, centroids, final_assign, k)
-        assign = final_assign
-        inertia = _inertia(pts, centroids, assign, buf)
+        centroids, d2, assign = _repair_empty(pts, centroids, d2, final_assign, dists)
+        inertia = float(d2[rows, assign].sum())
         trace.append(inertia)
     return Clustering(
         centroids=centroids,

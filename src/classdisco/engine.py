@@ -247,26 +247,22 @@ def _score_clusters(
     need_learnability = cfg.policy.kind in ("learnability", "threshold")
     learn = np.full(clustering.k, math.nan)
     if need_learnability:
-        score_input = (
-            ev.embeddings
-            if cfg.learnability.use_embeddings
-            else dataset.features[ev.cluster_indices]
-        )
-        extra_classes = None
-        if cfg.learnability.include_existing:
+        # Raw features are gathered by row index from the shared matrix, uncopied.
+        score_input, rows, extra_classes = dataset.features, ev.cluster_indices, None
+        if cfg.learnability.use_embeddings:
+            score_input, rows = ev.embeddings, None
+        if cfg.learnability.include_existing and cfg.learnability.use_embeddings:
             labeled = dataset.labeled_indices()
-            extra_x = (
-                embed(model, dataset.features[labeled])
-                if cfg.learnability.use_embeddings
-                else dataset.features[labeled]
-            )
-            extra_classes = (extra_x, dataset.labels[labeled])
+            extra_classes = (embed(model, dataset.features[labeled]), dataset.labels[labeled])
+        elif cfg.learnability.include_existing:
+            extra_classes = (dataset.features, dataset.labels)
         raw = selection.learnability_scores(
             score_input,
             clustering.assignments,
             cfg.learnability,
             seed=cfg.seed + _LEARNABILITY_SEED_STRIDE * round_idx,
             extra_classes=extra_classes,
+            rows=rows,
         )
         ids = np.unique(clustering.assignments)
         learn[ids] = raw

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import seeds
 from .clustering import Clustering
-from .dataset import PROV_HUMAN, Dataset
+from .dataset import PROV_HUMAN, UNLABELED, Dataset
 from .learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
@@ -73,6 +73,7 @@ def learnability_scores(
     cfg: LearnabilityConfig = LearnabilityConfig(),
     seed: int = 0,
     extra_classes=None,
+    rows=None,
 ) -> np.ndarray:
     """Held-out recall per cluster from a fresh classifier trained to predict clusters.
 
@@ -84,9 +85,10 @@ def learnability_scores(
     classification problem and score 0. The computation is canonicalized on
     the partition itself, so relabeling clusters permutes the scores exactly.
 
+    ``rows``, when given, maps each assignment to its row of ``features``.
     ``extra_classes``, when given as (features, dense_labels), adds the
-    already-established classes to the problem as distractors; scores are
-    still reported for the clusters only.
+    already-established classes to the problem as distractors; rows labeled
+    UNLABELED are left out. Scores are still reported for the clusters only.
     """
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
@@ -108,6 +110,7 @@ def learnability_scores(
     rng = seeds.spawn(seed)
     # Row indices of each class, per side, in class order: the clusters' rows
     # index x, the distractors' rows index their own feature array.
+    pool_rows = np.arange(len(assign)) if rows is None else np.asarray(rows, dtype=np.int64)
     train_idx: list[np.ndarray] = []
     hold_idx: list[np.ndarray] = []
 
@@ -118,16 +121,16 @@ def learnability_scores(
         train_idx.append(rows[perm[n_hold:]])
 
     for pos in canon_order:
-        split_class(np.flatnonzero(dense == pos))
+        split_class(pool_rows[dense == pos])
 
     n_clusters = len(canon_order)
     if extra_classes is not None:
         ex_x = np.asarray(extra_classes[0], dtype=np.float64)
         ex_y = np.asarray(extra_classes[1], dtype=np.int64)
-        for extra_label in np.unique(ex_y):
-            rows = np.flatnonzero(ex_y == extra_label)
-            if len(rows) >= 2:  # a singleton distractor class cannot be split
-                split_class(rows)
+        for extra_label in np.unique(ex_y[ex_y != UNLABELED]):
+            members = np.flatnonzero(ex_y == extra_label)
+            if len(members) >= 2:  # a singleton distractor class cannot be split
+                split_class(members)
     n_classes = len(train_idx)
 
     def gather(side: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

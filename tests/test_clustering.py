@@ -10,7 +10,6 @@ from classdisco import clustering
 from classdisco.clustering import (
     KMeansConfig,
     _class_means,
-    _inertia,
     _sq_dists,
     fit_with_restarts,
     kmeanspp_init,
@@ -148,6 +147,40 @@ class TestLloyd:
         recomputed = ((points - result.centroids[result.assignments]) ** 2).sum()
         assert result.inertia == pytest.approx(recomputed, rel=1e-6)
 
+    def test_one_distance_block_per_iteration(self):
+        # without empty clusters, one block for the initial centroids and one
+        # per iteration serve every argmin, every inertia and the reconcile
+        for seed in range(10):
+            points = np.random.default_rng(seed).standard_normal((200, 4))
+            init = kmeanspp_init(points, 5, seed=seed)
+            with (
+                mock.patch.object(clustering, "_sq_dists", wraps=clustering._sq_dists) as spy,
+                mock.patch.object(
+                    clustering, "_repair_empty", wraps=clustering._repair_empty
+                ) as repair,
+            ):
+                result = lloyd_fit(points, init)
+            assert all(len(np.unique(call.args[3])) == 5 for call in repair.call_args_list)
+            assert result.iterations_run > 1
+            assert spy.call_count == result.iterations_run + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(2, 40), st.integers(1, 4)),
+            elements=st.floats(-100.0, 100.0),
+        ),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inertia_matches_direct_form(self, points, k, seed):
+        result = lloyd_fit(points, kmeanspp_init(points, min(k, len(points)), seed=seed))
+        direct = ((points - result.centroids[result.assignments]) ** 2).sum()
+        spread = ((points - points.mean(axis=0)) ** 2).sum()
+        tiny = np.finfo(np.float64).tiny  # subnormal sums carry no relative precision
+        assert result.inertia == pytest.approx(direct, rel=1e-9, abs=1e-12 * spread + tiny)
+
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError, match="zero points"):
             lloyd_fit(np.zeros((0, 2)), np.zeros((1, 2)))
@@ -188,6 +221,15 @@ class TestRestarts:
         assert np.array_equal(serial.assignments, parallel.assignments)
         assert serial.centroids.tobytes() == parallel.centroids.tobytes()
 
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e9])
+    def test_partition_survives_translation(self, shift):
+        # distances on uncentered points lose the clusters' spread to the
+        # offset's rounding: at 1e9 the inertia check used to trip
+        points, labels = blobs([[0, 0], [10, 0], [0, 10]], n_per=30, noise=1.0, seed=0)
+        result = fit_with_restarts(points + shift, KMeansConfig(k=3, restarts=10, seed=0))
+        pairs = set(zip(result.assignments.tolist(), labels.tolist()))
+        assert len(pairs) == 3  # a bijection between clusters and blobs
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         points = rng.standard_normal((50, 2))
@@ -198,7 +240,7 @@ class TestRestarts:
 
 
 # Reference kernels: the straightforward formulas the fast kernels must match
-# bit for bit (np.add.at sums, an allocating inertia, norms on every call).
+# bit for bit (np.add.at sums, norms on every call, a fresh block per use).
 
 
 def reference_sq_dists(points, centroids):
@@ -220,43 +262,52 @@ def reference_class_means(points, assign, k, fallback):
     return means
 
 
-def reference_inertia(points, centroids, assign):
-    return float(((points - centroids[assign]) * (points - centroids[assign])).sum())
-
-
-def reference_repair_empty(points, centroids, assign, k):
+def reference_repair_empty(points, centroids, assign, dists):
+    k = centroids.shape[0]
     for _ in range(k):
         counts = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             break
-        d2 = reference_sq_dists(points, centroids)
-        dist_to_own = d2[np.arange(len(assign)), assign]
+        dist_to_own = dists(centroids)[np.arange(len(assign)), assign]
         centroids[empties[0]] = points[int(dist_to_own.argmax())]
-        assign = reference_sq_dists(points, centroids).argmin(axis=1)
+        assign = dists(centroids).argmin(axis=1)
     return centroids, assign
 
 
 def reference_lloyd(points, init_centroids, max_iters=300, tol=1e-4):
-    """Lloyd's loop built from the reference kernels; returns (centroids, assign, trace)."""
+    """Lloyd's loop built from the reference kernels; returns (centroids, assign, trace).
+
+    Distances are taken between the points and centroids both shifted by the
+    points' mean; an inertia is the sum of each point's distance to its
+    assigned centroid in the block of the centroids it is measured against.
+    """
+    mu = points.mean(axis=0)
+
+    def dists(centroids):
+        return reference_sq_dists(points - mu, centroids - mu)
+
+    def inertia_of(centroids, assign):
+        return float(dists(centroids)[np.arange(len(points)), assign].sum())
+
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
     k = centroids.shape[0]
     trace, prev = [], None
     for _ in range(max_iters):
-        assign = reference_sq_dists(points, centroids).argmin(axis=1)
-        centroids, assign = reference_repair_empty(points, centroids, assign, k)
+        assign = dists(centroids).argmin(axis=1)
+        centroids, assign = reference_repair_empty(points, centroids, assign, dists)
         new_centroids = reference_class_means(points, assign, k, fallback=centroids)
-        inertia = reference_inertia(points, new_centroids, assign)
+        inertia = inertia_of(new_centroids, assign)
         trace.append(inertia)
         converged = np.array_equal(new_centroids, centroids)
         centroids = new_centroids
         if converged or (prev is not None and (prev - inertia) < tol * prev):
             break
         prev = inertia
-    final = reference_sq_dists(points, centroids).argmin(axis=1)
+    final = dists(centroids).argmin(axis=1)
     if not np.array_equal(final, assign):
-        centroids, assign = reference_repair_empty(points, centroids, final, k)
-        trace.append(reference_inertia(points, centroids, assign))
+        centroids, assign = reference_repair_empty(points, centroids, final, dists)
+        trace.append(inertia_of(centroids, assign))
     return centroids, assign, trace
 
 
@@ -292,16 +343,6 @@ class TestKernelsBitIdentical:
         fallback = rng.standard_normal((15, 128))
         expected = reference_class_means(points, assign, 15, fallback)
         assert _class_means(points, assign, 15, fallback).tobytes() == expected.tobytes()
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=labelled_points(), seed=st.integers(0, 2**32 - 1))
-    def test_inertia_matches_allocating_form(self, data, seed):
-        points, assign, k = data
-        centroids = np.random.default_rng(seed).standard_normal((k, points.shape[1]))
-        buf = np.full(points.shape, np.nan)  # a reused buffer holds stale values
-        assert _inertia(points, centroids, assign, buf) == reference_inertia(
-            points, centroids, assign
-        )
 
     @settings(max_examples=80, deadline=None)
     @given(data=labelled_points(), seed=st.integers(0, 2**32 - 1))

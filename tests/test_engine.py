@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from classdisco import selection
 from classdisco.clustering import KMeansConfig
 from classdisco.dataset import PROV_HUMAN, GaussianMixtureSpec, SplitSpec
 from classdisco.engine import (
@@ -11,6 +13,7 @@ from classdisco.engine import (
     evaluate_state,
     run_class_count_experiment,
     run_dynamic,
+    load_data,
     run_static,
 )
 from classdisco.learner import AdamConfig, NetworkConfig
@@ -183,6 +186,27 @@ class TestRunDynamic:
         state, reports = run_dynamic(cfg)
         assert len(state.accepted) == 3
         assert reports[-1].dra >= 0.9
+
+
+    @pytest.mark.parametrize("include_existing", [False, True])
+    def test_scorer_reads_the_shared_feature_matrix(self, include_existing):
+        # the scorer gathers the pool and the distractors by row index from
+        # the one feature matrix; no caller-side copy reaches it
+        learn = selection.LearnabilityConfig(include_existing=include_existing)
+        cfg = replace(world(seed=3, rounds=2), learnability=learn)
+        data = load_data(cfg.data)
+        with mock.patch.object(
+            selection, "learnability_scores", wraps=selection.learnability_scores
+        ) as spy:
+            state, _ = run_dynamic(cfg, data=data)
+        assert len(state.accepted) == 2 and spy.call_count == 2
+        for call in spy.call_args_list:
+            assert np.shares_memory(call.args[0], data.features)
+            assert (data.true_labels[call.kwargs["rows"]] >= 3).all()  # the held-out pool
+            extra = call.kwargs["extra_classes"]
+            assert (extra is not None) == include_existing
+            if include_existing:
+                assert np.shares_memory(extra[0], data.features)
 
 
 class TestEvaluateState:

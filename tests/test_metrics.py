@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classdisco.metrics import (
     FrozenCluster,
@@ -217,6 +219,37 @@ class TestDatasetReconstructionAccuracy:
     def test_nothing_to_score_rejected(self):
         with pytest.raises(ValueError, match="nothing to score"):
             dataset_reconstruction_accuracy(0, np.empty(0, dtype=int), np.empty(0, dtype=int))
+
+
+@st.composite
+def dra_instances(draw):
+    """ell, pool assignments and truths, and frozen clusters with any acceptance label."""
+    n = draw(st.integers(0, 30))
+    assignments = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    truths = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    frozen = [
+        FrozenCluster(plurality_label=label, true_labels=np.array(members, dtype=np.int64))
+        for label, members in draw(
+            st.lists(
+                st.tuples(st.integers(0, 4), st.lists(st.integers(0, 4), min_size=1, max_size=8)),
+                max_size=3,
+            )
+        )
+    ]
+    ell = draw(st.integers(0 if n or frozen else 1, 50))
+    return ell, np.array(assignments, dtype=np.int64), np.array(truths, dtype=np.int64), frozen
+
+
+class TestDraForms:
+    @settings(max_examples=200, deadline=None)
+    @given(instance=dra_instances())
+    def test_cluster_weighted_equals_per_point_exactly(self, instance):
+        ell, assignments, truths, frozen = instance
+        report = dataset_reconstruction_accuracy(ell, assignments, truths, frozen=frozen)
+        assert report.dra == indicator_dra_oracle(ell, assignments, truths, frozen)
+        # the weights cover the pool and the frozen clusters exactly once
+        rows = report.clusters + report.frozen
+        assert sum(c.size for c in rows) == report.o == report.n_total - ell
 
 
 class TestNmi:

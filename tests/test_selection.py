@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from classdisco import selection, seeds
 from classdisco.clustering import Clustering
-from classdisco.dataset import PROV_HUMAN, Dataset
+from classdisco.dataset import PROV_HUMAN, UNLABELED, Dataset
 from classdisco.learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 from classdisco.selection import (
     ClusterFeatures,
@@ -327,6 +327,33 @@ def reference_learnability_scores(features, assignments, cfg, seed, extra_classe
     return scores
 
 
+class TestLearnabilityRelabeling:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(10, 40),
+        dim=st.integers(1, 4),
+        old_ids=st.lists(st.integers(0, 30), min_size=2, max_size=5, unique=True),
+        new_ids=st.permutations(range(60)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relabeling_permutes_scores_exactly(self, n, dim, old_ids, new_ids, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, dim))
+        assign = rng.choice(old_ids, size=n)
+        ids, sizes = np.unique(assign, return_counts=True)
+        assume(len(ids) >= 2 and (sizes >= selection.MIN_SCOREABLE_SIZE).sum() >= 2)
+        relabel = dict(zip(ids.tolist(), new_ids))  # injective: a permutation's prefix
+        relabeled = np.array([relabel[a] for a in assign.tolist()])
+        cfg = LearnabilityConfig(hidden_dims=(3,), epochs=1)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
+            base = learnability_scores(x, assign, cfg, seed=seed % 1000)
+            moved = learnability_scores(x, relabeled, cfg, seed=seed % 1000)
+        new_order = np.unique(relabeled)
+        for old_pos, old_id in enumerate(ids.tolist()):
+            new_pos = int(np.searchsorted(new_order, relabel[old_id]))
+            assert moved[new_pos].tobytes() == base[old_pos].tobytes()
+
+
 class TestLearnabilityGather:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -351,7 +378,27 @@ class TestLearnabilityGather:
         cfg = LearnabilityConfig(holdout_fraction=holdout_fraction, hidden_dims=(3,), epochs=1)
         ids, sizes = np.unique(assign, return_counts=True)
         assume(len(ids) >= 2 and (sizes >= selection.MIN_SCOREABLE_SIZE).sum() >= 2)
+        # the same problem read by row index from one shared matrix, as the
+        # engine passes it: pool rows in any order, distractors in their
+        # order, and unlabeled filler rows between them
+        n_extra = 0 if extra is None else len(extra[1])
+        placed = rng.permutation(n + n_extra + 7)
+        shared = rng.standard_normal((len(placed), dim))
+        shared_labels = np.full(len(placed), UNLABELED)
+        shared[placed[:n]] = x
+        extra_rows = np.sort(placed[n : n + n_extra])
+        if extra is not None:
+            shared[extra_rows], shared_labels[extra_rows] = extra
         with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
             got = learnability_scores(x, assign, cfg, seed=seed % 1000, extra_classes=extra)
             want = reference_learnability_scores(x, assign, cfg, seed % 1000, extra)
+            by_row = learnability_scores(
+                shared,
+                assign,
+                cfg,
+                seed=seed % 1000,
+                extra_classes=None if extra is None else (shared, shared_labels),
+                rows=placed[:n],
+            )
         assert got.tobytes() == want.tobytes()
+        assert by_row.tobytes() == want.tobytes()
