@@ -223,8 +223,8 @@ class TestRestarts:
 
     @pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e9])
     def test_partition_survives_translation(self, shift):
-        # distances on uncentered points lose the clusters' spread to the
-        # offset's rounding: at 1e9 the inertia check used to trip
+        # on uncentered points the distances' rounding grows with the offset,
+        # and at 1e9 it exceeds the clusters' spread
         points, labels = blobs([[0, 0], [10, 0], [0, 10]], n_per=30, noise=1.0, seed=0)
         result = fit_with_restarts(points + shift, KMeansConfig(k=3, restarts=10, seed=0))
         pairs = set(zip(result.assignments.tolist(), labels.tolist()))

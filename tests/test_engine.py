@@ -11,9 +11,9 @@ from classdisco.dataset import PROV_HUMAN, GaussianMixtureSpec, SplitSpec
 from classdisco.engine import (
     ExperimentConfig,
     evaluate_state,
+    load_data,
     run_class_count_experiment,
     run_dynamic,
-    load_data,
     run_static,
 )
 from classdisco.learner import AdamConfig, NetworkConfig
@@ -186,7 +186,6 @@ class TestRunDynamic:
         state, reports = run_dynamic(cfg)
         assert len(state.accepted) == 3
         assert reports[-1].dra >= 0.9
-
 
     @pytest.mark.parametrize("include_existing", [False, True])
     def test_scorer_reads_the_shared_feature_matrix(self, include_existing):
