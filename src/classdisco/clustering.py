@@ -71,25 +71,30 @@ def _sq_dists(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> n
 
 
 def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
-    """k-means++ seeding: first centroid uniform, the rest proportional to D^2."""
+    """k-means++ seeding: first centroid uniform, the rest proportional to D^2.
+
+    D^2 is taken on the points centered at their mean, as in ``lloyd_fit``, so
+    the seeding does not depend on where the data sits; the centroids
+    returned are rows of the given points.
+    """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available points")
     rng = seeds.spawn(seed)
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[rng.integers(n)]
-    norms = (pts * pts).sum(axis=1)
-    closest = _sq_dists(pts, norms, centroids[:1])[:, 0]
-    for i in range(1, k):
+    ctr = pts - pts.mean(axis=0)
+    norms = (ctr * ctr).sum(axis=1)
+    chosen = [int(rng.integers(n))]
+    closest = _sq_dists(ctr, norms, ctr[chosen])[:, 0]
+    for _ in range(1, k):
         total = closest.sum()
         if total > 0:
             idx = rng.choice(n, p=closest / total)
         else:  # every point coincides with a chosen centroid
             idx = rng.integers(n)
-        centroids[i] = pts[idx]
-        np.minimum(closest, _sq_dists(pts, norms, centroids[i : i + 1])[:, 0], out=closest)
-    return centroids
+        chosen.append(int(idx))
+        np.minimum(closest, _sq_dists(ctr, norms, ctr[chosen[-1:]])[:, 0], out=closest)
+    return pts[chosen]
 
 
 def _class_means(points, assign, k, fallback):

@@ -158,6 +158,7 @@ def _evaluate(
     truth = np.empty(0, dtype=np.int64)
     if len(cluster_idx):
         embeddings = embed(model, dataset.features[cluster_idx])
+        embeddings.flags.writeable = False  # so the scorer's Dataset adopts it uncopied
         k_eff = min(cfg.kmeans.k, len(cluster_idx))
         kmeans = replace(
             cfg.kmeans, k=k_eff, seed=cfg.kmeans.seed + round_idx * cfg.kmeans.restarts
@@ -185,10 +186,10 @@ def _evaluate(
 
 
 def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: int) -> Model:
-    """Train on a copy of the labeled rows, freed on return rather than held through clustering."""
+    """Train on the labeled rows, read by row index from the shared feature matrix."""
     if epochs == 0:
         return model
-    return train_epochs(model, data.select(data.labeled_indices()), cfg.adam, epochs)
+    return train_epochs(model, data, cfg.adam, epochs, rows=data.labeled_indices())
 
 
 def _prepare(

@@ -163,9 +163,13 @@ def _forward(model: Model, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]
     acts = [x]
     h = x
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ W + b, 0.0)
+        # one array per layer, bit-identical to np.maximum(h @ W + b, 0.0)
+        h = h @ W
+        h += b
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
-    logits = h @ model.weights[-1] + model.biases[-1]
+    logits = h @ model.weights[-1]
+    logits += model.biases[-1]
     return acts, logits
 
 
@@ -261,8 +265,15 @@ def _adam_update(model: Model, work: np.ndarray, adam: AdamConfig) -> None:
     model.flat_params -= np.divide(num, den, out=num)
 
 
-def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> Model:
+def train_epochs(
+    model: Model, data: Dataset, adam: AdamConfig, epochs: int, rows=None
+) -> Model:
     """Minibatch cross-entropy training; returns a new model, input untouched.
+
+    ``rows`` names the training rows of ``data``, in training order (default:
+    all rows). Each batch is gathered straight from ``data.features``, so
+    training on ``rows`` is bit-identical to training on ``data.select(rows)``
+    without copying the rows first.
 
     The shuffle for each epoch is derived from ``adam.seed`` and the model's
     global epoch counter, so repeated calls continue the same deterministic
@@ -272,11 +283,13 @@ def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> 
         raise ValueError("epochs must be >= 0")
     if epochs == 0:
         return model
-    if (data.labels == UNLABELED).any():
+    rows = None if rows is None else np.asarray(rows, dtype=np.int64)
+    labels = data.labels if rows is None else data.labels[rows]
+    if (labels == UNLABELED).any():
         raise ValueError("training data must be fully labeled")
-    if data.labels.max() >= model.config.output_classes:
+    if labels.max() >= model.config.output_classes:
         raise ValueError(
-            f"label {int(data.labels.max())} out of range for "
+            f"label {int(labels.max())} out of range for "
             f"{model.config.output_classes} output classes"
         )
 
@@ -284,10 +297,12 @@ def train_epochs(model: Model, data: Dataset, adam: AdamConfig, epochs: int) -> 
     work, grads = _workspace(out)
     x = _check_width(out, data.features)
     y = data.labels
-    n = len(y)
+    n = len(labels)
     for _ in range(epochs):
         rng = seeds.spawn(adam.seed, out.epochs_trained)
         order = rng.permutation(n)
+        if rows is not None:
+            order = rows[order]
         total = 0.0
         for start in range(0, n, adam.batch_size):
             batch = order[start : start + adam.batch_size]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import seeds
 from .clustering import Clustering
-from .dataset import PROV_HUMAN, UNLABELED, Dataset
+from .dataset import PROV_HUMAN, PROV_NONE, UNLABELED, Dataset
 from .learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
@@ -85,10 +85,15 @@ def learnability_scores(
     classification problem and score 0. The computation is canonicalized on
     the partition itself, so relabeling clusters permutes the scores exactly.
 
-    ``rows``, when given, maps each assignment to its row of ``features``.
-    ``extra_classes``, when given as (features, dense_labels), adds the
-    already-established classes to the problem as distractors; rows labeled
-    UNLABELED are left out. Scores are still reported for the clusters only.
+    ``rows``, when given, maps each assignment to its row of ``features``;
+    the rows must be distinct. ``extra_classes``, when given as (features,
+    dense_labels), adds the already-established classes to the problem as
+    distractors; rows labeled UNLABELED are left out. Scores are still
+    reported for the clusters only.
+
+    The scorer trains on its rows by index, uncopied: from ``features``
+    itself when the distractors are rows of it outside the pool, else from
+    one concatenation of the two arrays. Only the holdout rows are gathered.
     """
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
@@ -102,6 +107,9 @@ def learnability_scores(
         raise ValueError(
             f"fewer than two clusters reach the scoreable size of {MIN_SCOREABLE_SIZE}"
         )
+    pool_rows = np.arange(len(assign)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows is not None and len(np.unique(pool_rows)) < len(pool_rows):
+        raise ValueError("rows must name distinct rows of features")
 
     # Canonical class order: rank clusters by their first member index, which
     # depends only on the partition, never on the id values.
@@ -109,8 +117,7 @@ def learnability_scores(
 
     rng = seeds.spawn(seed)
     # Row indices of each class, per side, in class order: the clusters' rows
-    # index x, the distractors' rows index their own feature array.
-    pool_rows = np.arange(len(assign)) if rows is None else np.asarray(rows, dtype=np.int64)
+    # index x, the distractors' rows their own array until src is settled.
     train_idx: list[np.ndarray] = []
     hold_idx: list[np.ndarray] = []
 
@@ -124,6 +131,7 @@ def learnability_scores(
         split_class(pool_rows[dense == pos])
 
     n_clusters = len(canon_order)
+    src = x
     if extra_classes is not None:
         ex_x = np.asarray(extra_classes[0], dtype=np.float64)
         ex_y = np.asarray(extra_classes[1], dtype=np.int64)
@@ -131,40 +139,45 @@ def learnability_scores(
             members = np.flatnonzero(ex_y == extra_label)
             if len(members) >= 2:  # a singleton distractor class cannot be split
                 split_class(members)
+        # Distractors that are rows of x outside the pool are read from x;
+        # any others go after x in one concatenation, their rows shifted.
+        if len(train_idx) > n_clusters and (
+            ex_x is not x or (ex_y[pool_rows] != UNLABELED).any()
+        ):
+            src = np.concatenate([x, ex_x])
+            src.flags.writeable = False  # adopted by the Dataset, uncopied
+            for side in (train_idx, hold_idx):
+                side[n_clusters:] = [r + len(x) for r in side[n_clusters:]]
     n_classes = len(train_idx)
 
-    def gather(side: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """One side's features, gathered into one new array, and its labels."""
+    def side_rows(side: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """One side's rows of src, in class order, and their class labels."""
         sizes = [len(rows) for rows in side]
-        out = np.empty((sum(sizes), x.shape[1]))
-        n_pool = sum(sizes[:n_clusters])
-        # the indices are in range; mode="clip" lets np.take write into out unbuffered
-        np.take(x, np.concatenate(side[:n_clusters]), axis=0, out=out[:n_pool], mode="clip")
-        if n_classes > n_clusters:
-            extra = np.concatenate(side[n_clusters:])
-            np.take(ex_x, extra, axis=0, out=out[n_pool:], mode="clip")
-        return out, np.repeat(np.arange(n_classes, dtype=np.int64), sizes)
+        return np.concatenate(side), np.repeat(np.arange(n_classes, dtype=np.int64), sizes)
 
-    tr_x, tr_y = gather(train_idx)
-    ho_x, ho_y = gather(hold_idx)
+    tr_rows, tr_y = side_rows(train_idx)
+    ho_rows, ho_y = side_rows(hold_idx)
+    labels = np.full(len(src), UNLABELED, dtype=np.int64)
+    labels[tr_rows] = tr_y
+    provenance = np.where(labels == UNLABELED, PROV_NONE, PROV_HUMAN)
+    labels.flags.writeable = provenance.flags.writeable = False
+    train_data = Dataset(
+        features=src,
+        labels=labels,
+        true_labels=labels,
+        provenance=provenance,
+        n_classes_visible=n_classes,
+    )
     net = NetworkConfig(
         input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims
     )
     sub_seed = int(rng.integers(2**32))
     model = init_model(net, seed=sub_seed)
-    tr_x.flags.writeable = tr_y.flags.writeable = False  # adopted by the Dataset, uncopied
-    train_data = Dataset(
-        features=tr_x,
-        labels=tr_y,
-        true_labels=tr_y,
-        provenance=np.full(len(tr_y), PROV_HUMAN, dtype=np.int64),
-        n_classes_visible=n_classes,
-    )
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
-    model = train_epochs(model, train_data, adam, epochs=run_epochs)
-    preds = predict_proba(model, ho_x).argmax(axis=1)
+    model = train_epochs(model, train_data, adam, epochs=run_epochs, rows=tr_rows)
+    preds = predict_proba(model, src[ho_rows]).argmax(axis=1)
 
     scores = np.zeros(len(ids))
     for canon, pos in enumerate(canon_order):

@@ -59,6 +59,25 @@ class TestKmeansPlusPlus:
                 hits += 1
         assert hits >= 95
 
+    @pytest.mark.parametrize("shift", [0.0, 1e9])
+    def test_blob_coverage_survives_translation(self, shift):
+        # D^2 on uncentered points is rounding noise at 1e9: 43 of these 100
+        # seeds covered all three blobs there, against 96 at the origin
+        points, labels = blobs([[0, 0], [10, 0], [0, 10]], n_per=30, noise=1.0, seed=0)
+        moved = points + shift
+        hits = 0
+        for seed in range(100):
+            centroids = kmeanspp_init(moved, 3, seed=seed)
+            rows = [np.flatnonzero((moved == c).all(axis=1))[0] for c in centroids]
+            hits += len(set(labels[rows].tolist())) == 3
+        assert hits >= 90
+
+    def test_centroids_are_rows_of_the_given_points(self):
+        rng = np.random.default_rng(3)
+        points = rng.standard_normal((30, 4)) * 1e-3 + 1e8
+        centroids = kmeanspp_init(points, 6, seed=1)
+        assert all((points == c).all(axis=1).any() for c in centroids)
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         points = rng.standard_normal((40, 4))
