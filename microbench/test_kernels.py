@@ -10,7 +10,8 @@ Shapes: the ``_sq_dists`` and ``_class_means`` kernels at 5000x128 and
 workload), a whole ``lloyd_fit`` of 10 iterations at 5000x128 with k=15,
 Adam at 16-128-15 and 784-128-15, and one whole training step (gradients
 plus Adam) at batch 32 on the learnability scorer's 16-32-15 and 784-32-6
-networks.
+networks. The step gathers its batch by row index from a shared 10000-row
+matrix, as ``train_epochs`` does with ``rows``.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="100
 NETS = [pytest.param(16, id="16-128-15"), pytest.param(784, id="784-128-15")]
 SCORER_NETS = [pytest.param(16, 15, id="16-32-15"), pytest.param(784, 6, id="784-32-6")]
 LLOYD_ITERS = 10
+SHARED_ROWS = 10000  # the train step gathers its batch by row index from a matrix this tall
 
 
 def pool(n, d):
@@ -69,13 +71,14 @@ def test_train_step(benchmark, input_dim, classes):
     net = learner.NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(32,))
     model = learner.init_model(net, seed=0)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((32, input_dim))
-    y = rng.integers(0, classes, 32)
+    x = rng.standard_normal((SHARED_ROWS, input_dim))
+    y = rng.integers(0, classes, SHARED_ROWS)
+    rows = rng.permutation(SHARED_ROWS)[:32]
     adam = learner.AdamConfig(batch_size=32)
     work, grads = learner._workspace(model)
 
     def step():
-        learner.loss_and_gradients(model, x, y, grads)
+        learner.loss_and_gradients(model, x[rows], y[rows], grads)
         learner._adam_update(model, work, adam)
 
     benchmark(step)

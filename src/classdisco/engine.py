@@ -324,6 +324,7 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None, data: Dataset
                 learnability=sel_features.learnability,
             )
         )
+        del ev  # this round's embeddings and clustering, freed before retraining
         dataset = add_class(dataset, members, r)
         model = expand_outputs(
             model, dataset.n_classes_visible, seed=cfg.seed + _EXPAND_SEED_STRIDE * r

@@ -1,13 +1,14 @@
 import math
+import weakref
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from classdisco import selection
+from classdisco import engine, selection
 from classdisco.clustering import KMeansConfig
-from classdisco.dataset import PROV_HUMAN, GaussianMixtureSpec, SplitSpec
+from classdisco.dataset import PROV_HUMAN, Dataset, GaussianMixtureSpec, SplitSpec, make_split
 from classdisco.engine import (
     ExperimentConfig,
     evaluate_state,
@@ -16,7 +17,7 @@ from classdisco.engine import (
     run_dynamic,
     run_static,
 )
-from classdisco.learner import AdamConfig, NetworkConfig
+from classdisco.learner import AdamConfig, NetworkConfig, init_model, train_epochs
 from classdisco.selection import SelectionPolicy
 
 
@@ -206,6 +207,54 @@ class TestRunDynamic:
             assert (extra is not None) == include_existing
             if include_existing:
                 assert np.shares_memory(extra[0], data.features)
+
+
+    def test_round_evaluation_is_freed_before_retraining(self):
+        # a round's pool embeddings are dead once its cluster is accepted;
+        # holding them through retraining and the next gather raised peak RSS
+        embedded, live_at_training = [], []
+
+        def spy_embed(*args, **kwargs):
+            out = real_embed(*args, **kwargs)
+            embedded.append(weakref.ref(out))
+            return out
+
+        def spy_train(*args, **kwargs):
+            live_at_training.append(sum(ref() is not None for ref in embedded))
+            return real_train(*args, **kwargs)
+
+        real_embed, real_train = engine.embed, engine.train_epochs
+        with mock.patch.object(engine, "embed", spy_embed), mock.patch.object(
+            engine, "train_epochs", spy_train
+        ):
+            state, _ = run_dynamic(world(seed=3, rounds=2))
+        assert len(state.accepted) == 2
+        assert live_at_training == [0, 0, 0]
+
+
+class TestTrainLabeled:
+    def test_reads_the_labeled_rows_without_copying_them(self):
+        import tracemalloc
+
+        cfg = world(seed=2, dim=128, per_class=150)
+        data = make_split(load_data(cfg.data), cfg.split)
+        labeled = data.labeled_indices()
+        model = init_model(NetworkConfig(input_dim=128, output_classes=3, hidden_dims=(8,)), 0)
+        want = train_epochs(model, data.select(labeled), cfg.adam, 2)  # also the first-call imports
+        with mock.patch.object(
+            Dataset, "select", autospec=True, side_effect=Dataset.select
+        ) as spy:
+            tracemalloc.start()
+            try:
+                got = engine._train_labeled(model, data, cfg, 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert spy.call_count == 0
+        assert peak < len(labeled) * data.n_features * data.features.itemsize
+        for name in ("flat_params", "flat_m", "flat_v"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.loss_log == want.loss_log
 
 
 class TestEvaluateState:

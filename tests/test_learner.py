@@ -2,11 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from classdisco import learner, seeds
-from classdisco.dataset import PROV_HUMAN, Dataset
+from classdisco.dataset import PROV_HUMAN, PROV_NONE, UNLABELED, Dataset
 from classdisco.learner import (
     AdamConfig,
     NetworkConfig,
@@ -438,3 +438,55 @@ class TestFlatTraining:
         theirs = [copied.flat_params, copied.flat_m, copied.flat_v]
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
         assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
+
+
+class TestTrainRows:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        n_rows=st.integers(1, 60),
+        input_dim=st.integers(1, 8),
+        classes=st.integers(2, 4),
+        batch_size=st.integers(2, 64),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=50, n_rows=37, input_dim=6, classes=3, batch_size=8, epochs=2, seed=0)
+    def test_rows_match_training_on_the_selected_copy(
+        self, n, n_rows, input_dim, classes, batch_size, epochs, seed
+    ):
+        """Unique rows in any order, batches that do not divide them; the rows
+        left out may be unlabeled or beyond the model's outputs."""
+        rng = np.random.default_rng(seed)
+        rows = rng.permutation(n)[:n_rows]
+        assume(len(rows) % batch_size)
+        x = rng.standard_normal((n, input_dim))
+        labels = rng.choice([UNLABELED, classes], size=n)
+        labels[rows] = rng.integers(0, classes, len(rows))
+        full = Dataset(
+            features=x,
+            labels=labels,
+            true_labels=np.maximum(labels, 0),
+            provenance=np.where(labels == UNLABELED, PROV_NONE, PROV_HUMAN),
+            n_classes_visible=classes + 1,
+        )
+        adam = AdamConfig(batch_size=batch_size, seed=seed % 1000)
+        net = NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(5,))
+        model = init_model(net, seed=seed)
+        by_rows = train_epochs(model, full, adam, epochs, rows=rows)
+        on_copy = train_epochs(model, full.select(rows), adam, epochs)
+        for name in ("flat_params", "flat_m", "flat_v"):
+            assert getattr(by_rows, name).tobytes() == getattr(on_copy, name).tobytes()
+        assert by_rows.loss_log == on_copy.loss_log
+        assert (by_rows.step, by_rows.epochs_trained) == (on_copy.step, on_copy.epochs_trained)
+
+    def test_unlabeled_row_inside_rows_raises(self):
+        x, y = toy_batch(n=12)
+        labels = y.copy()
+        labels[5] = UNLABELED
+        provenance = np.where(labels == UNLABELED, PROV_NONE, PROV_HUMAN)
+        data = Dataset(x, labels, y, provenance, n_classes_visible=2)
+        model = init_model(TOY_NET, seed=0)
+        train_epochs(model, data, AdamConfig(batch_size=4), 1, rows=[0, 1, 2, 3, 4, 6])
+        with pytest.raises(ValueError, match="fully labeled"):
+            train_epochs(model, data, AdamConfig(batch_size=4), 1, rows=[0, 5, 6])

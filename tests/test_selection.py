@@ -355,50 +355,92 @@ class TestLearnabilityRelabeling:
 
 
 class TestLearnabilityGather:
+    @pytest.mark.parametrize("use_embeddings", [False, True])
+    @pytest.mark.parametrize("include_existing", [False, True])
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(10, 50),
         dim=st.integers(1, 5),
         id_pool=st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True),
-        extra_sizes=st.none() | st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        extra_sizes=st.lists(st.integers(1, 12), min_size=1, max_size=3),
         holdout_fraction=st.sampled_from([0.2, 0.5, 0.9]),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=20, dim=3, id_pool=[7, 2], extra_sizes=[1, 6], holdout_fraction=0.2, seed=0)
     def test_scores_equal_the_per_cluster_copy_form(
-        self, n, dim, id_pool, extra_sizes, holdout_fraction, seed
+        self, use_embeddings, include_existing, n, dim, id_pool, extra_sizes, holdout_fraction, seed
     ):
+        """Each of the engine's four calling shapes gives the reference's bytes."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, dim))
         assign = rng.choice(id_pool, size=n)
         extra = None
-        if extra_sizes is not None:
+        if include_existing:
             ex_y = np.repeat(np.arange(len(extra_sizes)), extra_sizes)
             extra = (rng.standard_normal((len(ex_y), dim)), rng.permutation(ex_y))
         cfg = LearnabilityConfig(holdout_fraction=holdout_fraction, hidden_dims=(3,), epochs=1)
         ids, sizes = np.unique(assign, return_counts=True)
         assume(len(ids) >= 2 and (sizes >= selection.MIN_SCOREABLE_SIZE).sum() >= 2)
-        # the same problem read by row index from one shared matrix, as the
-        # engine passes it: pool rows in any order, distractors in their
-        # order, and unlabeled filler rows between them
-        n_extra = 0 if extra is None else len(extra[1])
-        placed = rng.permutation(n + n_extra + 7)
-        shared = rng.standard_normal((len(placed), dim))
-        shared_labels = np.full(len(placed), UNLABELED)
-        shared[placed[:n]] = x
-        extra_rows = np.sort(placed[n : n + n_extra])
-        if extra is not None:
-            shared[extra_rows], shared_labels[extra_rows] = extra
         with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
-            got = learnability_scores(x, assign, cfg, seed=seed % 1000, extra_classes=extra)
             want = reference_learnability_scores(x, assign, cfg, seed % 1000, extra)
-            by_row = learnability_scores(
-                shared,
-                assign,
-                cfg,
-                seed=seed % 1000,
-                extra_classes=None if extra is None else (shared, shared_labels),
-                rows=placed[:n],
-            )
+            if use_embeddings:
+                # the pool's embeddings whole; the labeled rows' embeddings are
+                # a second array, concatenated once
+                got = learnability_scores(x, assign, cfg, seed=seed % 1000, extra_classes=extra)
+            else:
+                # the raw features: one shared matrix read by row index, pool
+                # rows in any order, distractors in their order, and unlabeled
+                # filler rows between them
+                n_extra = 0 if extra is None else len(extra[1])
+                placed = rng.permutation(n + n_extra + 7)
+                shared = rng.standard_normal((len(placed), dim))
+                shared_labels = np.full(len(placed), UNLABELED)
+                shared[placed[:n]] = x
+                extra_rows = np.sort(placed[n : n + n_extra])
+                if extra is not None:
+                    shared[extra_rows], shared_labels[extra_rows] = extra
+                got = learnability_scores(
+                    shared,
+                    assign,
+                    cfg,
+                    seed=seed % 1000,
+                    extra_classes=None if extra is None else (shared, shared_labels),
+                    rows=placed[:n],
+                )
         assert got.tobytes() == want.tobytes()
-        assert by_row.tobytes() == want.tobytes()
+
+    def test_distractors_overlapping_the_pool_match_a_separate_copy(self):
+        # every pool row is also a labeled distractor row of the same matrix,
+        # so one row belongs to two classes: the scorer must not share it
+        points, labels = blobs([[0, 0], [6, 0], [0, 6]], n_per=12, noise=1.0, seed=4)
+        assign = labels % 2
+        cfg = LearnabilityConfig(hidden_dims=(3,), epochs=1)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
+            got = learnability_scores(points, assign, cfg, seed=5, extra_classes=(points, labels))
+            want = reference_learnability_scores(points, assign, cfg, 5, (points.copy(), labels))
+        assert got.tobytes() == want.tobytes()
+
+    def test_duplicate_rows_rejected(self):
+        x = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(ValueError, match="distinct"):
+            learnability_scores(x, np.repeat([0, 1], 6), rows=[*range(11), 3])
+
+    def test_trains_without_copying_its_rows(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        shared = rng.standard_normal((2000, 128))
+        shared.flags.writeable = False  # as the engine's Dataset holds it
+        pool = np.arange(1, 2000, 2)
+        assign = np.repeat(np.arange(4), 250)
+        cfg = LearnabilityConfig(hidden_dims=(4,), epochs=1)
+        train_rows_nbytes = (1 - cfg.holdout_fraction) * len(pool) * shared.shape[1] * 8
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 10):
+            learnability_scores(shared, assign, cfg, seed=0, rows=pool)  # first-call imports
+            tracemalloc.start()
+            try:
+                learnability_scores(shared, assign, cfg, seed=0, rows=pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < train_rows_nbytes
