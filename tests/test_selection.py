@@ -355,8 +355,6 @@ class TestLearnabilityRelabeling:
 
 
 class TestLearnabilityGather:
-    @pytest.mark.parametrize("use_embeddings", [False, True])
-    @pytest.mark.parametrize("include_existing", [False, True])
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(10, 50),
@@ -368,46 +366,52 @@ class TestLearnabilityGather:
     )
     @example(n=20, dim=3, id_pool=[7, 2], extra_sizes=[1, 6], holdout_fraction=0.2, seed=0)
     def test_scores_equal_the_per_cluster_copy_form(
-        self, use_embeddings, include_existing, n, dim, id_pool, extra_sizes, holdout_fraction, seed
+        self, n, dim, id_pool, extra_sizes, holdout_fraction, seed
     ):
-        """Each of the engine's four calling shapes gives the reference's bytes."""
+        """Each of the engine's four calling shapes (use_embeddings and
+        include_existing on or off) gives the reference's bytes."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, dim))
         assign = rng.choice(id_pool, size=n)
-        extra = None
-        if include_existing:
-            ex_y = np.repeat(np.arange(len(extra_sizes)), extra_sizes)
-            extra = (rng.standard_normal((len(ex_y), dim)), rng.permutation(ex_y))
+        ex_y = np.repeat(np.arange(len(extra_sizes)), extra_sizes)
+        extra = (rng.standard_normal((len(ex_y), dim)), rng.permutation(ex_y))
         cfg = LearnabilityConfig(holdout_fraction=holdout_fraction, hidden_dims=(3,), epochs=1)
         ids, sizes = np.unique(assign, return_counts=True)
         assume(len(ids) >= 2 and (sizes >= selection.MIN_SCOREABLE_SIZE).sum() >= 2)
+        # the raw features as the engine passes them: one shared matrix read
+        # by row index, pool rows in any order, distractors in their order,
+        # and unlabeled filler rows between them
+        placed = rng.permutation(n + len(ex_y) + 7)
+        shared = rng.standard_normal((len(placed), dim))
+        shared_labels = np.full(len(placed), UNLABELED)
+        shared[placed[:n]] = x
+        extra_rows = np.sort(placed[n : n + len(ex_y)])
+        shared[extra_rows], shared_labels[extra_rows] = extra
+        scorer_seed = seed % 1000
         with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
-            want = reference_learnability_scores(x, assign, cfg, seed % 1000, extra)
-            if use_embeddings:
-                # the pool's embeddings whole; the labeled rows' embeddings are
-                # a second array, concatenated once
-                got = learnability_scores(x, assign, cfg, seed=seed % 1000, extra_classes=extra)
-            else:
-                # the raw features: one shared matrix read by row index, pool
-                # rows in any order, distractors in their order, and unlabeled
-                # filler rows between them
-                n_extra = 0 if extra is None else len(extra[1])
-                placed = rng.permutation(n + n_extra + 7)
-                shared = rng.standard_normal((len(placed), dim))
-                shared_labels = np.full(len(placed), UNLABELED)
-                shared[placed[:n]] = x
-                extra_rows = np.sort(placed[n : n + n_extra])
-                if extra is not None:
-                    shared[extra_rows], shared_labels[extra_rows] = extra
-                got = learnability_scores(
+            for include_existing in (False, True):
+                want = reference_learnability_scores(
+                    x, assign, cfg, scorer_seed, extra if include_existing else None
+                )
+                # use_embeddings: the pool's embeddings whole, and the labeled
+                # rows' embeddings as a second array, concatenated once
+                embedded = learnability_scores(
+                    x,
+                    assign,
+                    cfg,
+                    seed=scorer_seed,
+                    extra_classes=extra if include_existing else None,
+                )
+                by_row = learnability_scores(
                     shared,
                     assign,
                     cfg,
-                    seed=seed % 1000,
-                    extra_classes=None if extra is None else (shared, shared_labels),
+                    seed=scorer_seed,
+                    extra_classes=(shared, shared_labels) if include_existing else None,
                     rows=placed[:n],
                 )
-        assert got.tobytes() == want.tobytes()
+                assert embedded.tobytes() == want.tobytes()
+                assert by_row.tobytes() == want.tobytes()
 
     def test_distractors_overlapping_the_pool_match_a_separate_copy(self):
         # every pool row is also a labeled distractor row of the same matrix,
