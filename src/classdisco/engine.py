@@ -142,10 +142,9 @@ def _evaluate(
     routed_pred = routed_true = None
     cluster_idx = pool_idx
     if cfg.ood_mode == "detector" and len(pool_idx):
-        labeled = dataset.select(dataset.labeled_indices())
-        detector = ood.calibrate(model, labeled, cfg.detector_quantile)
-        del labeled  # freed before clustering
-        part = ood.partition(detector, model, dataset.select(pool_idx))
+        labeled = dataset.labeled_indices()
+        detector = ood.calibrate(model, dataset.features[labeled], cfg.detector_quantile)
+        part = ood.partition(detector, model, dataset.features[pool_idx])
         routed_global = pool_idx[part.in_dist_indices]
         label_map = np.asarray(dataset.label_map, dtype=np.int64)
         routed_pred = label_map[part.in_dist_labels]
@@ -158,7 +157,6 @@ def _evaluate(
     truth = np.empty(0, dtype=np.int64)
     if len(cluster_idx):
         embeddings = embed(model, dataset.features[cluster_idx])
-        embeddings.flags.writeable = False  # so the scorer's Dataset adopts it uncopied
         k_eff = min(cfg.kmeans.k, len(cluster_idx))
         kmeans = replace(
             cfg.kmeans, k=k_eff, seed=cfg.kmeans.seed + round_idx * cfg.kmeans.restarts
@@ -189,7 +187,8 @@ def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: i
     """Train on the labeled rows, read by row index from the shared feature matrix."""
     if epochs == 0:
         return model
-    return train_epochs(model, data, cfg.adam, epochs, rows=data.labeled_indices())
+    rows = data.labeled_indices()
+    return train_epochs(model, data.features, data.labels[rows], cfg.adam, epochs, rows=rows)
 
 
 def _prepare(

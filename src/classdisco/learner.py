@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import seeds
-from .dataset import Dataset, UNLABELED
 
 
 class TrainingDivergedError(RuntimeError):
@@ -207,14 +206,14 @@ def cross_entropy(model: Model, features, labels) -> float:
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
-def loss_and_gradients(model: Model, features, labels, grads=None):
+def loss_and_gradients(model: Model, x: np.ndarray, y: np.ndarray, grads=None):
     """Cross-entropy loss and its gradients, one per entry of ``model.params``.
 
+    ``x`` must be float64 of the model's input width and ``y`` int64: unlike
+    the inference functions, this checks neither (``train_epochs`` does, once).
     The gradients are written into ``grads`` when it is given (arrays shaped
     like ``model.params``), else into new arrays, and returned.
     """
-    x = _check_width(model, features)
-    y = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     acts, logits = _forward(model, x)
 
@@ -266,14 +265,14 @@ def _adam_update(model: Model, work: np.ndarray, adam: AdamConfig) -> None:
 
 
 def train_epochs(
-    model: Model, data: Dataset, adam: AdamConfig, epochs: int, rows=None
+    model: Model, features, labels, adam: AdamConfig, epochs: int, rows=None
 ) -> Model:
     """Minibatch cross-entropy training; returns a new model, input untouched.
 
-    ``rows`` names the training rows of ``data``, in training order (default:
-    all rows). Each batch is gathered straight from ``data.features``, so
-    training on ``rows`` is bit-identical to training on ``data.select(rows)``
-    without copying the rows first.
+    ``rows`` names the training rows of ``features`` in training order
+    (default: all rows); ``labels`` holds one label per training row. Each
+    batch is gathered straight from ``features``, so training on ``rows`` is
+    bit-identical to training on ``features[rows]``, without copying them.
 
     The shuffle for each epoch is derived from ``adam.seed`` and the model's
     global epoch counter, so repeated calls continue the same deterministic
@@ -283,37 +282,38 @@ def train_epochs(
         raise ValueError("epochs must be >= 0")
     if epochs == 0:
         return model
+    x = _check_width(model, features)
+    y = np.asarray(labels, dtype=np.int64)
     rows = None if rows is None else np.asarray(rows, dtype=np.int64)
-    labels = data.labels if rows is None else data.labels[rows]
-    if (labels == UNLABELED).any():
+    n = len(x) if rows is None else len(rows)
+    if len(y) != n:
+        raise ValueError(f"{len(y)} labels for {n} training rows")
+    if (y < 0).any():
         raise ValueError("training data must be fully labeled")
-    if labels.max() >= model.config.output_classes:
+    if y.max() >= model.config.output_classes:
         raise ValueError(
-            f"label {int(labels.max())} out of range for "
-            f"{model.config.output_classes} output classes"
+            f"label {int(y.max())} out of range for {model.config.output_classes} output classes"
         )
 
     out = model.copy()
     work, grads = _workspace(out)
-    x = _check_width(out, data.features)
-    y = data.labels
-    n = len(labels)
     for _ in range(epochs):
         rng = seeds.spawn(adam.seed, out.epochs_trained)
         order = rng.permutation(n)
-        if rows is not None:
-            order = rows[order]
+        x_rows = order if rows is None else rows[order]
+        y_order = y[order]
         total = 0.0
         for start in range(0, n, adam.batch_size):
-            batch = order[start : start + adam.batch_size]
-            loss, _ = loss_and_gradients(out, x[batch], y[batch], grads)
+            batch = slice(start, start + adam.batch_size)
+            y_batch = y_order[batch]
+            loss, _ = loss_and_gradients(out, x[x_rows[batch]], y_batch, grads)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {out.epochs_trained}, "
                     f"batch starting at sample {start}"
                 )
             _adam_update(out, work, adam)
-            total += loss * len(batch)
+            total += loss * len(y_batch)
         out.epochs_trained += 1
         out.loss_log = out.loss_log + (total / n,)
     return out

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
 from .learner import Model, predict_proba
 
 
@@ -37,24 +36,25 @@ def max_confidences(model: Model, features) -> np.ndarray:
     return predict_proba(model, features).max(axis=1)
 
 
-def calibrate(model: Model, calibration: Dataset, q: float = 0.95) -> OodDetector:
+def calibrate(model: Model, features, q: float = 0.95) -> OodDetector:
     """Set the threshold to the (1-q) lower-interpolation quantile of calibration confidences.
 
-    By construction at least a fraction q of the calibration set scores at or
-    above the returned threshold.
+    ``features`` holds the calibration samples, one per row. By construction
+    at least a fraction q of them score at or above the returned threshold.
     """
-    if calibration.n_samples == 0:
+    n = len(features)
+    if n == 0:
         raise ValueError("calibration set is empty")
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly between 0 and 1")
-    conf = max_confidences(model, calibration.features)
+    conf = max_confidences(model, features)
     tau = float(np.quantile(conf, 1.0 - q, method="lower"))
-    return OodDetector(threshold=tau, quantile=q, calibration_size=calibration.n_samples)
+    return OodDetector(threshold=tau, quantile=q, calibration_size=n)
 
 
-def partition(detector: OodDetector, model: Model, pool: Dataset) -> Partition:
-    """Route every pool sample: OOD iff confidence < threshold, ties in-distribution."""
-    probs = predict_proba(model, pool.features)
+def partition(detector: OodDetector, model: Model, features) -> Partition:
+    """Route every row of ``features``: OOD iff confidence < threshold, ties in-distribution."""
+    probs = predict_proba(model, features)
     conf = probs.max(axis=1)
     is_in = conf >= detector.threshold
     in_idx = np.flatnonzero(is_in)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import seeds
 from .clustering import Clustering
-from .dataset import PROV_HUMAN, PROV_NONE, UNLABELED, Dataset
+from .dataset import UNLABELED
 from .learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
@@ -145,7 +145,6 @@ def learnability_scores(
             ex_x is not x or (ex_y[pool_rows] != UNLABELED).any()
         ):
             src = np.concatenate([x, ex_x])
-            src.flags.writeable = False  # adopted by the Dataset, uncopied
             for side in (train_idx, hold_idx):
                 side[n_clusters:] = [r + len(x) for r in side[n_clusters:]]
     n_classes = len(train_idx)
@@ -157,17 +156,6 @@ def learnability_scores(
 
     tr_rows, tr_y = side_rows(train_idx)
     ho_rows, ho_y = side_rows(hold_idx)
-    labels = np.full(len(src), UNLABELED, dtype=np.int64)
-    labels[tr_rows] = tr_y
-    provenance = np.where(labels == UNLABELED, PROV_NONE, PROV_HUMAN)
-    labels.flags.writeable = provenance.flags.writeable = False
-    train_data = Dataset(
-        features=src,
-        labels=labels,
-        true_labels=labels,
-        provenance=provenance,
-        n_classes_visible=n_classes,
-    )
     net = NetworkConfig(
         input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims
     )
@@ -176,7 +164,7 @@ def learnability_scores(
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
-    model = train_epochs(model, train_data, adam, epochs=run_epochs, rows=tr_rows)
+    model = train_epochs(model, src, tr_y, adam, epochs=run_epochs, rows=tr_rows)
     preds = predict_proba(model, src[ho_rows]).argmax(axis=1)
 
     scores = np.zeros(len(ids))

@@ -35,7 +35,7 @@ from classdisco.ood import calibrate, max_confidences, partition
 from classdisco.selection import SelectionPolicy
 from conftest import MNIST_SKIP_REASON, mnist_train_paths
 from test_metrics import indicator_dra_oracle, plurality_oracle, random_instance
-from test_ood import as_dataset, confidence_model, features_for_confidences
+from test_ood import confidence_model, features_for_confidences
 
 
 def report_line(criterion: int, ok: bool, detail: str) -> None:
@@ -137,15 +137,15 @@ def test_criterion_4_ood_calibration():
     model = confidence_model()
     rng = np.random.default_rng(404)
     conf = rng.uniform(0.51, 0.999, size=1000)
-    data = as_dataset(features_for_confidences(conf))
-    detector = calibrate(model, data, q=0.95)
+    features = features_for_confidences(conf)
+    detector = calibrate(model, features, q=0.95)
 
-    actual = max_confidences(model, data.features)
+    actual = max_confidences(model, features)
     ordered = sorted(float(c) for c in actual)
     oracle = ordered[math.floor(0.05 * (len(ordered) - 1))]
     ok_oracle = detector.threshold == oracle
 
-    part = partition(detector, model, data)
+    part = partition(detector, model, features)
     frac_in = len(part.in_dist_indices) / 1000
     ok_frac = frac_in >= 0.949
 

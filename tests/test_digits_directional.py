@@ -94,6 +94,8 @@ def test_supervised_accuracy_sanity_on_digits(digits_csv):
     train, test = data.select(order[:split_at]), data.select(order[split_at:])
 
     model = init_model(Net(input_dim=64, output_classes=5, hidden_dims=(128,)), seed=0)
-    model = train_epochs(model, train, AdamConfig(batch_size=32, seed=0), epochs=20)
+    model = train_epochs(
+        model, train.features, train.labels, AdamConfig(batch_size=32, seed=0), epochs=20
+    )
     acc = (predict_proba(model, test.features).argmax(1) == test.labels).mean()
     assert acc > 0.9

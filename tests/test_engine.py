@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from classdisco import engine, selection
+from classdisco import engine, ood, selection
 from classdisco.clustering import KMeansConfig
 from classdisco.dataset import PROV_HUMAN, Dataset, GaussianMixtureSpec, SplitSpec, make_split
 from classdisco.engine import (
@@ -240,7 +240,8 @@ class TestTrainLabeled:
         data = make_split(load_data(cfg.data), cfg.split)
         labeled = data.labeled_indices()
         model = init_model(NetworkConfig(input_dim=128, output_classes=3, hidden_dims=(8,)), 0)
-        want = train_epochs(model, data.select(labeled), cfg.adam, 2)  # also the first-call imports
+        x, y = data.features[labeled], data.labels[labeled]
+        want = train_epochs(model, x, y, cfg.adam, 2)  # also the first-call imports
         with mock.patch.object(
             Dataset, "select", autospec=True, side_effect=Dataset.select
         ) as spy:
@@ -287,6 +288,24 @@ class TestDetectorMode:
         pool = 300
         clustered = sum(c.size for c in report.clusters)
         assert clustered + report.routed_total == pool
+
+    def test_evaluate_routes_gathered_rows_without_select(self):
+        cfg = world(seed=14, ood_mode="detector")
+        data = make_split(load_data(cfg.data), cfg.split)
+        net = NetworkConfig(input_dim=8, output_classes=3, hidden_dims=(64,))
+        model = engine._train_labeled(init_model(net, seed=14), data, cfg, cfg.epochs_initial)
+        with mock.patch.object(
+            Dataset, "select", autospec=True, side_effect=Dataset.select
+        ) as spy:
+            ev = engine._evaluate(data, model, cfg, [], 0, None)
+        assert spy.call_count == 0
+        pool = data.unlabeled_indices()
+        want = ood.calibrate(model, data.features[data.labeled_indices()], cfg.detector_quantile)
+        part = ood.partition(want, model, data.features[pool])
+        assert 0 < len(part.in_dist_indices) < len(pool)
+        assert ev.detector == want
+        assert ev.report.routed_total == len(part.in_dist_indices)
+        assert np.array_equal(ev.cluster_indices, pool[part.ood_indices])
 
     def test_detector_recorded_in_state(self):
         state, _ = run_static(world(seed=15, ood_mode="detector"))

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from classdisco import learner, seeds
-from classdisco.dataset import PROV_HUMAN, PROV_NONE, UNLABELED, Dataset
+from classdisco.dataset import UNLABELED
 from classdisco.learner import (
     AdamConfig,
     NetworkConfig,
@@ -28,16 +28,6 @@ def toy_batch(seed=0, n=10, dim=8):
     x = rng.standard_normal((n, dim))
     y = rng.integers(0, 2, size=n)
     return x, y
-
-
-def labeled_dataset(x, y, n_classes):
-    return Dataset(
-        features=x,
-        labels=y,
-        true_labels=y,
-        provenance=np.full(len(y), PROV_HUMAN, dtype=np.int64),
-        n_classes_visible=n_classes,
-    )
 
 
 def separable_blobs(seed=3, n_per=60, dim=4):
@@ -104,13 +94,12 @@ class TestGradients:
     def test_first_update_does_not_increase_loss(self):
         """One Adam step at lr <= 1e-3 on a fixed batch; at most 1 of 20 seeds may fail."""
         x, y = toy_batch(seed=9)
-        data = labeled_dataset(x, y, 2)
         adam = AdamConfig(learning_rate=1e-3, batch_size=len(y), seed=0)
         failures = 0
         for seed in range(20):
             model = init_model(TOY_NET, seed=seed)
             before = cross_entropy(model, x, y)
-            after_model = train_epochs(model, data, adam, epochs=1)
+            after_model = train_epochs(model, x, y, adam, epochs=1)
             after = cross_entropy(after_model, x, y)
             if after > before:
                 failures += 1
@@ -120,54 +109,51 @@ class TestGradients:
 class TestTraining:
     def test_separable_blob_reaches_high_accuracy(self):
         x, y = separable_blobs()
-        data = labeled_dataset(x, y, 2)
         model = init_model(NetworkConfig(input_dim=4, output_classes=2, hidden_dims=(16,)), seed=0)
-        model = train_epochs(model, data, AdamConfig(batch_size=8, seed=0), epochs=20)
+        model = train_epochs(model, x, y, AdamConfig(batch_size=8, seed=0), epochs=20)
         acc = (predict_proba(model, x).argmax(1) == y).mean()
         assert acc >= 0.99
 
     def test_trained_point_confident(self):
         x, y = separable_blobs()
-        data = labeled_dataset(x, y, 2)
         model = init_model(NetworkConfig(input_dim=4, output_classes=2, hidden_dims=(16,)), seed=0)
-        model = train_epochs(model, data, AdamConfig(batch_size=8, seed=0), epochs=30)
+        model = train_epochs(model, x, y, AdamConfig(batch_size=8, seed=0), epochs=30)
         assert predict_proba(model, x[:1]).max() > 0.9
 
     def test_zero_epochs_is_identity(self):
         x, y = toy_batch()
         model = init_model(TOY_NET, seed=0)
-        out = train_epochs(model, labeled_dataset(x, y, 2), AdamConfig(), epochs=0)
+        out = train_epochs(model, x, y, AdamConfig(), epochs=0)
         assert out is model
 
     def test_bit_identical_training(self):
         x, y = separable_blobs(seed=5)
-        data = labeled_dataset(x, y, 2)
         runs = []
         for _ in range(2):
             model = init_model(NetworkConfig(input_dim=4, output_classes=2), seed=3)
-            model = train_epochs(model, data, AdamConfig(batch_size=16, seed=2), epochs=3)
+            model = train_epochs(model, x, y, AdamConfig(batch_size=16, seed=2), epochs=3)
             runs.append(model)
         for wa, wb in zip(runs[0].weights, runs[1].weights):
             assert wa.tobytes() == wb.tobytes()
 
     def test_epoch_counter_advances_the_shuffle(self):
         x, y = separable_blobs(seed=5)
-        data = labeled_dataset(x, y, 2)
         model = init_model(NetworkConfig(input_dim=4, output_classes=2), seed=3)
         two_calls = train_epochs(
-            train_epochs(model, data, AdamConfig(batch_size=16, seed=2), 1),
-            data,
+            train_epochs(model, x, y, AdamConfig(batch_size=16, seed=2), 1),
+            x,
+            y,
             AdamConfig(batch_size=16, seed=2),
             1,
         )
-        one_call = train_epochs(model, data, AdamConfig(batch_size=16, seed=2), 2)
+        one_call = train_epochs(model, x, y, AdamConfig(batch_size=16, seed=2), 2)
         for wa, wb in zip(two_calls.weights, one_call.weights):
             assert wa.tobytes() == wb.tobytes()
 
     def test_loss_log_grows_per_epoch(self):
         x, y = toy_batch()
         model = init_model(TOY_NET, seed=0)
-        model = train_epochs(model, labeled_dataset(x, y, 2), AdamConfig(batch_size=4), epochs=5)
+        model = train_epochs(model, x, y, AdamConfig(batch_size=4), epochs=5)
         assert len(model.loss_log) == 5
         assert model.epochs_trained == 5
 
@@ -176,15 +162,14 @@ class TestTraining:
         y = np.full(len(x), 5, dtype=np.int64)
         model = init_model(TOY_NET, seed=0)
         with pytest.raises(ValueError, match="out of range"):
-            train_epochs(model, labeled_dataset(x, y, 6), AdamConfig(), epochs=1)
+            train_epochs(model, x, y, AdamConfig(), epochs=1)
 
     def test_divergence_reported_with_batch(self):
         x, y = toy_batch()
         x[0, 0] = np.nan  # poisoned input surfaces as a non-finite loss
-        data = labeled_dataset(x, y, 2)
         model = init_model(TOY_NET, seed=0)
         with pytest.raises(TrainingDivergedError, match="batch"):
-            train_epochs(model, data, AdamConfig(batch_size=4), epochs=1)
+            train_epochs(model, x, y, AdamConfig(batch_size=4), epochs=1)
 
 
 class TestInference:
@@ -230,7 +215,6 @@ class TestInference:
 class TestExpandOutputs:
     def test_widths_and_argmax_preserved(self):
         x, y = separable_blobs()
-        data = labeled_dataset(x, y, 2)
         model = init_model(NetworkConfig(input_dim=4, output_classes=5, hidden_dims=(8,)), seed=0)
         probe = x[:3]
         before = predict_proba(model, probe)
@@ -271,7 +255,9 @@ def test_supervised_sanity_on_mnist_half():
     split_at = int(0.8 * len(order))
     train, test = data.select(order[:split_at]), data.select(order[split_at:])
     model = init_model(NetworkConfig(input_dim=784, output_classes=5, hidden_dims=(128,)), seed=0)
-    model = train_epochs(model, train, AdamConfig(batch_size=64, seed=0), epochs=8)
+    model = train_epochs(
+        model, train.features, train.labels, AdamConfig(batch_size=64, seed=0), epochs=8
+    )
     acc = (predict_proba(model, test.features).argmax(1) == test.labels).mean()
     assert acc > 0.9
 
@@ -400,7 +386,7 @@ class TestFlatTraining:
         ref = ReferenceTrainer([input_dim, *hidden, classes], seed)
         assert_same_state(model, ref)
 
-        model = train_epochs(model, labeled_dataset(x, y, classes), adam, epochs)
+        model = train_epochs(model, x, y, adam, epochs)
         ref.train(x, y, adam, epochs)
         assert_same_state(model, ref)
 
@@ -409,7 +395,7 @@ class TestFlatTraining:
         assert_same_state(model, ref)
 
         y2 = rng.integers(0, classes + extra, n)
-        model = train_epochs(model, labeled_dataset(x, y2, classes + extra), adam, epochs)
+        model = train_epochs(model, x, y2, adam, epochs)
         ref.train(x, y2, adam, epochs)
         assert_same_state(model, ref)
 
@@ -422,7 +408,7 @@ class TestFlatTraining:
         with mock.patch.object(
             learner, "loss_and_gradients", wraps=learner.loss_and_gradients
         ) as spy:
-            trained = train_epochs(model, labeled_dataset(x, y, 2), adam, epochs=3)
+            trained = train_epochs(model, x, y, adam, epochs=3)
         assert spy.call_count == trained.step == 3 * 6  # ceil(45 / 8) steps per epoch
         assert views_share_flat(trained)
         grads = spy.call_args.args[3]  # views of row 0 of one training workspace
@@ -463,18 +449,11 @@ class TestTrainRows:
         x = rng.standard_normal((n, input_dim))
         labels = rng.choice([UNLABELED, classes], size=n)
         labels[rows] = rng.integers(0, classes, len(rows))
-        full = Dataset(
-            features=x,
-            labels=labels,
-            true_labels=np.maximum(labels, 0),
-            provenance=np.where(labels == UNLABELED, PROV_NONE, PROV_HUMAN),
-            n_classes_visible=classes + 1,
-        )
         adam = AdamConfig(batch_size=batch_size, seed=seed % 1000)
         net = NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(5,))
         model = init_model(net, seed=seed)
-        by_rows = train_epochs(model, full, adam, epochs, rows=rows)
-        on_copy = train_epochs(model, full.select(rows), adam, epochs)
+        by_rows = train_epochs(model, x, labels[rows], adam, epochs, rows=rows)
+        on_copy = train_epochs(model, x[rows], labels[rows], adam, epochs)
         for name in ("flat_params", "flat_m", "flat_v"):
             assert getattr(by_rows, name).tobytes() == getattr(on_copy, name).tobytes()
         assert by_rows.loss_log == on_copy.loss_log
@@ -484,9 +463,17 @@ class TestTrainRows:
         x, y = toy_batch(n=12)
         labels = y.copy()
         labels[5] = UNLABELED
-        provenance = np.where(labels == UNLABELED, PROV_NONE, PROV_HUMAN)
-        data = Dataset(x, labels, y, provenance, n_classes_visible=2)
         model = init_model(TOY_NET, seed=0)
-        train_epochs(model, data, AdamConfig(batch_size=4), 1, rows=[0, 1, 2, 3, 4, 6])
+        rows = [0, 1, 2, 3, 4, 6]
+        train_epochs(model, x, labels[rows], AdamConfig(batch_size=4), 1, rows=rows)
+        rows = [0, 5, 6]
         with pytest.raises(ValueError, match="fully labeled"):
-            train_epochs(model, data, AdamConfig(batch_size=4), 1, rows=[0, 5, 6])
+            train_epochs(model, x, labels[rows], AdamConfig(batch_size=4), 1, rows=rows)
+
+    def test_labels_must_line_up_with_the_training_rows(self):
+        x, y = toy_batch(n=12)
+        model = init_model(TOY_NET, seed=0)
+        with pytest.raises(ValueError, match="12 labels for 3 training rows"):
+            train_epochs(model, x, y, AdamConfig(), 1, rows=[0, 1, 2])
+        with pytest.raises(ValueError, match="3 labels for 12 training rows"):
+            train_epochs(model, x, y[:3], AdamConfig(), 1)

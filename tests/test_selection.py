@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from classdisco import selection, seeds
 from classdisco.clustering import Clustering
-from classdisco.dataset import PROV_HUMAN, UNLABELED, Dataset
+from classdisco.dataset import UNLABELED
 from classdisco.learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 from classdisco.selection import (
     ClusterFeatures,
@@ -309,17 +309,10 @@ def reference_learnability_scores(features, assignments, cfg, seed, extra_classe
     net = NetworkConfig(input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims)
     sub_seed = int(rng.integers(2**32))
     model = init_model(net, seed=sub_seed)
-    train_data = Dataset(
-        features=tr_x,
-        labels=tr_y,
-        true_labels=tr_y,
-        provenance=np.full(len(tr_y), PROV_HUMAN, dtype=np.int64),
-        n_classes_visible=n_classes,
-    )
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-selection._MIN_SCORER_UPDATES // batches_per_epoch))
-    model = train_epochs(model, train_data, adam, epochs=run_epochs)
+    model = train_epochs(model, tr_x, tr_y, adam, epochs=run_epochs)
     preds = predict_proba(model, ho_x).argmax(axis=1)
     scores = np.zeros(len(ids))
     for canon, pos in enumerate(canon_order):
