@@ -1,11 +1,10 @@
-"""Datasets with label provenance: loading, synthesis, splitting, class addition.
+"""Datasets: loading, synthesis, splitting, class addition.
 
 Labels use an integer sentinel (``UNLABELED``) for samples in the unlabeled
-pool. Provenance tracks where each label came from: ``PROV_HUMAN`` for labels
-shipped with the source data, a positive round number for labels assigned by
-discovery, and ``PROV_NONE`` when no label is present. Ground-truth labels are
-carried separately in ``true_labels`` and are never exposed to the learner;
-only evaluation reads them.
+pool. ``label_map`` says where each visible class came from: the original
+class id for a human class, ``DISCOVERED_CLASS`` for one added by discovery.
+Ground-truth labels are carried separately in ``true_labels`` and are never
+exposed to the learner; only evaluation reads them.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import numpy as np
 from . import seeds
 
 UNLABELED = -1
-PROV_NONE = -1
-PROV_HUMAN = 0
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
@@ -64,23 +61,19 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     true_labels: np.ndarray
-    provenance: np.ndarray
-    n_classes_visible: int
-    label_map: tuple[int, ...] = ()
+    label_map: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "features", _frozen(self.features, np.float64))
-        for name in ("labels", "true_labels", "provenance"):
+        for name in ("labels", "true_labels"):
             object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
-        if not self.label_map:
-            object.__setattr__(self, "label_map", tuple(range(self.n_classes_visible)))
         self.validate()
 
     def validate(self) -> None:
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
-        for name in ("labels", "true_labels", "provenance"):
+        for name in ("labels", "true_labels"):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} length {arr.shape} does not match {n} samples")
@@ -89,12 +82,10 @@ class Dataset:
             raise ValueError("a present label is >= n_classes_visible")
         if (self.labels[present] < 0).any():
             raise ValueError("present labels must be non-negative")
-        if (self.provenance[present] < PROV_HUMAN).any():
-            raise ValueError("labeled samples must carry human or discovery provenance")
-        if (self.provenance[~present] != PROV_NONE).any():
-            raise ValueError("unlabeled samples must carry no provenance")
-        if len(self.label_map) != self.n_classes_visible:
-            raise ValueError("label_map length must equal n_classes_visible")
+
+    @property
+    def n_classes_visible(self) -> int:
+        return len(self.label_map)
 
     @property
     def n_samples(self) -> int:
@@ -111,7 +102,9 @@ class Dataset:
         return np.flatnonzero(self.labels == UNLABELED)
 
     def human_labeled_count(self) -> int:
-        return int(np.count_nonzero(self.provenance == PROV_HUMAN))
+        """Labeled rows whose class is a human class, not a discovered one."""
+        human = np.asarray(self.label_map, dtype=np.int64) != DISCOVERED_CLASS
+        return int(np.count_nonzero(human[self.labels[self.labels != UNLABELED]]))
 
     def shape(self) -> tuple[int, dict[int, int]]:
         """Feature width and per-class sample counts, as a data source's ``shape()``."""
@@ -124,8 +117,6 @@ class Dataset:
             features=_readonly(self.features[idx]),
             labels=_readonly(self.labels[idx]),
             true_labels=_readonly(self.true_labels[idx]),
-            provenance=_readonly(self.provenance[idx]),
-            n_classes_visible=self.n_classes_visible,
             label_map=self.label_map,
         )
 
@@ -276,7 +267,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label pair into a fully labeled Dataset.
 
     Pixels are scaled to [0, 1] by dividing the raw bytes by 255 and flattened
-    row-major. All labels are present with human provenance.
+    row-major. Every label is present, and every class is a human class.
     """
     with open(images_path, "rb") as f:
         img_bytes = f.read()
@@ -294,8 +285,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         features=_readonly(features / 255.0),  # float64, one new array
         labels=labels,
         true_labels=labels,
-        provenance=_readonly(np.full(n_images, PROV_HUMAN, dtype=np.int64)),
-        n_classes_visible=n_classes,
+        label_map=tuple(range(n_classes)),
     )
 
 
@@ -325,13 +315,11 @@ def load_csv(path: str) -> Dataset:
     labels = _readonly(labels.astype(np.int64))
     if (labels < 0).any():
         raise ValueError(f"{path}: labels must be non-negative")
-    n = raw.shape[0]
     return Dataset(
         features=_readonly(np.ascontiguousarray(raw[:, :-1])),
         labels=labels,
         true_labels=labels,
-        provenance=_readonly(np.full(n, PROV_HUMAN, dtype=np.int64)),
-        n_classes_visible=int(labels.max()) + 1 if n else 0,
+        label_map=tuple(range(int(labels.max()) + 1 if len(labels) else 0)),
     )
 
 
@@ -360,8 +348,7 @@ def synth_gaussian(spec: GaussianMixtureSpec) -> Dataset:
         features=_readonly(features),
         labels=labels,
         true_labels=labels,
-        provenance=_readonly(np.full(n, PROV_HUMAN, dtype=np.int64)),
-        n_classes_visible=spec.n_classes,
+        label_map=tuple(range(spec.n_classes)),
     )
 
 
@@ -395,27 +382,19 @@ def make_split(data: Dataset, spec: SplitSpec) -> Dataset:
 
     sub = data if keep.all() else data.select(np.flatnonzero(keep))
 
-    remap = {orig: dense for dense, orig in enumerate(retained)}
     labels = np.full(sub.n_samples, UNLABELED, dtype=np.int64)
-    provenance = np.full(sub.n_samples, PROV_NONE, dtype=np.int64)
-    for orig, dense in remap.items():
-        members = sub.true_labels == orig
-        labels[members] = dense
-        provenance[members] = PROV_HUMAN
+    for dense, orig in enumerate(retained):
+        labels[sub.true_labels == orig] = dense
     return Dataset(
         features=sub.features,
         labels=_readonly(labels),
         true_labels=sub.true_labels,
-        provenance=_readonly(provenance),
-        n_classes_visible=len(retained),
         label_map=tuple(retained),
     )
 
 
-def add_class(data: Dataset, member_indices, round: int) -> Dataset:
-    """Label the given unlabeled samples as one new class discovered at `round`."""
-    if round < 1:
-        raise ValueError("discovery rounds are numbered from 1")
+def add_class(data: Dataset, member_indices) -> Dataset:
+    """Label the given unlabeled samples as one new, discovered class."""
     members = np.asarray(member_indices, dtype=np.int64)
     if members.size == 0:
         raise ValueError("cannot add an empty class")
@@ -428,14 +407,10 @@ def add_class(data: Dataset, member_indices, round: int) -> Dataset:
             f"{'...' if already.sum() > 5 else ''}"
         )
     labels = data.labels.copy()
-    provenance = data.provenance.copy()
     labels[members] = data.n_classes_visible
-    provenance[members] = round
     return Dataset(
         features=data.features,
         labels=_readonly(labels),
         true_labels=data.true_labels,
-        provenance=_readonly(provenance),
-        n_classes_visible=data.n_classes_visible + 1,
         label_map=data.label_map + (DISCOVERED_CLASS,),
     )

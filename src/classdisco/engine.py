@@ -21,7 +21,15 @@ import numpy as np
 
 from . import metrics, ood, selection
 from .clustering import Clustering, KMeansConfig, fit_with_restarts
-from .dataset import DataSource, Dataset, SplitSpec, add_class, load_data, make_split
+from .dataset import (
+    DISCOVERED_CLASS,
+    DataSource,
+    Dataset,
+    SplitSpec,
+    add_class,
+    load_data,
+    make_split,
+)
 from .learner import (
     AdamConfig,
     Model,
@@ -146,7 +154,9 @@ def _evaluate(
         detector = ood.calibrate(model, dataset.features[labeled], cfg.detector_quantile)
         part = ood.partition(detector, model, dataset.features[pool_idx])
         routed_global = pool_idx[part.in_dist_indices]
+        # a discovered class predicts its accepted cluster's plurality label (same order)
         label_map = np.asarray(dataset.label_map, dtype=np.int64)
+        label_map[label_map == DISCOVERED_CLASS] = [a.plurality_label for a in accepted]
         routed_pred = label_map[part.in_dist_labels]
         routed_true = dataset.true_labels[routed_global]
         cluster_idx = pool_idx[part.ood_indices]
@@ -324,7 +334,7 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None, data: Dataset
             )
         )
         del ev  # this round's embeddings and clustering, freed before retraining
-        dataset = add_class(dataset, members, r)
+        dataset = add_class(dataset, members)
         model = expand_outputs(
             model, dataset.n_classes_visible, seed=cfg.seed + _EXPAND_SEED_STRIDE * r
         )

@@ -288,6 +288,8 @@ def train_epochs(
     n = len(x) if rows is None else len(rows)
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for {n} training rows")
+    if n == 0:
+        raise ValueError("no training rows: cannot train on an empty set")
     if (y < 0).any():
         raise ValueError("training data must be fully labeled")
     if y.max() >= model.config.output_classes:

@@ -15,7 +15,7 @@ integer count divided by N, so they agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,17 +162,7 @@ def dataset_reconstruction_accuracy(
     current_rows: tuple[ClusterOverlap, ...] = ()
     if assign.size:
         mapping = cluster_accuracy(assign, truth)
-        current_rows = tuple(
-            ClusterOverlap(
-                cluster_id=c.cluster_id,
-                mapped_label=c.mapped_label,
-                overlap=c.overlap,
-                size=c.size,
-                accuracy=c.accuracy,
-                weight=c.size / o,
-            )
-            for c in mapping.clusters
-        )
+        current_rows = tuple(replace(c, weight=c.size / o) for c in mapping.clusters)
     frozen_rows = tuple(
         ClusterOverlap(
             cluster_id=i,

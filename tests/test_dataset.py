@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classdisco.dataset import (
-    PROV_HUMAN,
-    PROV_NONE,
+    DISCOVERED_CLASS,
     UNLABELED,
     Dataset,
     GaussianMixtureSpec,
@@ -31,7 +32,8 @@ class TestLoadIdx:
         assert np.array_equal(data.features[0], np.zeros(6))
         assert np.array_equal(data.features[1], np.ones(6))
         assert np.array_equal(data.true_labels, [0, 1])
-        assert (data.provenance == PROV_HUMAN).all()
+        assert data.label_map == (0, 1)
+        assert data.human_labeled_count() == 2
 
     def test_bad_magic(self, tmp_path, idx_writer):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -152,7 +154,7 @@ class TestMakeSplit:
         assert split.label_map == (0, 2)
         held = np.isin(split.true_labels, [1, 3])
         assert (split.labels[held] == UNLABELED).all()
-        assert (split.provenance[held] == PROV_NONE).all()
+        assert split.human_labeled_count() == np.count_nonzero(~held)
         # retained class 2 is remapped to dense label 1
         assert (split.labels[split.true_labels == 2] == 1).all()
         assert (split.labels[split.true_labels == 0] == 0).all()
@@ -209,31 +211,58 @@ class TestAddClass:
 
     def test_new_label_is_previous_visible_count(self):
         members = self.split.unlabeled_indices()[:10]
-        out = add_class(self.split, members, round=1)
+        out = add_class(self.split, members)
         assert (out.labels[members] == 5 - 2).all()  # 3 visible classes before the add
         assert out.n_classes_visible == 4
-        assert (out.provenance[members] == 1).all()
+        assert out.label_map == (0, 1, 2, DISCOVERED_CLASS)
+        assert out.human_labeled_count() == self.split.human_labeled_count()
 
     def test_second_add_gets_next_label(self):
         first = self.split.unlabeled_indices()[:5]
-        out = add_class(self.split, first, round=1)
+        out = add_class(self.split, first)
         second = out.unlabeled_indices()[:5]
-        out2 = add_class(out, second, round=2)
+        out2 = add_class(out, second)
         assert (out2.labels[second] == 4).all()
         assert out2.n_classes_visible == 5
-        assert (out2.provenance[second] == 2).all()
+        assert out2.label_map[3:] == (DISCOVERED_CLASS, DISCOVERED_CLASS)
 
     def test_readd_errors(self):
         members = self.split.unlabeled_indices()[:5]
-        out = add_class(self.split, members, round=1)
+        out = add_class(self.split, members)
         with pytest.raises(ValueError, match="already labeled"):
-            add_class(out, members, round=2)
+            add_class(out, members)
 
     def test_features_and_truth_untouched(self):
         members = self.split.unlabeled_indices()[:5]
-        out = add_class(self.split, members, round=1)
+        out = add_class(self.split, members)
         assert out.features.tobytes() == self.split.features.tobytes()
         assert out.true_labels.tobytes() == self.split.true_labels.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_label_map_is_the_only_class_record(data):
+    """Over a random split and random class additions, the human count, the
+    visible class count and the discovered classes all follow from label_map."""
+    n_classes = data.draw(st.integers(2, 5), label="n_classes")
+    per_class = data.draw(st.integers(1, 8), label="per_class")
+    held = data.draw(st.sets(st.integers(0, n_classes - 1), max_size=n_classes - 1))
+    cap = data.draw(st.none() | st.integers(1, per_class), label="cap")
+    raw = small_dataset(n_classes=n_classes, per_class=per_class)
+    split = make_split(raw, SplitSpec(held_out_classes=held, per_class_cap=cap, seed=1))
+    labeled = len(split.labeled_indices())
+    assert split.human_labeled_count() == labeled
+
+    out, added = split, []
+    while len(out.unlabeled_indices()) and data.draw(st.booleans(), label="add another"):
+        pool = out.unlabeled_indices().tolist()
+        members = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        out = add_class(out, members)
+        added.append(members)
+        assert out.human_labeled_count() == labeled
+        assert out.n_classes_visible == len(out.label_map) == split.n_classes_visible + len(added)
+        for rows in added:
+            assert all(out.label_map[c] == DISCOVERED_CLASS for c in out.labels[rows])
 
 
 def test_dataset_arrays_are_immutable():
@@ -250,8 +279,7 @@ def test_dataset_validates_shapes():
             features=np.zeros((3, 2)),
             labels=np.zeros(2, dtype=np.int64),
             true_labels=np.zeros(3, dtype=np.int64),
-            provenance=np.zeros(3, dtype=np.int64),
-            n_classes_visible=1,
+            label_map=(0,),
         )
 
 
@@ -261,8 +289,7 @@ def test_dataset_rejects_label_beyond_visible():
             features=np.zeros((2, 2)),
             labels=np.array([0, 3]),
             true_labels=np.array([0, 1]),
-            provenance=np.array([PROV_HUMAN, PROV_HUMAN]),
-            n_classes_visible=2,
+            label_map=(0, 1),
         )
 
 
@@ -272,8 +299,7 @@ def unlabeled_dataset(features):
         features=features,
         labels=np.full(n, UNLABELED),
         true_labels=np.zeros(n, dtype=np.int64),
-        provenance=np.full(n, PROV_NONE),
-        n_classes_visible=0,
+        label_map=(),
     )
 
 
@@ -315,7 +341,7 @@ class TestZeroCopy:
         split = make_split(data, SplitSpec(held_out_classes={2, 3}))
         assert split.features is data.features
         assert split.true_labels is data.true_labels
-        added = add_class(split, split.unlabeled_indices()[:5], round=1)
+        added = add_class(split, split.unlabeled_indices()[:5])
         assert added.features is data.features
         assert not np.shares_memory(added.labels, split.labels)
 
@@ -332,7 +358,7 @@ class TestZeroCopy:
         tracemalloc.start()
         try:
             split = make_split(data, SplitSpec(held_out_classes={3, 4}))
-            add_class(split, split.unlabeled_indices()[:50], round=1)
+            add_class(split, split.unlabeled_indices()[:50])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -344,7 +370,7 @@ class TestZeroCopy:
         csv = tmp_path / "d.csv"
         csv.write_text("a,b,label\n1.0,2.0,0\n3.0,4.0,1\n")
         for data in (load_idx(img_p, lbl_p), load_csv(str(csv)), small_dataset()):
-            for arr in (data.features, data.labels, data.true_labels, data.provenance):
+            for arr in (data.features, data.labels, data.true_labels):
                 assert arr.base is None and not arr.flags.writeable
             assert data.features.flags.c_contiguous
 

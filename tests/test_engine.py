@@ -8,7 +8,13 @@ import pytest
 
 from classdisco import engine, ood, selection
 from classdisco.clustering import KMeansConfig
-from classdisco.dataset import PROV_HUMAN, Dataset, GaussianMixtureSpec, SplitSpec, make_split
+from classdisco.dataset import (
+    DISCOVERED_CLASS,
+    Dataset,
+    GaussianMixtureSpec,
+    SplitSpec,
+    make_split,
+)
 from classdisco.engine import (
     ExperimentConfig,
     evaluate_state,
@@ -101,7 +107,8 @@ class TestRunDynamic:
         cfg = world(seed=6)
         state, _ = run_dynamic(cfg)
         seen: set[int] = set()
-        human = set(np.flatnonzero(state.dataset.provenance == PROV_HUMAN).tolist())
+        human_classes = [i for i, c in enumerate(state.dataset.label_map) if c != DISCOVERED_CLASS]
+        human = set(np.flatnonzero(np.isin(state.dataset.labels, human_classes)).tolist())
         for acc in state.accepted:
             members = set(acc.indices.tolist())
             assert not members & seen
@@ -127,7 +134,7 @@ class TestRunDynamic:
         assert state.dataset.n_classes_visible == 3 + len(state.accepted)
         for acc in state.accepted:
             assert (state.dataset.labels[acc.indices] == acc.new_label).all()
-            assert (state.dataset.provenance[acc.indices] == acc.round).all()
+            assert state.dataset.label_map[acc.new_label] == DISCOVERED_CLASS
 
     def test_rounds_cannot_exceed_held_out(self):
         cfg = world(rounds=4)  # only 3 classes held out
@@ -312,6 +319,18 @@ class TestDetectorMode:
         assert state.detector is not None
         assert 0.0 <= state.detector.threshold <= 1.0
         assert state.detector.quantile == 0.95
+
+    def test_rows_routed_to_a_discovered_class_score_its_plurality_label(self):
+        state, _ = run_dynamic(world(seed=3, ood_mode="detector"))
+        data = state.dataset
+        pool = data.unlabeled_indices()
+        part = ood.partition(state.detector, state.model, data.features[pool])
+        truth = data.true_labels[pool[part.in_dist_indices]]
+        mapping = np.array([0, 1, 2] + [a.plurality_label for a in state.accepted])
+        predicted = mapping[part.in_dist_labels]
+        discovered = part.in_dist_labels >= 3
+        assert (predicted[discovered] == truth[discovered]).any()
+        assert state.history[-1].report.routed_correct == np.count_nonzero(predicted == truth)
 
     def test_evaluate_state_pure_in_detector_mode(self):
         state, _ = run_dynamic(world(seed=16, ood_mode="detector"))

@@ -477,3 +477,11 @@ class TestTrainRows:
             train_epochs(model, x, y, AdamConfig(), 1, rows=[0, 1, 2])
         with pytest.raises(ValueError, match="3 labels for 12 training rows"):
             train_epochs(model, x, y[:3], AdamConfig(), 1)
+
+    def test_empty_training_rows_are_named(self):
+        x, y = toy_batch(n=12)
+        model = init_model(TOY_NET, seed=0)
+        with pytest.raises(ValueError, match="no training rows"):
+            train_epochs(model, x, y[:0], AdamConfig(), 1, rows=[])
+        with pytest.raises(ValueError, match="no training rows"):
+            train_epochs(model, x[:0], y[:0], AdamConfig(), 1)
