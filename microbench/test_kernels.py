@@ -7,11 +7,12 @@ collects them. Run them from the root of a checkout, one BLAS thread:
 
 Shapes: the ``_sq_dists`` and ``_class_means`` kernels at 5000x128 and
 1000x128 points with k=15 (the pool sizes of the ``mnist784-dynamic``
-workload), a whole ``lloyd_fit`` of 10 iterations at 5000x128 with k=15,
-Adam at 16-128-15 and 784-128-15, and one whole training step (gradients
-plus Adam) at batch 32 on the learnability scorer's 16-32-15 and 784-32-6
-networks. The step gathers its batch by row index from a shared 10000-row
-matrix, as ``train_epochs`` does with ``rows``.
+workload), a whole ``lloyd_fit`` of 10 iterations at 5000x128 with k=15, a
+whole ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
+5000x128 and 1000x128, Adam at 16-128-15 and 784-128-15, and one whole
+training step (gradients plus Adam) at batch 32 on the learnability
+scorer's 16-32-15 and 784-32-6 networks. The step gathers its batch by row
+index from a shared 10000-row matrix, as ``train_epochs`` does with ``rows``.
 """
 
 import numpy as np
@@ -55,6 +56,15 @@ def test_lloyd_fit(benchmark):
     points, _, centroids, _ = pool(5000, 128)
     result = benchmark(clustering.lloyd_fit, points, centroids, max_iters=LLOYD_ITERS, tol=0.0)
     assert result.iterations_run == LLOYD_ITERS  # no early stop: every round times the same work
+
+
+@pytest.mark.parametrize("n,d", POOLS)
+def test_fit_with_restarts(benchmark, n, d):
+    rng = np.random.default_rng(0)
+    centers = 3.0 * rng.standard_normal((K, d))
+    points = centers[rng.integers(K, size=n)] + rng.standard_normal((n, d))
+    cfg = clustering.KMeansConfig(k=K, restarts=10, seed=0)
+    benchmark(clustering.fit_with_restarts, points, cfg, workers=1)
 
 
 @pytest.mark.parametrize("input_dim", NETS)

@@ -70,20 +70,32 @@ def _sq_dists(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> n
     return np.maximum(d2, 0.0, out=d2)
 
 
-def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
+def center(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mu, ctr, norms)``: the mean of the points, the points centered at
+    it, and the squared row norms of the centered points. The centered arrays
+    are read-only, so restarts running on several threads can share them.
+    """
+    mu = points.mean(axis=0)
+    ctr = points - mu
+    norms = (ctr * ctr).sum(axis=1)
+    ctr.flags.writeable = norms.flags.writeable = False
+    return mu, ctr, norms
+
+
+def kmeanspp_init(points, k: int, seed: int, centered=None) -> np.ndarray:
     """k-means++ seeding: first centroid uniform, the rest proportional to D^2.
 
     D^2 is taken on the points centered at their mean, as in ``lloyd_fit``, so
     the seeding does not depend on where the data sits; the centroids
-    returned are rows of the given points.
+    returned are rows of the given points. ``centered`` is ``center(points)``
+    when the caller has it already; without it the points are centered here.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available points")
     rng = seeds.spawn(seed)
-    ctr = pts - pts.mean(axis=0)
-    norms = (ctr * ctr).sum(axis=1)
+    _, ctr, norms = center(pts) if centered is None else centered
     chosen = [int(rng.integers(n))]
     closest = _sq_dists(ctr, norms, ctr[chosen])[:, 0]
     for _ in range(1, k):
@@ -132,7 +144,9 @@ def _repair_empty(points, centroids, d2, assign, dists):
     return centroids, d2, assign
 
 
-def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -> Clustering:
+def lloyd_fit(
+    points, init_centroids, max_iters: int = 300, tol: float = 1e-4, centered=None
+) -> Clustering:
     """Lloyd iterations from the given centroids until fixpoint, max_iters, or tol.
 
     tol is relative inertia improvement. Distances are taken on points centered
@@ -141,6 +155,7 @@ def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -
     distance block, for its new centroids: it gives this iteration's inertia
     and the next one's assignments. Inertia is checked non-increasing on every
     iteration; the returned assignments point to the nearest final centroid.
+    ``centered`` is as in ``kmeanspp_init``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[0] == 0:
@@ -149,9 +164,7 @@ def lloyd_fit(points, init_centroids, max_iters: int = 300, tol: float = 1e-4) -
     if centroids.shape[1] != pts.shape[1]:
         raise ValueError("centroid width does not match point width")
     k = centroids.shape[0]
-    mu = pts.mean(axis=0)
-    ctr = pts - mu
-    norms = (ctr * ctr).sum(axis=1)
+    mu, ctr, norms = center(pts) if centered is None else centered
     rows = np.arange(pts.shape[0])
 
     def dists(c):
@@ -210,13 +223,15 @@ def resolve_workers(requested: int | None = None) -> int:
 def fit_with_restarts(points, cfg: KMeansConfig, workers: int | None = None) -> Clustering:
     """Best-of-restarts k-means; sub-seed i is cfg.seed + i, ties go to the lowest i.
 
-    The reduction is deterministic regardless of worker count.
+    The points are centered once and every restart's seeding and Lloyd loop
+    share the result. The reduction is deterministic regardless of worker count.
     """
     pts = np.asarray(points, dtype=np.float64)
+    centered = center(pts)
 
     def trial(i: int) -> Clustering:
-        init = kmeanspp_init(pts, cfg.k, seed=cfg.seed + i)
-        return lloyd_fit(pts, init, max_iters=cfg.max_iters, tol=cfg.tol)
+        init = kmeanspp_init(pts, cfg.k, seed=cfg.seed + i, centered=centered)
+        return lloyd_fit(pts, init, max_iters=cfg.max_iters, tol=cfg.tol, centered=centered)
 
     n_workers = resolve_workers(workers)
     if n_workers > 1:

@@ -1,8 +1,12 @@
 """Datasets: loading, synthesis, splitting, class addition.
 
-Labels use an integer sentinel (``UNLABELED``) for samples in the unlabeled
-pool. ``label_map`` says where each visible class came from: the original
-class id for a human class, ``DISCOVERED_CLASS`` for one added by discovery.
+A label is a dense class index (``>= 0``) or one of two sentinels:
+``UNLABELED`` marks a row of the unlabeled pool, and ``EXCLUDED`` a row that
+takes no part in the run (a ``per_class_cap`` drop, or a class the
+class-count experiment leaves out). Every split shares the loaded feature
+matrix and ground truth; it marks rows rather than copying them.
+``label_map`` says where each visible class came from: the original class id
+for a human class, ``DISCOVERED_CLASS`` for one added by discovery.
 Ground-truth labels are carried separately in ``true_labels`` and are never
 exposed to the learner; only evaluation reads them.
 """
@@ -17,7 +21,8 @@ import numpy as np
 
 from . import seeds
 
-UNLABELED = -1
+UNLABELED = -1  # in the unlabeled pool
+EXCLUDED = -2  # outside the run: neither labeled nor in the pool
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
@@ -77,11 +82,14 @@ class Dataset:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} length {arr.shape} does not match {n} samples")
-        present = self.labels != UNLABELED
-        if present.any() and self.labels[present].max(initial=0) >= self.n_classes_visible:
+        if self.labels.max(initial=-1) >= self.n_classes_visible:
             raise ValueError("a present label is >= n_classes_visible")
-        if (self.labels[present] < 0).any():
-            raise ValueError("present labels must be non-negative")
+        lowest = int(self.labels.min(initial=0))
+        if lowest < EXCLUDED:
+            raise ValueError(
+                f"label {lowest} is below EXCLUDED ({EXCLUDED}); a label is a class "
+                f"index >= 0, UNLABELED ({UNLABELED}) or EXCLUDED"
+            )
 
     @property
     def n_classes_visible(self) -> int:
@@ -96,7 +104,7 @@ class Dataset:
         return self.features.shape[1]
 
     def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels != UNLABELED)
+        return np.flatnonzero(self.labels >= 0)
 
     def unlabeled_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == UNLABELED)
@@ -104,7 +112,7 @@ class Dataset:
     def human_labeled_count(self) -> int:
         """Labeled rows whose class is a human class, not a discovered one."""
         human = np.asarray(self.label_map, dtype=np.int64) != DISCOVERED_CLASS
-        return int(np.count_nonzero(human[self.labels[self.labels != UNLABELED]]))
+        return int(np.count_nonzero(human[self.labels[self.labels >= 0]]))
 
     def shape(self) -> tuple[int, dict[int, int]]:
         """Feature width and per-class sample counts, as a data source's ``shape()``."""
@@ -352,16 +360,30 @@ def synth_gaussian(spec: GaussianMixtureSpec) -> Dataset:
     )
 
 
-def make_split(data: Dataset, spec: SplitSpec) -> Dataset:
+def make_split(data: Dataset, spec: SplitSpec, rows=None) -> Dataset:
     """Strip labels from the held-out classes and densely remap the rest.
 
-    Ground truth decides which samples are stripped. Retained labels are
-    remapped to 0..n_visible-1 in ascending original-class order and the
-    remap is recorded in ``label_map``. ``per_class_cap`` subsamples every
-    class (retained and held-out alike) to at most that many samples, chosen
-    deterministically from ``spec.seed``.
+    ``rows``, when given, is the set of rows that take part in the run (all
+    rows by default); the split is taken over those rows alone, and every
+    other row is labeled ``EXCLUDED``. Ground truth decides which samples are
+    stripped. Retained labels are remapped to 0..n_visible-1 in ascending
+    original-class order and the remap is recorded in ``label_map``.
+    ``per_class_cap`` subsamples every class (retained and held-out alike) to
+    at most that many of its rows in the run, chosen deterministically from
+    ``spec.seed``; the rest are ``EXCLUDED`` too. The features and ground
+    truth are shared with ``data``, never copied, and the rows in the run
+    keep their relative order, so the split equals one taken over
+    ``data.select(sorted(rows))``.
     """
-    all_classes = [int(c) for c in np.unique(data.true_labels)]
+    n = data.n_samples
+    truth = data.true_labels
+    if rows is None:
+        in_run = np.ones(n, dtype=bool)
+    else:
+        in_run = np.zeros(n, dtype=bool)
+        in_run[np.asarray(rows, dtype=np.int64)] = True
+
+    all_classes = [int(c) for c in np.unique(truth[in_run])]
     missing = spec.held_out_classes - set(all_classes)
     if missing:
         raise ValueError(f"held-out classes not present in data: {sorted(missing)}")
@@ -370,25 +392,24 @@ def make_split(data: Dataset, spec: SplitSpec) -> Dataset:
         raise ValueError("held_out_classes covers every class; nothing left to train on")
 
     rng = seeds.spawn(spec.seed)
-    keep = np.ones(data.n_samples, dtype=bool)
     if spec.per_class_cap is not None:
-        keep[:] = False
+        capped = np.zeros(n, dtype=bool)
         for c in all_classes:
-            members = np.flatnonzero(data.true_labels == c)
+            members = np.flatnonzero(in_run & (truth == c))
             if len(members) > spec.per_class_cap:
                 chosen = rng.choice(len(members), size=spec.per_class_cap, replace=False)
                 members = members[np.sort(chosen)]
-            keep[members] = True
+            capped[members] = True
+        in_run = capped
 
-    sub = data if keep.all() else data.select(np.flatnonzero(keep))
-
-    labels = np.full(sub.n_samples, UNLABELED, dtype=np.int64)
+    labels = np.full(n, EXCLUDED, dtype=np.int64)
+    labels[in_run] = UNLABELED
     for dense, orig in enumerate(retained):
-        labels[sub.true_labels == orig] = dense
+        labels[in_run & (truth == orig)] = dense
     return Dataset(
-        features=sub.features,
+        features=data.features,
         labels=_readonly(labels),
-        true_labels=sub.true_labels,
+        true_labels=truth,
         label_map=tuple(retained),
     )
 
@@ -400,7 +421,13 @@ def add_class(data: Dataset, member_indices) -> Dataset:
         raise ValueError("cannot add an empty class")
     if len(np.unique(members)) != len(members):
         raise ValueError("duplicate member indices")
-    already = data.labels[members] != UNLABELED
+    outside = data.labels[members] == EXCLUDED
+    if outside.any():
+        raise ValueError(
+            f"samples outside this run (EXCLUDED): {members[outside][:5].tolist()}"
+            f"{'...' if outside.sum() > 5 else ''}"
+        )
+    already = data.labels[members] >= 0
     if already.any():
         raise ValueError(
             f"samples already labeled: {members[already][:5].tolist()}"

@@ -202,10 +202,11 @@ def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: i
 
 
 def _prepare(
-    cfg: ExperimentConfig, raw: Dataset, workers: int | None
+    cfg: ExperimentConfig, raw: Dataset, workers: int | None, rows=None
 ) -> tuple[DiscoveryState, _RoundEval]:
-    """Split ``raw``, train the initial model, and run the round-0 evaluation."""
-    data = make_split(raw, cfg.split)
+    """Split ``raw`` over ``rows`` (all rows by default), train the initial
+    model, and run the round-0 evaluation."""
+    data = make_split(raw, cfg.split, rows)
     if len(data.unlabeled_indices()) == 0:
         raise ValueError("empty OOD pool: no held-out classes were stripped")
     net = cfg.net
@@ -412,7 +413,8 @@ def run_class_count_experiment(
     rows: list[tuple[int, float]] = []
     for count in class_counts:
         keep = np.flatnonzero(np.isin(raw.true_labels, sorted(set(non_eval[:count]) | eval_set)))
+        # the split marks the other rows EXCLUDED and shares raw's features;
         # only the evaluation is kept: no count's split or model outlives its run
-        ev = _prepare(cfg, raw.select(keep), workers)[1]
+        ev = _prepare(cfg, raw, workers, rows=keep)[1]
         rows.append((count, ev.report.weighted_ood_accuracy))
     return rows

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import seeds
 from .clustering import Clustering
-from .dataset import UNLABELED
 from .learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
@@ -88,8 +87,8 @@ def learnability_scores(
     ``rows``, when given, maps each assignment to its row of ``features``;
     the rows must be distinct. ``extra_classes``, when given as (features,
     dense_labels), adds the already-established classes to the problem as
-    distractors; rows labeled UNLABELED are left out. Scores are still
-    reported for the clusters only.
+    distractors; rows with a negative label (``UNLABELED`` or ``EXCLUDED``)
+    are left out. Scores are still reported for the clusters only.
 
     The scorer trains on its rows by index, uncopied: from ``features``
     itself when the distractors are rows of it outside the pool, else from
@@ -135,14 +134,14 @@ def learnability_scores(
     if extra_classes is not None:
         ex_x = np.asarray(extra_classes[0], dtype=np.float64)
         ex_y = np.asarray(extra_classes[1], dtype=np.int64)
-        for extra_label in np.unique(ex_y[ex_y != UNLABELED]):
+        for extra_label in np.unique(ex_y[ex_y >= 0]):
             members = np.flatnonzero(ex_y == extra_label)
             if len(members) >= 2:  # a singleton distractor class cannot be split
                 split_class(members)
         # Distractors that are rows of x outside the pool are read from x;
         # any others go after x in one concatenation, their rows shifted.
         if len(train_idx) > n_clusters and (
-            ex_x is not x or (ex_y[pool_rows] != UNLABELED).any()
+            ex_x is not x or (ex_y[pool_rows] >= 0).any()
         ):
             src = np.concatenate([x, ex_x])
             for side in (train_idx, hold_idx):

@@ -224,6 +224,30 @@ class TestRestarts:
         best_index = int(np.argmin(inertias))  # argmin takes the first, the tie rule
         assert np.array_equal(result.assignments, trials[best_index].assignments)
 
+    def test_centers_once_and_matches_self_centering_trials(self):
+        points, _ = blobs([[0, 0, 0], [8, 0, 0], [0, 8, 0]], n_per=25, noise=1.0, seed=6)
+        points = points + 1e3
+        cfg = KMeansConfig(k=4, restarts=6, seed=9)
+        with (
+            mock.patch.object(clustering, "center", wraps=clustering.center) as center,
+            mock.patch.object(clustering, "kmeanspp_init", wraps=kmeanspp_init) as seed_spy,
+            mock.patch.object(clustering, "lloyd_fit", wraps=lloyd_fit) as lloyd_spy,
+        ):
+            result = fit_with_restarts(points, cfg)
+        assert center.call_count == 1
+        # each restart goes through the module attributes, points first
+        assert seed_spy.call_count == lloyd_spy.call_count == cfg.restarts
+        for call in seed_spy.call_args_list + lloyd_spy.call_args_list:
+            assert call.args[0] is center.call_args.args[0]
+        trials = [
+            lloyd_fit(points, kmeanspp_init(points, 4, seed=cfg.seed + i))
+            for i in range(cfg.restarts)
+        ]
+        best = trials[int(np.argmin([t.inertia for t in trials]))]
+        assert result.centroids.tobytes() == best.centroids.tobytes()
+        assert result.assignments.tobytes() == best.assignments.tobytes()
+        assert result.inertia_trace == best.inertia_trace
+
     def test_parallel_matches_serial(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((60, 3))

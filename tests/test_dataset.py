@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from classdisco.dataset import (
     DISCOVERED_CLASS,
+    EXCLUDED,
     UNLABELED,
     Dataset,
     GaussianMixtureSpec,
@@ -177,8 +180,9 @@ class TestMakeSplit:
         data = small_dataset(n_classes=3, per_class=100)
         split = make_split(data, SplitSpec(held_out_classes={2}, per_class_cap=40, seed=9))
         assert len(split.unlabeled_indices()) == 40
-        for c in (0, 1):
-            assert (split.true_labels == c).sum() == 40
+        for dense in (0, 1):
+            assert (split.labels == dense).sum() == 40
+        assert (split.labels == EXCLUDED).sum() == 3 * 60
 
     def test_cap_no_op_when_larger_than_class(self):
         data = small_dataset(n_classes=3, per_class=10)
@@ -195,6 +199,11 @@ class TestMakeSplit:
         data = small_dataset(n_classes=3)
         with pytest.raises(ValueError, match="not present"):
             make_split(data, SplitSpec(held_out_classes={7}))
+
+    def test_held_out_class_outside_the_rows_errors(self):
+        data = small_dataset(n_classes=3, per_class=10)
+        with pytest.raises(ValueError, match=r"not present in data: \[2\]"):
+            make_split(data, SplitSpec(held_out_classes={2}), rows=np.arange(20))
 
     def test_deterministic_cap(self):
         data = small_dataset(n_classes=3, per_class=50)
@@ -225,6 +234,15 @@ class TestAddClass:
         assert (out2.labels[second] == 4).all()
         assert out2.n_classes_visible == 5
         assert out2.label_map[3:] == (DISCOVERED_CLASS, DISCOVERED_CLASS)
+
+    def test_excluded_rows_cannot_join_a_class(self):
+        data = small_dataset(n_classes=5, per_class=10)
+        split = make_split(data, SplitSpec(held_out_classes={3, 4}, per_class_cap=6, seed=2))
+        outside = np.flatnonzero(split.labels == EXCLUDED)[:2]
+        members = np.concatenate([split.unlabeled_indices()[:3], outside])
+        message = f"outside this run (EXCLUDED): {outside.tolist()}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            add_class(split, members)
 
     def test_readd_errors(self):
         members = self.split.unlabeled_indices()[:5]
@@ -293,6 +311,52 @@ def test_dataset_rejects_label_beyond_visible():
         )
 
 
+def test_dataset_rejects_label_below_excluded():
+    with pytest.raises(ValueError, match=r"label -3 is below EXCLUDED \(-2\)"):
+        Dataset(
+            features=np.zeros((3, 2)),
+            labels=np.array([0, EXCLUDED, -3]),
+            true_labels=np.array([0, 1, 1]),
+            label_map=(0,),
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_split_over_rows_equals_split_of_the_selected_copy(data):
+    """Marking the rows outside a run EXCLUDED gives the split of the copied
+    subset: the same classes, and the same labeled and pool rows, in order.
+    Labeled, pool and EXCLUDED rows partition the whole matrix."""
+    n_classes = data.draw(st.integers(2, 5), label="n_classes")
+    per_class = data.draw(st.integers(1, 8), label="per_class")
+    raw = small_dataset(n_classes=n_classes, per_class=per_class)
+    rows = np.array(
+        sorted(data.draw(st.sets(st.integers(0, raw.n_samples - 1), min_size=1), label="rows")),
+        dtype=np.int64,
+    )
+    present = sorted(set(raw.true_labels[rows].tolist()))
+    held = data.draw(st.sets(st.sampled_from(present), max_size=len(present) - 1), label="held")
+    cap = data.draw(st.none() | st.integers(1, per_class), label="cap")
+    spec = SplitSpec(held_out_classes=held, per_class_cap=cap, seed=data.draw(st.integers(0, 99)))
+
+    marked = make_split(raw, spec, rows)
+    copied = make_split(raw.select(rows), spec)
+    assert marked.features is raw.features and marked.true_labels is raw.true_labels
+    assert marked.label_map == copied.label_map
+    for side in ("labeled_indices", "unlabeled_indices"):
+        got, want = getattr(marked, side)(), getattr(copied, side)()
+        assert np.array_equal(got, rows[want])
+        assert marked.features[got].tobytes() == copied.features[want].tobytes()
+        assert np.array_equal(marked.labels[got], copied.labels[want])
+        assert np.array_equal(marked.true_labels[got], copied.true_labels[want])
+
+    parts = [marked.labeled_indices(), marked.unlabeled_indices()]
+    parts.append(np.flatnonzero(marked.labels == EXCLUDED))
+    every = np.concatenate(parts)
+    assert len(every) == raw.n_samples
+    assert np.array_equal(np.sort(every), np.arange(raw.n_samples))
+
+
 def unlabeled_dataset(features):
     n = len(features)
     return Dataset(
@@ -346,10 +410,11 @@ class TestZeroCopy:
         assert not np.shares_memory(added.labels, split.labels)
 
     def test_capped_split_copies_only_the_kept_rows(self):
+        """The kept rows are marked, not copied: the split shares the features."""
         data = small_dataset(n_classes=4, per_class=10)
         split = make_split(data, SplitSpec(held_out_classes={3}, per_class_cap=4))
-        assert split.n_samples == 16
-        assert not np.shares_memory(split.features, data.features)
+        assert np.count_nonzero(split.labels != EXCLUDED) == 16
+        assert split.features is data.features
 
     def test_split_and_add_class_allocate_less_than_the_features(self):
         import tracemalloc
@@ -363,6 +428,23 @@ class TestZeroCopy:
         finally:
             tracemalloc.stop()
         assert peak < data.features.nbytes
+
+    def test_capped_split_over_rows_allocates_less_than_the_kept_rows(self):
+        import tracemalloc
+
+        data = synth_gaussian(GaussianMixtureSpec(8, 64, 5.0, 200, seed=1))
+        rows = np.flatnonzero(data.true_labels < 5)
+        spec = SplitSpec(held_out_classes={3, 4}, per_class_cap=150)
+        kept_bytes = 5 * 150 * data.n_features * data.features.itemsize
+        make_split(data, spec, rows)  # the first call's lazy imports allocate too
+        tracemalloc.start()
+        try:
+            split = make_split(data, spec, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(split.labels != EXCLUDED) == 5 * 150
+        assert peak < kept_bytes
 
     def test_loaders_hand_over_read_only_owned_arrays(self, tmp_path, idx_writer):
         img_p, lbl_p = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")

@@ -382,3 +382,35 @@ class TestClassCountExperiment:
         cfg = replace(cfg, split=replace(cfg.split, per_class_cap=20))
         rows = run_class_count_experiment(cfg, [2, 3])
         assert len(rows) == 2
+
+    def test_each_count_matches_the_run_on_its_copied_rows(self):
+        cfg = world(seed=2, n_classes=10, per_class=50, held_out=(5, 6, 7, 8, 9), k=5)
+        cfg = replace(cfg, split=replace(cfg.split, per_class_cap=20))
+        raw = load_data(cfg.data)
+        run_cfg = engine.class_count_config(cfg, raw)
+        got = dict(run_class_count_experiment(cfg, [2, 4], data=raw))
+        for count in (2, 4):
+            keep = np.flatnonzero(np.isin(raw.true_labels, [*range(count), 5, 6, 7, 8, 9]))
+            ev = engine._prepare(run_cfg, raw.select(keep), None)[1]
+            assert got[count] == ev.report.weighted_ood_accuracy
+
+    def test_largest_count_allocates_less_than_its_kept_rows(self):
+        import tracemalloc
+
+        cfg = world(
+            seed=2, n_classes=10, per_class=60, dim=256, held_out=(5, 6, 7, 8, 9), k=5,
+            epochs_initial=2,
+        )
+        cfg = replace(
+            cfg, net=NetworkConfig(hidden_dims=(8,)), split=replace(cfg.split, per_class_cap=50)
+        )
+        raw = load_data(cfg.data)
+        run_class_count_experiment(cfg, [2], data=raw)  # also the first-call imports
+        kept_bytes = 10 * 50 * raw.n_features * raw.features.itemsize
+        tracemalloc.start()
+        try:
+            run_class_count_experiment(cfg, [5], data=raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kept_bytes

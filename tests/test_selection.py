@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from classdisco import selection, seeds
 from classdisco.clustering import Clustering
-from classdisco.dataset import UNLABELED
+from classdisco.dataset import EXCLUDED, UNLABELED
 from classdisco.learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 from classdisco.selection import (
     ClusterFeatures,
@@ -415,6 +415,25 @@ class TestLearnabilityGather:
         with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
             got = learnability_scores(points, assign, cfg, seed=5, extra_classes=(points, labels))
             want = reference_learnability_scores(points, assign, cfg, 5, (points.copy(), labels))
+        assert got.tobytes() == want.tobytes()
+
+    def test_excluded_rows_are_not_a_distractor_class(self):
+        # rows outside the run (EXCLUDED) are left out like pool rows
+        points, labels = blobs([[0, 0], [6, 0], [0, 6], [6, 6]], n_per=12, noise=1.0, seed=4)
+        pool = np.flatnonzero(labels >= 2)
+        shared_labels = np.where(labels < 2, labels, UNLABELED)
+        outside = shared_labels.copy()
+        outside[[0, 1, 12, 13]] = EXCLUDED
+        marked = shared_labels.copy()
+        marked[[0, 1, 12, 13]] = UNLABELED
+        cfg = LearnabilityConfig(hidden_dims=(3,), epochs=1)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
+            got = learnability_scores(
+                points, labels[pool] - 2, cfg, seed=5, extra_classes=(points, outside), rows=pool
+            )
+            want = learnability_scores(
+                points, labels[pool] - 2, cfg, seed=5, extra_classes=(points, marked), rows=pool
+            )
         assert got.tobytes() == want.tobytes()
 
     def test_duplicate_rows_rejected(self):
