@@ -1,4 +1,4 @@
-"""Opt-in micro-benches of the k-means and Adam kernels (pytest-benchmark).
+"""Opt-in micro-benches of the k-means, Adam and scorer kernels (pytest-benchmark).
 
 They sit outside the tier-1 ``testpaths``, so a plain ``pytest`` run never
 collects them. Run them from the root of a checkout, one BLAS thread:
@@ -13,6 +13,9 @@ whole ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
 training step (gradients plus Adam) at batch 32 on the learnability
 scorer's 16-32-15 and 784-32-6 networks. The step gathers its batch by row
 index from a shared 10000-row matrix, as ``train_epochs`` does with ``rows``.
+A whole ``learnability_scores`` call runs at the ``mnist784-dynamic`` round-0
+shape: 5000 pool rows of a shared, read-only 10000x784 matrix in 15 clusters,
+under the default ``LearnabilityConfig``.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from classdisco import clustering, learner  # noqa: E402
+from classdisco import clustering, learner, selection  # noqa: E402
 
 K = 15
 POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="1000x128")]
@@ -92,3 +95,17 @@ def test_train_step(benchmark, input_dim, classes):
         learner._adam_update(model, work, adam)
 
     benchmark(step)
+
+
+def test_learnability_scores(benchmark):
+    rng = np.random.default_rng(0)
+    shared = rng.standard_normal((SHARED_ROWS, 784))
+    shared.flags.writeable = False  # as the engine's Dataset holds it
+    pool = np.arange(0, SHARED_ROWS, 2)
+    assign = rng.integers(K, size=len(pool))
+    benchmark.pedantic(
+        selection.learnability_scores,
+        args=(shared, assign),
+        kwargs={"seed": 0, "rows": pool},
+        rounds=3,
+    )

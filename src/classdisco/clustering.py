@@ -75,6 +75,8 @@ def center(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     it, and the squared row norms of the centered points. The centered arrays
     are read-only, so restarts running on several threads can share them.
     """
+    if points.shape[0] == 0:
+        raise ValueError("cannot cluster zero points")
     mu = points.mean(axis=0)
     ctr = points - mu
     norms = (ctr * ctr).sum(axis=1)
@@ -158,8 +160,6 @@ def lloyd_fit(
     ``centered`` is as in ``kmeanspp_init``.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.shape[0] == 0:
-        raise ValueError("cannot cluster zero points")
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
     if centroids.shape[1] != pts.shape[1]:
         raise ValueError("centroid width does not match point width")

@@ -23,6 +23,7 @@ from . import metrics, ood, selection
 from .clustering import Clustering, KMeansConfig, fit_with_restarts
 from .dataset import (
     DISCOVERED_CLASS,
+    UNLABELED,
     DataSource,
     Dataset,
     SplitSpec,
@@ -258,21 +259,24 @@ def _score_clusters(
     need_learnability = cfg.policy.kind in ("learnability", "threshold")
     learn = np.full(clustering.k, math.nan)
     if need_learnability:
-        # Raw features are gathered by row index from the shared matrix, uncopied.
-        score_input, rows, extra_classes = dataset.features, ev.cluster_indices, None
-        if cfg.learnability.use_embeddings:
+        # Raw features are read by row index from the shared matrix, uncopied.
+        # Embedded distractors are the labeled rows' embeddings, stacked under
+        # the pool's, whose rows are marked UNLABELED.
+        lcfg = cfg.learnability
+        score_input, rows = dataset.features, ev.cluster_indices
+        labels = dataset.labels if lcfg.include_existing else None
+        if lcfg.use_embeddings:
             score_input, rows = ev.embeddings, None
-        if cfg.learnability.include_existing and cfg.learnability.use_embeddings:
+        if lcfg.use_embeddings and lcfg.include_existing:
             labeled = dataset.labeled_indices()
-            extra_classes = (embed(model, dataset.features[labeled]), dataset.labels[labeled])
-        elif cfg.learnability.include_existing:
-            extra_classes = (dataset.features, dataset.labels)
+            score_input = np.concatenate([ev.embeddings, embed(model, dataset.features[labeled])])
+            labels = np.concatenate([np.full(len(ev.embeddings), UNLABELED), labels[labeled]])
         raw = selection.learnability_scores(
             score_input,
             clustering.assignments,
-            cfg.learnability,
+            lcfg,
             seed=cfg.seed + _LEARNABILITY_SEED_STRIDE * round_idx,
-            extra_classes=extra_classes,
+            labels=labels,
             rows=rows,
         )
         ids = np.unique(clustering.assignments)
@@ -365,19 +369,16 @@ def evaluate_state(state: DiscoveryState, workers: int | None = None) -> Reconst
     return ev.report
 
 
-def class_count_config(cfg: ExperimentConfig, data: Dataset | None = None) -> ExperimentConfig:
+def class_count_config(cfg: ExperimentConfig, data: Dataset) -> ExperimentConfig:
     """The configuration each class count runs: the last five classes held out
     for evaluation, the pool routed by the oracle, and no discovery rounds.
-    The classes come from ``data`` (``cfg.data`` loaded) when given."""
+    The classes come from ``data``, ``cfg.data`` loaded."""
     if cfg.net.output_classes is not None:
         raise ConfigError(
             f"net.output_classes ({cfg.net.output_classes}) must be unset: "
             "each class count derives its own output width"
         )
-    try:
-        _, counts = (cfg.data if data is None else data).shape()
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load data: {exc}") from exc
+    _, counts = data.shape()
     classes = sorted(counts)
     if len(classes) <= N_EVAL_CLASSES:
         raise ConfigError(

@@ -71,7 +71,7 @@ def learnability_scores(
     assignments,
     cfg: LearnabilityConfig = LearnabilityConfig(),
     seed: int = 0,
-    extra_classes=None,
+    labels=None,
     rows=None,
 ) -> np.ndarray:
     """Held-out recall per cluster from a fresh classifier trained to predict clusters.
@@ -85,14 +85,15 @@ def learnability_scores(
     the partition itself, so relabeling clusters permutes the scores exactly.
 
     ``rows``, when given, maps each assignment to its row of ``features``;
-    the rows must be distinct. ``extra_classes``, when given as (features,
-    dense_labels), adds the already-established classes to the problem as
-    distractors; rows with a negative label (``UNLABELED`` or ``EXCLUDED``)
-    are left out. Scores are still reported for the clusters only.
+    the rows must be distinct. ``labels``, when given, holds one label per
+    row of ``features`` and adds the already-established classes to the
+    problem as distractors: each label ``>= 0`` with at least two rows is one
+    class, and rows with a negative label (``UNLABELED`` or ``EXCLUDED``) are
+    left out. A row may be both a pool row and a distractor row. Scores are
+    still reported for the clusters only.
 
-    The scorer trains on its rows by index, uncopied: from ``features``
-    itself when the distractors are rows of it outside the pool, else from
-    one concatenation of the two arrays. Only the holdout rows are gathered.
+    Every class is read from ``features`` by row index: the scorer trains on
+    its rows uncopied and gathers only the holdout block.
     """
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
@@ -111,45 +112,30 @@ def learnability_scores(
         raise ValueError("rows must name distinct rows of features")
 
     # Canonical class order: rank clusters by their first member index, which
-    # depends only on the partition, never on the id values.
+    # depends only on the partition, never on the id values. The distractor
+    # classes follow in ascending label order.
     canon_order = scoreable[np.argsort(first_member[scoreable], kind="stable")]
+    classes = [pool_rows[dense == pos] for pos in canon_order]
+    if labels is not None:
+        y = np.asarray(labels, dtype=np.int64)
+        for label in np.unique(y[y >= 0]):
+            members = np.flatnonzero(y == label)
+            if len(members) >= 2:  # a singleton distractor class cannot be split
+                classes.append(members)
+    n_classes = len(classes)
 
+    # Each class's rows of x, permuted and split in class order.
     rng = seeds.spawn(seed)
-    # Row indices of each class, per side, in class order: the clusters' rows
-    # index x, the distractors' rows their own array until src is settled.
     train_idx: list[np.ndarray] = []
     hold_idx: list[np.ndarray] = []
-
-    def split_class(rows: np.ndarray) -> None:
-        n_hold = max(1, int(np.floor(cfg.holdout_fraction * len(rows))))
-        perm = rng.permutation(len(rows))
-        hold_idx.append(rows[perm[:n_hold]])
-        train_idx.append(rows[perm[n_hold:]])
-
-    for pos in canon_order:
-        split_class(pool_rows[dense == pos])
-
-    n_clusters = len(canon_order)
-    src = x
-    if extra_classes is not None:
-        ex_x = np.asarray(extra_classes[0], dtype=np.float64)
-        ex_y = np.asarray(extra_classes[1], dtype=np.int64)
-        for extra_label in np.unique(ex_y[ex_y >= 0]):
-            members = np.flatnonzero(ex_y == extra_label)
-            if len(members) >= 2:  # a singleton distractor class cannot be split
-                split_class(members)
-        # Distractors that are rows of x outside the pool are read from x;
-        # any others go after x in one concatenation, their rows shifted.
-        if len(train_idx) > n_clusters and (
-            ex_x is not x or (ex_y[pool_rows] >= 0).any()
-        ):
-            src = np.concatenate([x, ex_x])
-            for side in (train_idx, hold_idx):
-                side[n_clusters:] = [r + len(x) for r in side[n_clusters:]]
-    n_classes = len(train_idx)
+    for members in classes:
+        n_hold = max(1, int(np.floor(cfg.holdout_fraction * len(members))))
+        perm = members[rng.permutation(len(members))]
+        hold_idx.append(perm[:n_hold])
+        train_idx.append(perm[n_hold:])
 
     def side_rows(side: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """One side's rows of src, in class order, and their class labels."""
+        """One side's rows of x, in class order, and their class labels."""
         sizes = [len(rows) for rows in side]
         return np.concatenate(side), np.repeat(np.arange(n_classes, dtype=np.int64), sizes)
 
@@ -163,8 +149,8 @@ def learnability_scores(
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
-    model = train_epochs(model, src, tr_y, adam, epochs=run_epochs, rows=tr_rows)
-    preds = predict_proba(model, src[ho_rows]).argmax(axis=1)
+    model = train_epochs(model, x, tr_y, adam, epochs=run_epochs, rows=tr_rows)
+    preds = predict_proba(model, x[ho_rows]).argmax(axis=1)
 
     scores = np.zeros(len(ids))
     for canon, pos in enumerate(canon_order):

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -195,8 +196,12 @@ class TestLloyd:
         assert result.inertia == pytest.approx(direct, rel=1e-9, abs=1e-12 * spread + tiny)
 
     def test_zero_points_rejected(self):
-        with pytest.raises(ValueError, match="zero points"):
-            lloyd_fit(np.zeros((0, 2)), np.zeros((1, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning comes before the error
+            with pytest.raises(ValueError, match="zero points"):
+                lloyd_fit(np.zeros((0, 2)), np.zeros((1, 2)))
+            with pytest.raises(ValueError, match="zero points"):
+                fit_with_restarts(np.zeros((0, 2)), KMeansConfig(k=1, restarts=2))
 
 
 class TestRestarts:

@@ -204,16 +204,17 @@ class TestRunDynamic:
         data = load_data(cfg.data)
         with mock.patch.object(
             selection, "learnability_scores", wraps=selection.learnability_scores
-        ) as spy:
+        ) as spy, mock.patch.object(
+            engine, "_score_clusters", wraps=engine._score_clusters
+        ) as rounds:
             state, _ = run_dynamic(cfg, data=data)
         assert len(state.accepted) == 2 and spy.call_count == 2
-        for call in spy.call_args_list:
+        for call, round_call in zip(spy.call_args_list, rounds.call_args_list):
             assert np.shares_memory(call.args[0], data.features)
             assert (data.true_labels[call.kwargs["rows"]] >= 3).all()  # the held-out pool
-            extra = call.kwargs["extra_classes"]
-            assert (extra is not None) == include_existing
-            if include_existing:
-                assert np.shares_memory(extra[0], data.features)
+            # the distractors are the round's own label record, uncopied
+            round_labels = round_call.args[1].labels
+            assert call.kwargs["labels"] is (round_labels if include_existing else None)
 
 
     def test_round_evaluation_is_freed_before_retraining(self):

@@ -87,13 +87,13 @@ class TestLearnability:
 
     def test_existing_classes_as_distractors(self):
         # a cluster overlapping an established class stops being learnable
-        # once that class joins the problem
-        points, labels = blobs([[0, 0], [9, 0]], n_per=25, noise=0.5, seed=8)
+        # once that class joins the problem as labeled rows of the matrix
+        points, assign = blobs([[0, 0], [9, 0]], n_per=25, noise=0.5, seed=8)
         existing, existing_labels = blobs([[0, 0]], n_per=25, noise=0.5, seed=9)
-        alone = learnability_scores(points, labels, seed=1)
-        crowded = learnability_scores(
-            points, labels, seed=1, extra_classes=(existing, existing_labels)
-        )
+        shared = np.concatenate([points, existing])
+        shared_labels = np.concatenate([np.full(len(points), UNLABELED), existing_labels])
+        alone = learnability_scores(points, assign, seed=1)
+        crowded = learnability_scores(shared, assign, seed=1, labels=shared_labels)
         assert alone[0] > 0.9
         assert crowded[0] < alone[0]
         assert crowded[1] > 0.9  # the far cluster is unaffected
@@ -386,21 +386,21 @@ class TestLearnabilityGather:
                 want = reference_learnability_scores(
                     x, assign, cfg, scorer_seed, extra if include_existing else None
                 )
-                # use_embeddings: the pool's embeddings whole, and the labeled
-                # rows' embeddings as a second array, concatenated once
+                # use_embeddings: the pool's embeddings whole, with the labeled
+                # rows' embeddings stacked under them when they are distractors
+                stacked, stacked_labels = x, None
+                if include_existing:
+                    stacked = np.concatenate([x, extra[0]])
+                    stacked_labels = np.concatenate([np.full(n, UNLABELED), extra[1]])
                 embedded = learnability_scores(
-                    x,
-                    assign,
-                    cfg,
-                    seed=scorer_seed,
-                    extra_classes=extra if include_existing else None,
+                    stacked, assign, cfg, seed=scorer_seed, labels=stacked_labels
                 )
                 by_row = learnability_scores(
                     shared,
                     assign,
                     cfg,
                     seed=scorer_seed,
-                    extra_classes=(shared, shared_labels) if include_existing else None,
+                    labels=shared_labels if include_existing else None,
                     rows=placed[:n],
                 )
                 assert embedded.tobytes() == want.tobytes()
@@ -408,12 +408,13 @@ class TestLearnabilityGather:
 
     def test_distractors_overlapping_the_pool_match_a_separate_copy(self):
         # every pool row is also a labeled distractor row of the same matrix,
-        # so one row belongs to two classes: the scorer must not share it
+        # so one row belongs to two classes: reading it twice by index gives
+        # the same bits as reading it from a separate copy
         points, labels = blobs([[0, 0], [6, 0], [0, 6]], n_per=12, noise=1.0, seed=4)
         assign = labels % 2
         cfg = LearnabilityConfig(hidden_dims=(3,), epochs=1)
         with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
-            got = learnability_scores(points, assign, cfg, seed=5, extra_classes=(points, labels))
+            got = learnability_scores(points, assign, cfg, seed=5, labels=labels)
             want = reference_learnability_scores(points, assign, cfg, 5, (points.copy(), labels))
         assert got.tobytes() == want.tobytes()
 
@@ -429,10 +430,10 @@ class TestLearnabilityGather:
         cfg = LearnabilityConfig(hidden_dims=(3,), epochs=1)
         with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
             got = learnability_scores(
-                points, labels[pool] - 2, cfg, seed=5, extra_classes=(points, outside), rows=pool
+                points, labels[pool] - 2, cfg, seed=5, labels=outside, rows=pool
             )
             want = learnability_scores(
-                points, labels[pool] - 2, cfg, seed=5, extra_classes=(points, marked), rows=pool
+                points, labels[pool] - 2, cfg, seed=5, labels=marked, rows=pool
             )
         assert got.tobytes() == want.tobytes()
 
@@ -460,3 +461,25 @@ class TestLearnabilityGather:
             finally:
                 tracemalloc.stop()
         assert peak < train_rows_nbytes
+
+    def test_distractors_in_the_pool_are_read_without_copying_the_matrix(self):
+        import tracemalloc
+
+        # raw features with include_existing: every pool row is also a labeled
+        # row, and both classes are read by row index from the one matrix
+        rng = np.random.default_rng(0)
+        shared = rng.standard_normal((2000, 128))
+        shared.flags.writeable = False  # as the engine's Dataset holds it
+        labels = np.arange(2000) % 3
+        pool = np.arange(1, 2000, 2)
+        assign = np.repeat(np.arange(4), 250)
+        cfg = LearnabilityConfig(hidden_dims=(4,), epochs=1)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 10):
+            learnability_scores(shared, assign, cfg, seed=0, labels=labels, rows=pool)
+            tracemalloc.start()
+            try:
+                learnability_scores(shared, assign, cfg, seed=0, labels=labels, rows=pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < shared.nbytes
