@@ -15,7 +15,8 @@ scorer's 16-32-15 and 784-32-6 networks. The step gathers its batch by row
 index from a shared 10000-row matrix, as ``train_epochs`` does with ``rows``.
 A whole ``learnability_scores`` call runs at the ``mnist784-dynamic`` round-0
 shape: 5000 pool rows of a shared, read-only 10000x784 matrix in 15 clusters,
-under the default ``LearnabilityConfig``.
+under the default ``LearnabilityConfig``. ``embed`` of the same 5000 pool rows
+by row index, through the 784-128-5 network that shape embeds with.
 """
 
 import numpy as np
@@ -97,11 +98,16 @@ def test_train_step(benchmark, input_dim, classes):
     benchmark(step)
 
 
-def test_learnability_scores(benchmark):
+def shared_pool():
+    """A read-only 10000x784 matrix, as the engine's Dataset holds it, and its even rows."""
     rng = np.random.default_rng(0)
     shared = rng.standard_normal((SHARED_ROWS, 784))
-    shared.flags.writeable = False  # as the engine's Dataset holds it
-    pool = np.arange(0, SHARED_ROWS, 2)
+    shared.flags.writeable = False
+    return rng, shared, np.arange(0, SHARED_ROWS, 2)
+
+
+def test_learnability_scores(benchmark):
+    rng, shared, pool = shared_pool()
     assign = rng.integers(K, size=len(pool))
     benchmark.pedantic(
         selection.learnability_scores,
@@ -109,3 +115,10 @@ def test_learnability_scores(benchmark):
         kwargs={"seed": 0, "rows": pool},
         rounds=3,
     )
+
+
+def test_embed_pool_rows(benchmark):
+    _, shared, pool = shared_pool()
+    net = learner.NetworkConfig(input_dim=784, output_classes=5, hidden_dims=(128,))
+    model = learner.init_model(net, seed=0)
+    benchmark(learner.embed, model, shared, rows=pool)

@@ -152,8 +152,8 @@ def _evaluate(
     cluster_idx = pool_idx
     if cfg.ood_mode == "detector" and len(pool_idx):
         labeled = dataset.labeled_indices()
-        detector = ood.calibrate(model, dataset.features[labeled], cfg.detector_quantile)
-        part = ood.partition(detector, model, dataset.features[pool_idx])
+        detector = ood.calibrate(model, dataset.features, cfg.detector_quantile, rows=labeled)
+        part = ood.partition(detector, model, dataset.features, rows=pool_idx)
         routed_global = pool_idx[part.in_dist_indices]
         # a discovered class predicts its accepted cluster's plurality label (same order)
         label_map = np.asarray(dataset.label_map, dtype=np.int64)
@@ -167,7 +167,7 @@ def _evaluate(
     assign = np.empty(0, dtype=np.int64)
     truth = np.empty(0, dtype=np.int64)
     if len(cluster_idx):
-        embeddings = embed(model, dataset.features[cluster_idx])
+        embeddings = embed(model, dataset.features, rows=cluster_idx)
         k_eff = min(cfg.kmeans.k, len(cluster_idx))
         kmeans = replace(
             cfg.kmeans, k=k_eff, seed=cfg.kmeans.seed + round_idx * cfg.kmeans.restarts
@@ -269,7 +269,7 @@ def _score_clusters(
             score_input, rows = ev.embeddings, None
         if lcfg.use_embeddings and lcfg.include_existing:
             labeled = dataset.labeled_indices()
-            score_input = np.concatenate([ev.embeddings, embed(model, dataset.features[labeled])])
+            score_input = np.concatenate([ev.embeddings, embed(model, dataset.features, labeled)])
             labels = np.concatenate([np.full(len(ev.embeddings), UNLABELED), labels[labeled]])
         raw = selection.learnability_scores(
             score_input,

@@ -7,7 +7,7 @@ updates; everything is deterministic given the seeds.
 
 The dense stack is the only architecture built in; richer feature extractors
 (convolutions and the like) would slot in by generalizing ``_layer_sizes``,
-``init_model``, and ``_forward``. Nothing downstream cares about the
+``init_model``, ``_forward`` and ``embed``. Nothing downstream cares about the
 architecture, only about ``predict_proba`` and ``embed``.
 """
 
@@ -157,19 +157,35 @@ def _check_width(model: Model, features: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_rows(rows, n: int) -> np.ndarray | None:
+    """``rows`` as int64 row indices, each in ``[0, n)``; None stays None."""
+    rows = None if rows is None else np.asarray(rows, dtype=np.int64)
+    bad = () if rows is None else rows[(rows < 0) | (rows >= n)]
+    if len(bad):
+        raise ValueError(f"row {bad[0]} is outside the {n} rows of features")
+    return rows
+
+
+def _dense_relu(h: np.ndarray, W: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``relu(h @ W + b)`` in one array (``out`` when given), bit-identical to
+    ``np.maximum(h @ W + b, 0.0)``."""
+    out = np.matmul(h, W, out=out)
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
+def _logits(model: Model, h: np.ndarray) -> np.ndarray:
+    logits = h @ model.weights[-1]
+    logits += model.biases[-1]
+    return logits
+
+
 def _forward(model: Model, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Return hidden activations (post-rectifier, including input) and logits."""
     acts = [x]
-    h = x
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        # one array per layer, bit-identical to np.maximum(h @ W + b, 0.0)
-        h = h @ W
-        h += b
-        np.maximum(h, 0.0, out=h)
-        acts.append(h)
-    logits = h @ model.weights[-1]
-    logits += model.biases[-1]
-    return acts, logits
+        acts.append(_dense_relu(acts[-1], W, b))
+    return acts, _logits(model, acts[-1])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -178,22 +194,41 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_proba(model: Model, features) -> np.ndarray:
+def predict_proba(model: Model, features, rows=None) -> np.ndarray:
     """Softmax class probabilities, one row per sample, rows summing to 1.
 
-    Entries are strictly inside (0, 1) except under extreme logit gaps
-    (beyond ~745), where float64 saturates the losing entries to 0.
+    ``rows`` is as in ``embed``. Entries are strictly inside (0, 1) except
+    under extreme logit gaps (beyond ~745), where float64 saturates the
+    losing entries to 0.
+    """
+    return _softmax(_logits(model, embed(model, features, rows)))
+
+
+_BLOCK_ROWS = 1024  # inference runs the first layer over at most this many rows at once
+
+
+def embed(model: Model, features, rows=None) -> np.ndarray:
+    """Last hidden layer's activations: the embedding space used for clustering.
+
+    ``rows`` names the rows of ``features`` to embed, in order (default:
+    all), read by index as in ``train_epochs``: the result is bit-identical
+    to embedding ``features[rows]``. The first layer runs over them in
+    ``ceil(n / _BLOCK_ROWS)`` equal blocks, each read from ``features`` and
+    written into one preallocated activation, so at most one block of rows
+    is copied; the deeper layers run on the whole activation.
     """
     x = _check_width(model, features)
-    _, logits = _forward(model, x)
-    return _softmax(logits)
-
-
-def embed(model: Model, features) -> np.ndarray:
-    """Penultimate-layer activations: the embedding space used for clustering."""
-    x = _check_width(model, features)
-    acts, _ = _forward(model, x)
-    return acts[-1]
+    rows = _check_rows(rows, len(x))
+    n = len(x) if rows is None else len(rows)
+    W, b = model.weights[0], model.biases[0]
+    h = np.empty((n, W.shape[1]))
+    for part in np.array_split(np.arange(n), max(1, -(-n // _BLOCK_ROWS))):
+        if len(part):
+            block = slice(part[0], part[-1] + 1)
+            _dense_relu(x[block] if rows is None else x[rows[block]], W, b, out=h[block])
+    for W, b in zip(model.weights[1:-1], model.biases[1:-1]):
+        h = _dense_relu(h, W, b)
+    return h
 
 
 def cross_entropy(model: Model, features, labels) -> float:
@@ -256,8 +291,8 @@ def _adam_update(model: Model, work: np.ndarray, adam: AdamConfig) -> None:
     v *= adam.beta2
     np.multiply(g, g, out=num)
     v += np.multiply(num, 1.0 - adam.beta2, out=num)
-    np.divide(m, bc1, out=num)
-    np.multiply(num, adam.learning_rate, out=num)
+    # bc1 is exactly 1.0 from t = 356 at beta1 = 0.9, and m / 1.0 is m: skip the divide
+    np.multiply(m if bc1 == 1.0 else np.divide(m, bc1, out=num), adam.learning_rate, out=num)
     np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
     den += adam.epsilon
@@ -270,7 +305,8 @@ def train_epochs(
     """Minibatch cross-entropy training; returns a new model, input untouched.
 
     ``rows`` names the training rows of ``features`` in training order
-    (default: all rows); ``labels`` holds one label per training row. Each
+    (default: all rows), each checked against ``features`` before any work;
+    ``labels`` holds one label per training row. Each
     batch is gathered straight from ``features``, so training on ``rows`` is
     bit-identical to training on ``features[rows]``, without copying them.
 
@@ -284,7 +320,7 @@ def train_epochs(
         return model
     x = _check_width(model, features)
     y = np.asarray(labels, dtype=np.int64)
-    rows = None if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = _check_rows(rows, len(x))
     n = len(x) if rows is None else len(rows)
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for {n} training rows")

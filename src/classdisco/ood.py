@@ -31,30 +31,32 @@ class Partition:
     ood_indices: np.ndarray
 
 
-def max_confidences(model: Model, features) -> np.ndarray:
-    """Maximum softmax probability per sample."""
-    return predict_proba(model, features).max(axis=1)
+def max_confidences(model: Model, features, rows=None) -> np.ndarray:
+    """Maximum softmax probability per sample; ``rows`` as in ``predict_proba``."""
+    return predict_proba(model, features, rows).max(axis=1)
 
 
-def calibrate(model: Model, features, q: float = 0.95) -> OodDetector:
+def calibrate(model: Model, features, q: float = 0.95, rows=None) -> OodDetector:
     """Set the threshold to the (1-q) lower-interpolation quantile of calibration confidences.
 
-    ``features`` holds the calibration samples, one per row. By construction
-    at least a fraction q of them score at or above the returned threshold.
+    The calibration samples are ``rows`` of ``features`` (default: every
+    row). By construction at least a fraction q of them score at or above
+    the returned threshold.
     """
-    n = len(features)
+    n = len(features) if rows is None else len(rows)
     if n == 0:
         raise ValueError("calibration set is empty")
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must lie strictly between 0 and 1")
-    conf = max_confidences(model, features)
+    conf = max_confidences(model, features, rows)
     tau = float(np.quantile(conf, 1.0 - q, method="lower"))
     return OodDetector(threshold=tau, quantile=q, calibration_size=n)
 
 
-def partition(detector: OodDetector, model: Model, features) -> Partition:
-    """Route every row of ``features``: OOD iff confidence < threshold, ties in-distribution."""
-    probs = predict_proba(model, features)
+def partition(detector: OodDetector, model: Model, features, rows=None) -> Partition:
+    """Route every one of ``rows`` of ``features`` (default: every row): OOD iff
+    confidence < threshold, ties in-distribution. Indices are positions in ``rows``."""
+    probs = predict_proba(model, features, rows)
     conf = probs.max(axis=1)
     is_in = conf >= detector.threshold
     in_idx = np.flatnonzero(is_in)

@@ -93,10 +93,15 @@ def learnability_scores(
     still reported for the clusters only.
 
     Every class is read from ``features`` by row index: the scorer trains on
-    its rows uncopied and gathers only the holdout block.
+    its rows and predicts its holdout rows without gathering either side.
     """
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
+    pool_rows = np.arange(len(assign)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if len(pool_rows) != len(assign):
+        raise ValueError(f"{len(pool_rows)} rows for {len(assign)} assignments")
+    if labels is not None and len(labels) != len(x):
+        raise ValueError(f"{len(labels)} labels for {len(x)} rows of features")
     ids, first_member, dense = np.unique(assign, return_index=True, return_inverse=True)
     if len(ids) < 2:
         raise ValueError("learnability needs at least two clusters")
@@ -107,7 +112,6 @@ def learnability_scores(
         raise ValueError(
             f"fewer than two clusters reach the scoreable size of {MIN_SCOREABLE_SIZE}"
         )
-    pool_rows = np.arange(len(assign)) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows is not None and len(np.unique(pool_rows)) < len(pool_rows):
         raise ValueError("rows must name distinct rows of features")
 
@@ -150,7 +154,7 @@ def learnability_scores(
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
     model = train_epochs(model, x, tr_y, adam, epochs=run_epochs, rows=tr_rows)
-    preds = predict_proba(model, x[ho_rows]).argmax(axis=1)
+    preds = predict_proba(model, x, rows=ho_rows).argmax(axis=1)
 
     scores = np.zeros(len(ids))
     for canon, pos in enumerate(canon_order):

@@ -266,6 +266,30 @@ class TestTrainLabeled:
         assert got.loss_log == want.loss_log
 
 
+class TestEvaluateRows:
+    @pytest.mark.parametrize("ood_mode", ["oracle", "detector"])
+    def test_round_zero_peaks_below_one_pool_gather(self, ood_mode):
+        """A 784-wide pool of 2200 rows spans three blocks; neither the pool
+        nor the labeled rows are gathered whole."""
+        import tracemalloc
+
+        cfg = world(seed=4, n_classes=4, per_class=1100, dim=784, held_out=(2, 3), k=4,
+                    ood_mode=ood_mode)
+        data = make_split(load_data(cfg.data), cfg.split)
+        pool = data.unlabeled_indices()
+        assert len(pool) == 2200 and len(data.labeled_indices()) == 2200
+        model = init_model(NetworkConfig(input_dim=784, output_classes=2, hidden_dims=(16,)), 4)
+        engine._evaluate(data, model, cfg, [], 0, 1)  # also the first-call imports
+        tracemalloc.start()
+        try:
+            ev = engine._evaluate(data, model, cfg, [], 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ev.cluster_indices)
+        assert peak < len(pool) * data.n_features * data.features.itemsize
+
+
 class TestEvaluateState:
     def test_pure_and_matches_last_record(self):
         cfg = world(seed=12)

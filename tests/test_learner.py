@@ -373,6 +373,8 @@ class TestFlatTraining:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(hidden=[8, 4], input_dim=6, classes=3, extra=2, n=50, batch_size=16, epochs=2, seed=0)
+    # 480 steps: from step 356, 1 - beta1**t is exactly 1.0 and Adam skips its divide
+    @example(hidden=[4], input_dim=8, classes=2, extra=1, n=60, batch_size=1, epochs=4, seed=1)
     def test_matches_per_array_reference(
         self, hidden, input_dim, classes, extra, n, batch_size, epochs, seed
     ):
@@ -485,3 +487,77 @@ class TestTrainRows:
             train_epochs(model, x, y[:0], AdamConfig(), 1, rows=[])
         with pytest.raises(ValueError, match="no training rows"):
             train_epochs(model, x[:0], y[:0], AdamConfig(), 1)
+
+
+def shared_matrix(width):
+    """A read-only 600-row matrix, as the engine's Dataset holds its features."""
+    x = np.random.default_rng(width).standard_normal((600, width))
+    x.flags.writeable = False
+    return x
+
+
+class TestInferenceRows:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        shape=st.sampled_from([(784, 128), (16, 128), (784, 32)]),
+        blocks=st.sampled_from([1, 2, 5]),
+        fill=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(784, 128), blocks=5, fill=1.0, seed=0)
+    @example(shape=(16, 128), blocks=1, fill=0.0, seed=0)
+    def test_rows_match_the_gathered_copy(self, shape, blocks, fill, seed):
+        """Pools of 1, 2 and 5 blocks, rows in any order and repeated."""
+        width, hidden = shape
+        x = shared_matrix(width)
+        lo, hi = (blocks - 1) * learner._BLOCK_ROWS + 1, blocks * learner._BLOCK_ROWS
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, len(x), lo + round(fill * (hi - lo)))
+        net = NetworkConfig(input_dim=width, output_classes=6, hidden_dims=(hidden,))
+        model = init_model(net, seed=seed)
+        copy = x[rows]
+        assert embed(model, x, rows=rows).tobytes() == embed(model, copy).tobytes()
+        assert predict_proba(model, x, rows=rows).tobytes() == predict_proba(model, copy).tobytes()
+
+    def test_blocks_are_equal_and_bounded(self):
+        x = shared_matrix(16)
+        model = init_model(NetworkConfig(input_dim=16, output_classes=3, hidden_dims=(8,)), 0)
+        rows = np.arange(2100) % len(x)
+        with mock.patch.object(learner, "_dense_relu", wraps=learner._dense_relu) as spy:
+            embed(model, x, rows=rows)
+        assert [len(c.args[0]) for c in spy.call_args_list] == [700, 700, 700]
+
+    def test_embed_stops_at_the_last_hidden_layer(self):
+        x, _ = toy_batch()
+        model = init_model(TOY_NET, seed=0)
+        with mock.patch.object(learner, "_logits", wraps=learner._logits) as spy:
+            embed(model, x, rows=[3, 1])
+            assert spy.call_count == 0
+            predict_proba(model, x, rows=[3, 1])
+            assert spy.call_count == 1
+
+    def test_no_rows_reads_views_of_the_features(self):
+        x = shared_matrix(16)
+        model = init_model(NetworkConfig(input_dim=16, output_classes=3, hidden_dims=(8,)), 0)
+        with mock.patch.object(learner, "_dense_relu", wraps=learner._dense_relu) as spy:
+            embed(model, x)
+        assert np.shares_memory(spy.call_args.args[0], x)
+
+    @pytest.mark.parametrize("rows,bad", [([0, 1, 999], 999), ([2, -1, 12], -1), ([12], 12)])
+    def test_out_of_range_row_is_named_before_any_work(self, rows, bad):
+        x, y = toy_batch(n=12)
+        model = init_model(TOY_NET, seed=0)
+        with mock.patch.object(learner, "_dense_relu", wraps=learner._dense_relu) as spy:
+            for call in (embed, predict_proba):
+                with pytest.raises(ValueError, match=f"row {bad} is outside the 12 rows"):
+                    call(model, x, rows=rows)
+            labels = np.zeros(len(rows), dtype=np.int64)
+            with pytest.raises(ValueError, match=f"row {bad} is outside the 12 rows"):
+                train_epochs(model, x, labels, AdamConfig(batch_size=2), 1, rows=rows)
+        assert spy.call_count == 0
+
+    def test_empty_rows_give_empty_outputs(self):
+        x, _ = toy_batch()
+        model = init_model(TOY_NET, seed=0)
+        assert embed(model, x, rows=[]).shape == (0, 4)
+        assert predict_proba(model, x, rows=[]).shape == (0, 2)

@@ -194,3 +194,30 @@ class TestSeparableGeometry:
         fresh = np.concatenate([fresh_a, fresh_b])
         in_rate = len(partition(det, model, fresh).ood_indices) / (2 * n)
         assert in_rate <= 0.15
+
+
+class TestRows:
+    @pytest.mark.parametrize("n", [7, 1024, 2500])
+    def test_rows_match_the_gathered_copy(self, n):
+        """Calibration on labeled rows and routing of pool rows, read by index
+        from one matrix, equal the same calls on gathered copies."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3000, 6))
+        x.flags.writeable = False
+        model = init_model(NetworkConfig(input_dim=6, output_classes=3, hidden_dims=(16,)), 1)
+        calib, pool = rng.permutation(3000)[:n], rng.integers(0, 3000, n)
+        det = calibrate(model, x, q=0.9, rows=calib)
+        assert det == calibrate(model, x[calib], q=0.9)
+        assert max_confidences(model, x, calib).tobytes() == max_confidences(model, x[calib]).tobytes()
+        # a threshold at the pool's median confidence routes rows both ways
+        median = float(np.median(max_confidences(model, x[pool])))
+        det = OodDetector(threshold=median, quantile=0.5, calibration_size=n)
+        got, want = partition(det, model, x, rows=pool), partition(det, model, x[pool])
+        for name in ("in_dist_indices", "in_dist_labels", "ood_indices"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert len(got.ood_indices) and len(got.in_dist_indices)
+
+    def test_empty_calibration_rows_rejected(self):
+        model = confidence_model()
+        with pytest.raises(ValueError, match="empty"):
+            calibrate(model, np.ones((4, 1)), rows=[])

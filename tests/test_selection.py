@@ -483,3 +483,17 @@ class TestLearnabilityGather:
             finally:
                 tracemalloc.stop()
         assert peak < shared.nbytes
+
+
+class TestLearnabilityInputs:
+    @pytest.mark.parametrize("n_labels", [50, 301])
+    def test_labels_must_have_one_per_feature_row(self, n_labels):
+        x = np.random.default_rng(0).standard_normal((300, 2))
+        labels = np.zeros(n_labels, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"{n_labels} labels for 300 rows of features"):
+            learnability_scores(x, np.repeat([0, 1, 2], 10), labels=labels, rows=range(30))
+
+    def test_rows_must_have_one_per_assignment(self):
+        x = np.random.default_rng(0).standard_normal((300, 2))
+        with pytest.raises(ValueError, match="29 rows for 30 assignments"):
+            learnability_scores(x, np.repeat([0, 1, 2], 10), rows=range(29))
