@@ -11,8 +11,10 @@ workload), a whole ``lloyd_fit`` of 10 iterations at 5000x128 with k=15, a
 whole ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
 5000x128 and 1000x128, Adam at 16-128-15 and 784-128-15, and one whole
 training step (gradients plus Adam) at batch 32 on the learnability
-scorer's 16-32-15 and 784-32-6 networks. The step gathers its batch by row
-index from a shared 10000-row matrix, as ``train_epochs`` does with ``rows``.
+scorer's 16-32-15 and 784-32-6 networks. Adam and the step run in float64,
+as the main classifier does, and in float32, as the scorer does. The step
+gathers its batch by row index from a shared float64 10000-row matrix into
+the model's dtype, as ``train_epochs`` does with ``rows``.
 A whole ``learnability_scores`` call runs at the ``mnist784-dynamic`` round-0
 shape: 5000 pool rows of a shared, read-only 10000x784 matrix in 15 clusters,
 under the default ``LearnabilityConfig``. ``embed`` of the same 5000 pool rows
@@ -31,6 +33,7 @@ POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="100
 NETS = [pytest.param(16, id="16-128-15"), pytest.param(784, id="784-128-15")]
 SCORER_NETS = [pytest.param(16, 15, id="16-32-15"), pytest.param(784, 6, id="784-32-6")]
 LLOYD_ITERS = 10
+DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="float32")]
 SHARED_ROWS = 10000  # the train step gathers its batch by row index from a matrix this tall
 
 
@@ -71,19 +74,21 @@ def test_fit_with_restarts(benchmark, n, d):
     benchmark(clustering.fit_with_restarts, points, cfg, workers=1)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("input_dim", NETS)
-def test_adam_update(benchmark, input_dim):
+def test_adam_update(benchmark, input_dim, dtype):
     net = learner.NetworkConfig(input_dim=input_dim, output_classes=K, hidden_dims=(128,))
-    model = learner.init_model(net, seed=0)
+    model = learner.init_model(net, seed=0, dtype=dtype)
     work, _ = learner._workspace(model)
     work[0] = 1e-3
     benchmark(learner._adam_update, model, work, learner.AdamConfig())
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("input_dim,classes", SCORER_NETS)
-def test_train_step(benchmark, input_dim, classes):
+def test_train_step(benchmark, input_dim, classes, dtype):
     net = learner.NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(32,))
-    model = learner.init_model(net, seed=0)
+    model = learner.init_model(net, seed=0, dtype=dtype)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((SHARED_ROWS, input_dim))
     y = rng.integers(0, classes, SHARED_ROWS)
@@ -92,7 +97,7 @@ def test_train_step(benchmark, input_dim, classes):
     work, grads = learner._workspace(model)
 
     def step():
-        learner.loss_and_gradients(model, x[rows], y[rows], grads)
+        learner.loss_and_gradients(model, learner._gather(x, rows, dtype), y[rows], grads)
         learner._adam_update(model, work, adam)
 
     benchmark(step)

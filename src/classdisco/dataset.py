@@ -118,16 +118,6 @@ class Dataset:
         """Feature width and per-class sample counts, as a data source's ``shape()``."""
         return self.n_features, _class_counts(self.true_labels)
 
-    def select(self, indices) -> "Dataset":
-        """Row subset; class bookkeeping is preserved unchanged."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=_readonly(self.features[idx]),
-            labels=_readonly(self.labels[idx]),
-            true_labels=_readonly(self.true_labels[idx]),
-            label_map=self.label_map,
-        )
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -372,8 +362,8 @@ def make_split(data: Dataset, spec: SplitSpec, rows=None) -> Dataset:
     at most that many of its rows in the run, chosen deterministically from
     ``spec.seed``; the rest are ``EXCLUDED`` too. The features and ground
     truth are shared with ``data``, never copied, and the rows in the run
-    keep their relative order, so the split equals one taken over
-    ``data.select(sorted(rows))``.
+    keep their relative order, so the split equals one taken over a copy of
+    ``data`` holding only the rows in ``sorted(rows)``, in that order.
     """
     n = data.n_samples
     truth = data.true_labels

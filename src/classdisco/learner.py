@@ -75,9 +75,9 @@ class Model:
 
     ``params`` is ``[W0, b0, W1, b1, ...]``; the Adam moments ``m`` and ``v``
     hold one array per entry of ``params``, in the same order. Construction
-    copies the three lists into the rows of one new ``(3, size)`` block:
-    ``flat_params``, ``flat_m`` and ``flat_v`` are those rows and the list
-    entries are views of them, so an Adam step is a few whole-vector ufuncs.
+    copies the three lists into the rows of one new ``(3, size)`` block in the
+    params' dtype: ``flat_params``, ``flat_m`` and ``flat_v`` are those rows and
+    the list entries are views of them, so an Adam step is a few whole-vector ufuncs.
     One block rather than three vectors keeps the allocator's peak RSS at the
     per-array layout's.
     """
@@ -95,7 +95,7 @@ class Model:
 
     def __post_init__(self):
         shapes = [np.shape(p) for p in self.params]
-        block = np.empty((3, sum(math.prod(shape) for shape in shapes)))
+        block = np.empty((3, sum(math.prod(shape) for shape in shapes)), self.params[0].dtype)
         for row, arrays in zip(block, (self.params, self.m, self.v)):
             np.concatenate([np.ravel(a) for a in arrays], out=row)
         self.flat_params, self.flat_m, self.flat_v = block
@@ -125,7 +125,7 @@ def _workspace(model: Model) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Row 0 holds the flat gradient, rows 1 and 2 are Adam's scratch.
     """
-    work = np.zeros((3, model.flat_params.size))
+    work = np.zeros((3, model.flat_params.size), model.flat_params.dtype)
     return work, _views(work[0], [p.shape for p in model.params])
 
 
@@ -134,15 +134,16 @@ def _layer_sizes(cfg: NetworkConfig) -> list[tuple[int, int]]:
     return list(zip(dims[:-1], dims[1:]))
 
 
-def init_model(cfg: NetworkConfig, seed: int) -> Model:
-    """Fan-in-scaled normal init (std sqrt(2/fan_in)), zero biases, zero Adam state."""
+def init_model(cfg: NetworkConfig, seed: int, dtype=np.float64) -> Model:
+    """Fan-in-scaled normal init (std sqrt(2/fan_in)), zero biases, zero Adam state, in
+    ``dtype``: the weights are drawn in float64 and cast, so every dtype starts alike."""
     if cfg.input_dim is None or cfg.output_classes is None:
         raise ValueError("input_dim and output_classes must be set before building a model")
     rng = seeds.spawn(seed)
     params = []
     for fan_in, fan_out in _layer_sizes(cfg):
-        params.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        params.append(np.zeros(fan_out))
+        params.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).astype(dtype))
+        params.append(np.zeros(fan_out, dtype))
     zeros = [np.zeros_like(p) for p in params]
     return Model(config=cfg, params=params, m=zeros, v=zeros)
 
@@ -198,13 +199,24 @@ def predict_proba(model: Model, features, rows=None) -> np.ndarray:
     """Softmax class probabilities, one row per sample, rows summing to 1.
 
     ``rows`` is as in ``embed``. Entries are strictly inside (0, 1) except
-    under extreme logit gaps (beyond ~745), where float64 saturates the
-    losing entries to 0.
+    under extreme logit gaps, where the losing entries saturate to 0: beyond
+    ~745 in a float64 model, and already beyond ~88 in a float32 one.
     """
     return _softmax(_logits(model, embed(model, features, rows)))
 
 
 _BLOCK_ROWS = 1024  # inference runs the first layer over at most this many rows at once
+_CAST_ROWS = 16  # a casting gather stages this many rows at a time in the features' dtype
+
+
+def _gather(x: np.ndarray, rows, dtype) -> np.ndarray:
+    """``x[rows].astype(dtype)`` for a slice or index array ``rows``, copying only what it must."""
+    if x.dtype == dtype or isinstance(rows, slice):
+        return x[rows].astype(dtype, copy=False)
+    out = np.empty((len(rows), x.shape[1]), dtype)
+    for start in range(0, len(rows), _CAST_ROWS):
+        out[start : start + _CAST_ROWS] = x[rows[start : start + _CAST_ROWS]]
+    return out
 
 
 def embed(model: Model, features, rows=None) -> np.ndarray:
@@ -215,17 +227,19 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
     to embedding ``features[rows]``. The first layer runs over them in
     ``ceil(n / _BLOCK_ROWS)`` equal blocks, each read from ``features`` and
     written into one preallocated activation, so at most one block of rows
-    is copied; the deeper layers run on the whole activation.
+    is copied; the deeper layers run on the whole activation. A model of
+    another dtype than ``features`` reads the blocks straight into its own.
     """
     x = _check_width(model, features)
     rows = _check_rows(rows, len(x))
     n = len(x) if rows is None else len(rows)
     W, b = model.weights[0], model.biases[0]
-    h = np.empty((n, W.shape[1]))
+    h = np.empty((n, W.shape[1]), W.dtype)
     for part in np.array_split(np.arange(n), max(1, -(-n // _BLOCK_ROWS))):
         if len(part):
             block = slice(part[0], part[-1] + 1)
-            _dense_relu(x[block] if rows is None else x[rows[block]], W, b, out=h[block])
+            read = block if rows is None else rows[block]
+            _dense_relu(_gather(x, read, W.dtype), W, b, out=h[block])
     for W, b in zip(model.weights[1:-1], model.biases[1:-1]):
         h = _dense_relu(h, W, b)
     return h
@@ -244,7 +258,7 @@ def cross_entropy(model: Model, features, labels) -> float:
 def loss_and_gradients(model: Model, x: np.ndarray, y: np.ndarray, grads=None):
     """Cross-entropy loss and its gradients, one per entry of ``model.params``.
 
-    ``x`` must be float64 of the model's input width and ``y`` int64: unlike
+    ``x`` must be of the model's dtype and input width and ``y`` int64: unlike
     the inference functions, this checks neither (``train_epochs`` does, once).
     The gradients are written into ``grads`` when it is given (arrays shaped
     like ``model.params``), else into new arrays, and returned.
@@ -306,9 +320,9 @@ def train_epochs(
 
     ``rows`` names the training rows of ``features`` in training order
     (default: all rows), each checked against ``features`` before any work;
-    ``labels`` holds one label per training row. Each
-    batch is gathered straight from ``features``, so training on ``rows`` is
-    bit-identical to training on ``features[rows]``, without copying them.
+    ``labels`` holds one label per training row. Each batch is gathered
+    straight from ``features`` into the model's dtype, so training on ``rows``
+    is bit-identical to training on ``features[rows]``, without copying them.
 
     The shuffle for each epoch is derived from ``adam.seed`` and the model's
     global epoch counter, so repeated calls continue the same deterministic
@@ -335,6 +349,7 @@ def train_epochs(
 
     out = model.copy()
     work, grads = _workspace(out)
+    dtype = out.flat_params.dtype
     for _ in range(epochs):
         rng = seeds.spawn(adam.seed, out.epochs_trained)
         order = rng.permutation(n)
@@ -344,7 +359,7 @@ def train_epochs(
         for start in range(0, n, adam.batch_size):
             batch = slice(start, start + adam.batch_size)
             y_batch = y_order[batch]
-            loss, _ = loss_and_gradients(out, x[x_rows[batch]], y_batch, grads)
+            loss, _ = loss_and_gradients(out, _gather(x, x_rows[batch], dtype), y_batch, grads)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {out.epochs_trained}, "

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import seeds
 from .clustering import Clustering
-from .learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
+from .learner import AdamConfig, NetworkConfig, TrainingDivergedError, init_model
+from .learner import predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
 
@@ -22,6 +23,9 @@ MIN_SCOREABLE_SIZE = 5
 # is a single Adam update and each update moves parameters by about the
 # learning rate; epochs are raised until this update budget is met.
 _MIN_SCORER_UPDATES = 2000
+
+# The scorer's predictions only feed an argmax, and float32 halves its Adam step's cost.
+_SCORER_DTYPE = np.float32
 
 POLICY_KINDS = ("learnability", "random", "density", "threshold")
 
@@ -94,6 +98,7 @@ def learnability_scores(
 
     Every class is read from ``features`` by row index: the scorer trains on
     its rows and predicts its holdout rows without gathering either side.
+    The scorer computes in float32, so a feature beyond ~3.4e38 raises TrainingDivergedError.
     """
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
@@ -149,12 +154,16 @@ def learnability_scores(
         input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims
     )
     sub_seed = int(rng.integers(2**32))
-    model = init_model(net, seed=sub_seed)
+    model = init_model(net, seed=sub_seed, dtype=_SCORER_DTYPE)
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
     model = train_epochs(model, x, tr_y, adam, epochs=run_epochs, rows=tr_rows)
-    preds = predict_proba(model, x, rows=ho_rows).argmax(axis=1)
+    proba = predict_proba(model, x, rows=ho_rows)
+    bad = ho_rows[~np.isfinite(proba).all(axis=1)]
+    if len(bad):
+        raise TrainingDivergedError(f"non-finite held-out prediction for row {bad[0]} of features")
+    preds = proba.argmax(axis=1)
 
     scores = np.zeros(len(ids))
     for canon, pos in enumerate(canon_order):

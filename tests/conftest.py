@@ -8,6 +8,8 @@ import struct
 import numpy as np
 import pytest
 
+from classdisco.dataset import Dataset
+
 MNIST_ENV = "CLASSDISCO_MNIST_DIR"
 
 
@@ -69,6 +71,15 @@ def write_idx_pair(images, labels, images_path, labels_path):
 @pytest.fixture
 def idx_writer():
     return write_idx_pair
+
+
+def select_rows(data: Dataset, indices) -> Dataset:
+    """A new Dataset of ``data``'s rows at ``indices``; class bookkeeping is unchanged."""
+    idx = np.asarray(indices, dtype=np.int64)
+    rows = [data.features[idx], data.labels[idx], data.true_labels[idx]]
+    for arr in rows:
+        arr.flags.writeable = False  # fresh copies: the Dataset adopts them uncopied
+    return Dataset(*rows, label_map=data.label_map)
 
 
 def blobs(centers, n_per, noise, seed):

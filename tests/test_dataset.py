@@ -19,6 +19,7 @@ from classdisco.dataset import (
     make_split,
     synth_gaussian,
 )
+from conftest import select_rows
 
 
 def small_dataset(n_classes=3, per_class=10, dim=2, seed=0):
@@ -340,7 +341,7 @@ def test_split_over_rows_equals_split_of_the_selected_copy(data):
     spec = SplitSpec(held_out_classes=held, per_class_cap=cap, seed=data.draw(st.integers(0, 99)))
 
     marked = make_split(raw, spec, rows)
-    copied = make_split(raw.select(rows), spec)
+    copied = make_split(select_rows(raw, rows), spec)
     assert marked.features is raw.features and marked.true_labels is raw.true_labels
     assert marked.label_map == copied.label_map
     for side in ("labeled_indices", "unlabeled_indices"):

@@ -85,13 +85,14 @@ def test_supervised_accuracy_sanity_on_digits(digits_csv):
     from classdisco.dataset import load_csv, make_split
     from classdisco.learner import init_model, predict_proba, train_epochs
     from classdisco.learner import NetworkConfig as Net
+    from conftest import select_rows
 
     data = make_split(load_csv(digits_csv), SplitSpec(held_out_classes=frozenset({5, 6, 7, 8, 9})))
     labeled = data.labeled_indices()
     rng = np.random.default_rng(0)
     order = rng.permutation(labeled)
     split_at = int(0.8 * len(order))
-    train, test = data.select(order[:split_at]), data.select(order[split_at:])
+    train, test = select_rows(data, order[:split_at]), select_rows(data, order[split_at:])
 
     model = init_model(Net(input_dim=64, output_classes=5, hidden_dims=(128,)), seed=0)
     model = train_epochs(

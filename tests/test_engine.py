@@ -10,7 +10,6 @@ from classdisco import engine, ood, selection
 from classdisco.clustering import KMeansConfig
 from classdisco.dataset import (
     DISCOVERED_CLASS,
-    Dataset,
     GaussianMixtureSpec,
     SplitSpec,
     make_split,
@@ -25,6 +24,7 @@ from classdisco.engine import (
 )
 from classdisco.learner import AdamConfig, NetworkConfig, init_model, train_epochs
 from classdisco.selection import SelectionPolicy
+from conftest import select_rows
 
 
 def world(seed=0, policy="learnability", n_classes=6, per_class=100, dim=8, separation=8.0,
@@ -250,16 +250,12 @@ class TestTrainLabeled:
         model = init_model(NetworkConfig(input_dim=128, output_classes=3, hidden_dims=(8,)), 0)
         x, y = data.features[labeled], data.labels[labeled]
         want = train_epochs(model, x, y, cfg.adam, 2)  # also the first-call imports
-        with mock.patch.object(
-            Dataset, "select", autospec=True, side_effect=Dataset.select
-        ) as spy:
-            tracemalloc.start()
-            try:
-                got = engine._train_labeled(model, data, cfg, 2)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert spy.call_count == 0
+        tracemalloc.start()
+        try:
+            got = engine._train_labeled(model, data, cfg, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < len(labeled) * data.n_features * data.features.itemsize
         for name in ("flat_params", "flat_m", "flat_v"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -326,11 +322,7 @@ class TestDetectorMode:
         data = make_split(load_data(cfg.data), cfg.split)
         net = NetworkConfig(input_dim=8, output_classes=3, hidden_dims=(64,))
         model = engine._train_labeled(init_model(net, seed=14), data, cfg, cfg.epochs_initial)
-        with mock.patch.object(
-            Dataset, "select", autospec=True, side_effect=Dataset.select
-        ) as spy:
-            ev = engine._evaluate(data, model, cfg, [], 0, None)
-        assert spy.call_count == 0
+        ev = engine._evaluate(data, model, cfg, [], 0, None)
         pool = data.unlabeled_indices()
         want = ood.calibrate(model, data.features[data.labeled_indices()], cfg.detector_quantile)
         part = ood.partition(want, model, data.features[pool])
@@ -416,7 +408,7 @@ class TestClassCountExperiment:
         got = dict(run_class_count_experiment(cfg, [2, 4], data=raw))
         for count in (2, 4):
             keep = np.flatnonzero(np.isin(raw.true_labels, [*range(count), 5, 6, 7, 8, 9]))
-            ev = engine._prepare(run_cfg, raw.select(keep), None)[1]
+            ev = engine._prepare(run_cfg, select_rows(raw, keep), None)[1]
             assert got[count] == ev.report.weighted_ood_accuracy
 
     def test_largest_count_allocates_less_than_its_kept_rows(self):

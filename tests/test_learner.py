@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestExpandOutputs:
 
 
 def test_supervised_sanity_on_mnist_half():
-    from conftest import MNIST_SKIP_REASON, mnist_train_paths
+    from conftest import MNIST_SKIP_REASON, mnist_train_paths, select_rows
 
     paths = mnist_train_paths()
     if paths is None:
@@ -253,7 +254,7 @@ def test_supervised_sanity_on_mnist_half():
     rng = np.random.default_rng(0)
     order = rng.permutation(labeled)
     split_at = int(0.8 * len(order))
-    train, test = data.select(order[:split_at]), data.select(order[split_at:])
+    train, test = select_rows(data, order[:split_at]), select_rows(data, order[split_at:])
     model = init_model(NetworkConfig(input_dim=784, output_classes=5, hidden_dims=(128,)), seed=0)
     model = train_epochs(
         model, train.features, train.labels, AdamConfig(batch_size=64, seed=0), epochs=8
@@ -561,3 +562,62 @@ class TestInferenceRows:
         model = init_model(TOY_NET, seed=0)
         assert embed(model, x, rows=[]).shape == (0, 4)
         assert predict_proba(model, x, rows=[]).shape == (0, 2)
+
+
+class TestFloat32Model:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        width=st.sampled_from([784, 16]),
+        blocks=st.sampled_from([1, 3]),
+        fill=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=784, blocks=3, fill=1.0, seed=0)
+    @example(width=16, blocks=1, fill=0.0, seed=0)
+    def test_rows_match_the_float32_copy(self, width, blocks, fill, seed):
+        """Training and inference on ``(X, rows)`` equal the same calls on
+        ``X[rows].astype(np.float32)``, byte for byte, for pools of 1 and 3 blocks."""
+        x = shared_matrix(width)
+        lo, hi = (blocks - 1) * learner._BLOCK_ROWS + 1, blocks * learner._BLOCK_ROWS
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, len(x), lo + round(fill * (hi - lo)))
+        y = rng.integers(0, 6, len(rows))
+        copy = x[rows].astype(np.float32)
+        net = NetworkConfig(input_dim=width, output_classes=6, hidden_dims=(32,))
+        model = init_model(net, seed=seed, dtype=np.float32)
+        adam = AdamConfig(batch_size=32, seed=seed)
+        got = train_epochs(model, x, y, adam, 1, rows=rows)
+        want = train_epochs(model, copy, y, adam, 1)
+        assert got.flat_params.dtype == np.float32
+        for name in ("flat_params", "flat_m", "flat_v"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.loss_log == want.loss_log
+        for call in (embed, predict_proba):
+            out = call(got, x, rows=rows)
+            assert out.dtype == np.float32
+            assert out.tobytes() == call(got, copy).tobytes()
+
+    def test_init_draws_the_float64_weights_then_casts(self):
+        wide = init_model(TOY_NET, seed=3)
+        narrow = init_model(TOY_NET, seed=3, dtype=np.float32)
+        for name in ("flat_params", "flat_m", "flat_v"):
+            assert getattr(narrow, name).dtype == np.float32
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name).astype(np.float32))
+        assert learner._workspace(narrow)[0].dtype == np.float32
+
+    def test_a_block_is_read_without_its_float64_copy(self):
+        x = shared_matrix(784)
+        net = NetworkConfig(input_dim=784, output_classes=3, hidden_dims=(8,))
+        model = init_model(net, seed=0, dtype=np.float32)
+        rows = np.arange(1000) % len(x)
+        embed(model, x, rows=rows)  # first-call allocations
+        tracemalloc.start()
+        try:
+            embed(model, x, rows=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 1000-row block in float32, and only a few rows of float64 beside it:
+        # never the 1000 rows in float64 (twice the block) before their cast
+        block = len(rows) * 784 * 4
+        assert block < peak < 1.1 * block

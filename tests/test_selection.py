@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -5,10 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from classdisco import selection, seeds
+from classdisco import learner, selection, seeds
 from classdisco.clustering import Clustering
 from classdisco.dataset import EXCLUDED, UNLABELED
-from classdisco.learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
+from classdisco.learner import (
+    AdamConfig,
+    NetworkConfig,
+    TrainingDivergedError,
+    init_model,
+    predict_proba,
+    train_epochs,
+)
 from classdisco.selection import (
     ClusterFeatures,
     LearnabilityConfig,
@@ -272,7 +280,8 @@ def test_learnability_config_validation():
 
 def reference_learnability_scores(features, assignments, cfg, seed, extra_classes=None):
     """The per-cluster-copy form of ``learnability_scores``: each class's rows are
-    copied, permuted and concatenated, with the same RNG draws in the same order."""
+    copied, permuted and concatenated, with the same RNG draws in the same order,
+    and the model is built in the scorer's dtype."""
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
     ids, first_member, dense = np.unique(assign, return_index=True, return_inverse=True)
@@ -308,7 +317,7 @@ def reference_learnability_scores(features, assignments, cfg, seed, extra_classe
     ho_x, ho_y = np.concatenate(hold_x), np.concatenate(hold_lbl)
     net = NetworkConfig(input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims)
     sub_seed = int(rng.integers(2**32))
-    model = init_model(net, seed=sub_seed)
+    model = init_model(net, seed=sub_seed, dtype=selection._SCORER_DTYPE)
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-selection._MIN_SCORER_UPDATES // batches_per_epoch))
@@ -483,6 +492,69 @@ class TestLearnabilityGather:
             finally:
                 tracemalloc.stop()
         assert peak < shared.nbytes
+
+
+class TestLearnabilityFloat32:
+    def test_model_workspace_and_activations_stay_float32(self):
+        """Every array the scorer's model computes with is float32, from init to prediction."""
+        points, labels = blobs([[0, 0], [6, 0], [0, 6]], n_per=20, noise=1.0, seed=4)
+        seen = {}
+
+        def recorder(name):
+            real = getattr(learner, name)
+
+            def record(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.setdefault(name, []).append((args, out))
+                return out
+
+            return record
+
+        names = ("init_model", "_workspace", "loss_and_gradients", "_adam_update", "_dense_relu")
+        with contextlib.ExitStack() as stack:
+            for name in names:
+                stack.enter_context(mock.patch.object(learner, name, recorder(name)))
+            stack.enter_context(mock.patch.object(selection, "init_model", learner.init_model))
+            stack.enter_context(
+                mock.patch.object(selection, "predict_proba", recorder("predict_proba"))
+            )
+            stack.enter_context(mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40))
+            learnability_scores(points, labels, LearnabilityConfig(epochs=1), seed=5)
+
+        f32 = np.dtype(np.float32)
+        assert set(seen) == {*names, "predict_proba"}
+        for _, model in seen["init_model"]:
+            assert {model.flat_params.dtype, model.flat_m.dtype, model.flat_v.dtype} == {f32}
+        for _, (work, grads) in seen["_workspace"]:
+            assert {work.dtype, *(g.dtype for g in grads)} == {f32}
+        for (model, x, _, _), (loss, grads) in seen["loss_and_gradients"]:
+            assert {model.flat_params.dtype, x.dtype, *(g.dtype for g in grads)} == {f32}
+        for (model, work, _), _ in seen["_adam_update"]:
+            assert {model.flat_params.dtype, model.flat_m.dtype, work.dtype} == {f32}
+        for (h, W, b, *_), out in seen["_dense_relu"]:
+            assert {h.dtype, W.dtype, b.dtype, out.dtype} == {f32}
+        assert [out.dtype for _, out in seen["predict_proba"]] == [f32]
+
+    def test_non_finite_held_out_prediction_raises(self):
+        """A feature that overflows float32 in a held-out row fails the call,
+        instead of scoring its cluster through an argmax over NaN."""
+        points, labels = blobs([[0, 0], [6, 0], [0, 6]], n_per=20, noise=1.0, seed=4)
+        cfg = LearnabilityConfig(epochs=1)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):
+            with mock.patch.object(
+                selection, "predict_proba", wraps=selection.predict_proba
+            ) as spy:
+                clean = learnability_scores(points, labels, cfg, seed=5)
+            held = spy.call_args.kwargs["rows"]
+            # the split depends on the partition and the seed alone, so the
+            # poisoned row is held out again
+            poisoned = points.copy()
+            poisoned[held[0], 0] = 1e308
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingDivergedError, match=f"row {held[0]} of features"
+            ):
+                learnability_scores(poisoned, labels, cfg, seed=5)
+        assert np.isfinite(clean).all()
 
 
 class TestLearnabilityInputs:
