@@ -71,7 +71,7 @@ def test_fit_with_restarts(benchmark, n, d):
     centers = 3.0 * rng.standard_normal((K, d))
     points = centers[rng.integers(K, size=n)] + rng.standard_normal((n, d))
     cfg = clustering.KMeansConfig(k=K, restarts=10, seed=0)
-    benchmark(clustering.fit_with_restarts, points, cfg, workers=1)
+    benchmark(clustering.fit_with_restarts, points, cfg)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -17,7 +17,6 @@ import sys
 import time
 
 from . import engine
-from .clustering import WORKERS_ENV, resolve_workers
 from .config import ConfigError, config_to_dict, load_config, validate_config
 from .dataset import Dataset, IdxFormatError
 from .engine import DiscoveryState, ExperimentConfig
@@ -43,6 +42,8 @@ CLUSTERS_COLUMNS = (
 )
 CLASSCOUNT_COLUMNS = ("class_count", "mean_cluster_accuracy")
 ACCEPTED_KEYS = ("round", "new_label", "plurality_label", "size", "learnability")
+WORKERS_HELP = "accepted and ignored: k-means restarts run serially"
+WORKERS_NOTE = "note: --workers is ignored: the thread pool is retired, restarts run serially"
 
 
 def _fmt(x) -> str:
@@ -151,26 +152,27 @@ def _rounds(state: DiscoveryState) -> list[dict]:
     ]
 
 
-def _workers(args) -> int:
-    """``--workers``, else ``$CLASSDISCO_WORKERS``, else 1; a bad value is a config error."""
-    try:
-        return resolve_workers(args.workers)
-    except ValueError as exc:
-        raise ConfigError(f"--workers: {exc}" if args.workers is not None else str(exc)) from exc
+def _check_workers(args) -> None:
+    """``--workers`` is still parsed, so old command lines run, but it selects
+    nothing: k-means restarts run serially. A value below 1 stays an error."""
+    if args.workers is None:
+        return
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    print(WORKERS_NOTE, file=sys.stderr)
 
 
 def cmd_discover(args, cfg: ExperimentConfig, data: Dataset | None = None) -> int:
-    workers = _workers(args)
+    _check_workers(args)
     out = _out_dir(args.out)
     run = engine.run_static if args.mode == "static" else engine.run_dynamic
     start = time.perf_counter()
-    state, _ = run(cfg, workers=workers, data=data)
+    state, _ = run(cfg, data=data)
     wall = time.perf_counter() - start
 
     report = _report(
         args.mode,
         cfg,
-        workers=workers,
         # accepted clusters keep their acceptance-time labels; the residual
         # pool is re-clustered at every evaluation
         dra_accounting="frozen-accepted-plus-reclustered-residual",
@@ -210,10 +212,10 @@ def _parse_counts(raw: str) -> list[int]:
 
 def cmd_classcount(args, cfg: ExperimentConfig, data: Dataset | None = None) -> int:
     counts = _parse_counts(args.counts)
-    workers = _workers(args)
+    _check_workers(args)
     out = _out_dir(args.out)
     start = time.perf_counter()
-    rows = engine.run_class_count_experiment(cfg, counts, workers=workers, data=data)
+    rows = engine.run_class_count_experiment(cfg, counts, data=data)
     wall = time.perf_counter() - start
 
     table_path = _write(out, "classcount.csv", _csv(CLASSCOUNT_COLUMNS, rows))
@@ -248,16 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--config", required=True, help="JSON config (or a previous report.json)")
     d.add_argument("--mode", choices=("static", "dynamic"), default="dynamic")
     d.add_argument("--out", required=True, help="output directory")
-    d.add_argument(
-        "--workers", type=int, default=None, help=f"parallel workers (default ${WORKERS_ENV} or 1)"
-    )
+    d.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
 
     c = sub.add_parser("classcount", help="cluster accuracy vs number of training classes")
     c.set_defaults(run=cmd_classcount)
     c.add_argument("--config", required=True)
     c.add_argument("--counts", default="2,3,4,5", help="comma-separated training class counts")
     c.add_argument("--out", required=True)
-    c.add_argument("--workers", type=int, default=None)
+    c.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
 
     v = sub.add_parser("validate", help="check a config without running it")
     v.set_defaults(run=cmd_validate)

@@ -9,15 +9,11 @@ lower centroid index, equal-inertia restarts to the lower sub-seed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeds
-
-WORKERS_ENV = "CLASSDISCO_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,8 @@ def _sq_dists(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> n
 def center(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mu, ctr, norms)``: the mean of the points, the points centered at
     it, and the squared row norms of the centered points. The centered arrays
-    are read-only, so restarts running on several threads can share them.
+    are read-only because every restart's seeding and Lloyd loop reuse them:
+    an in-place write in one restart would silently skew all later ones.
     """
     if points.shape[0] == 0:
         raise ValueError("cannot cluster zero points")
@@ -208,23 +205,12 @@ def lloyd_fit(
     )
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for the restarts: ``requested``, else ``$CLASSDISCO_WORKERS``, else 1."""
-    if requested is None:
-        env = os.environ.get(WORKERS_ENV) or "1"
-        if not env.isdigit() or int(env) < 1:
-            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-        return int(env)
-    if requested < 1:
-        raise ValueError(f"the worker count must be >= 1, got {requested}")
-    return requested
-
-
-def fit_with_restarts(points, cfg: KMeansConfig, workers: int | None = None) -> Clustering:
+def fit_with_restarts(points, cfg: KMeansConfig) -> Clustering:
     """Best-of-restarts k-means; sub-seed i is cfg.seed + i, ties go to the lowest i.
 
     The points are centered once and every restart's seeding and Lloyd loop
-    share the result. The reduction is deterministic regardless of worker count.
+    share the result. Restarts run one after another: each one's numpy calls
+    are too small to overlap on threads.
     """
     pts = np.asarray(points, dtype=np.float64)
     centered = center(pts)
@@ -233,16 +219,6 @@ def fit_with_restarts(points, cfg: KMeansConfig, workers: int | None = None) -> 
         init = kmeanspp_init(pts, cfg.k, seed=cfg.seed + i, centered=centered)
         return lloyd_fit(pts, init, max_iters=cfg.max_iters, tol=cfg.tol, centered=centered)
 
-    n_workers = resolve_workers(workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(trial, range(cfg.restarts)))
-    else:
-        results = [trial(i) for i in range(cfg.restarts)]
-
-    best = results[0]
-    for cand in results[1:]:
-        if cand.inertia < best.inertia:
-            best = cand
-    return best
+    results = [trial(i) for i in range(cfg.restarts)]
+    return min(results, key=lambda c: c.inertia)  # min keeps the first: the lowest sub-seed
 

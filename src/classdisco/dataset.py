@@ -290,23 +290,29 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 def load_csv(path: str) -> Dataset:
     """Load a CSV with a header row; last column is the integer class label.
 
-    Every feature must be a finite number; the first one that is not (an
-    empty or non-numeric cell, nan, inf) is reported by line and header column.
+    Every data row must have the first one's column count, and every feature
+    must be finite and within float32's range, which the learnability scorer
+    computes in. The first row or cell that is not (a short row; an empty or
+    non-numeric cell, nan, inf, 1e308) is reported by line, a cell also by column.
     """
     with open(path) as f:
         header, *lines = f.read().splitlines() or [""]
     rows = [(n, line) for n, line in enumerate(lines, 2) if line.split("#", 1)[0].strip()]
-    raw = np.genfromtxt([line for _, line in rows], delimiter=",", dtype=np.float64)
-    if raw.ndim == 1:
-        raw = raw.reshape(1, -1)
-    if raw.shape[1] < 2:
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    widths = [line.split("#", 1)[0].count(",") + 1 for _, line in rows]
+    for (n, _), width in zip(rows, widths):
+        if width != widths[0]:
+            raise ValueError(f"{path}: line {n} has {width} columns, not {widths[0]}")
+    if widths[0] < 2:
         raise ValueError(f"{path}: need at least one feature column plus a label column")
-    bad = np.argwhere(~np.isfinite(raw[:, :-1]))
+    raw = np.genfromtxt([line for _, line in rows], delimiter=",", dtype=np.float64, ndmin=2)
+    bad = np.argwhere(~(np.abs(raw[:, :-1]) <= np.finfo(np.float32).max))
     if len(bad):
         row, col = bad[0]
         names = header.split(",")
         name = names[col].strip() if col < len(names) else f"#{col + 1}"
-        raise ValueError(f"{path}: line {rows[row][0]}, column {name!r}: not a finite number")
+        raise ValueError(f"{path}: line {rows[row][0]}, column {name!r}: not a finite float32")
     labels = raw[:, -1]
     if not np.all(labels == np.round(labels)):
         raise ValueError(f"{path}: last column must contain integer labels")

@@ -142,7 +142,6 @@ def _evaluate(
     cfg: ExperimentConfig,
     accepted: list[AcceptedCluster],
     round_idx: int,
-    workers: int | None,
 ) -> _RoundEval:
     pool_idx = dataset.unlabeled_indices()
     ell = dataset.human_labeled_count()
@@ -172,7 +171,7 @@ def _evaluate(
         kmeans = replace(
             cfg.kmeans, k=k_eff, seed=cfg.kmeans.seed + round_idx * cfg.kmeans.restarts
         )
-        clustering = fit_with_restarts(embeddings, kmeans, workers=workers)
+        clustering = fit_with_restarts(embeddings, kmeans)
         assign = clustering.assignments
         truth = dataset.true_labels[cluster_idx]
 
@@ -202,9 +201,7 @@ def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: i
     return train_epochs(model, data.features, data.labels[rows], cfg.adam, epochs, rows=rows)
 
 
-def _prepare(
-    cfg: ExperimentConfig, raw: Dataset, workers: int | None, rows=None
-) -> tuple[DiscoveryState, _RoundEval]:
+def _prepare(cfg: ExperimentConfig, raw: Dataset, rows=None) -> tuple[DiscoveryState, _RoundEval]:
     """Split ``raw`` over ``rows`` (all rows by default), train the initial
     model, and run the round-0 evaluation."""
     data = make_split(raw, cfg.split, rows)
@@ -216,7 +213,7 @@ def _prepare(
     if net.output_classes is None:
         net = replace(net, output_classes=data.n_classes_visible)
     model = _train_labeled(init_model(net, seed=cfg.seed), data, cfg, cfg.epochs_initial)
-    ev = _evaluate(data, model, cfg, [], 0, workers)
+    ev = _evaluate(data, model, cfg, [], 0)
     record = RoundRecord(
         round=0,
         ood_pool_size=len(data.unlabeled_indices()),
@@ -235,14 +232,14 @@ def _prepare(
     return state, ev
 
 
-def run_static(cfg: ExperimentConfig, workers: int | None = None, data: Dataset | None = None):
+def run_static(cfg: ExperimentConfig, data: Dataset | None = None):
     """One-shot discovery: cluster the whole pool once and label every cluster.
 
     With epochs_initial=0 the embedder is untrained (the random-embedding
     baseline); otherwise it is the semi-supervised variant. ``data`` is
     ``cfg.data`` already loaded, if the caller has it.
     """
-    state, _ = _prepare(cfg, load_data(cfg.data) if data is None else data, workers)
+    state, _ = _prepare(cfg, load_data(cfg.data) if data is None else data)
     return state, state.history[0].report
 
 
@@ -294,7 +291,7 @@ def _score_clusters(
     ]
 
 
-def run_dynamic(cfg: ExperimentConfig, workers: int | None = None, data: Dataset | None = None):
+def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
     """Accept one cluster per round, retrain, re-embed, re-cluster.
 
     Returns the final state and the per-round reconstruction reports
@@ -306,7 +303,7 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None, data: Dataset
     if rounds > n_held_out:
         raise ValueError(f"rounds={rounds} exceeds the {n_held_out} held-out classes")
 
-    state, ev = _prepare(cfg, load_data(cfg.data) if data is None else data, workers)
+    state, ev = _prepare(cfg, load_data(cfg.data) if data is None else data)
     dataset, model = state.dataset, state.model
 
     for r in range(1, rounds + 1):
@@ -346,7 +343,7 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None, data: Dataset
         model = _train_labeled(model, dataset, cfg, cfg.epochs_per_round)
 
         state.dataset, state.model, state.round = dataset, model, r
-        ev = _evaluate(dataset, model, cfg, state.accepted, r, workers)
+        ev = _evaluate(dataset, model, cfg, state.accepted, r)
         state.detector = ev.detector
         state.history.append(
             RoundRecord(
@@ -361,12 +358,9 @@ def run_dynamic(cfg: ExperimentConfig, workers: int | None = None, data: Dataset
     return state, [rec.report for rec in state.history]
 
 
-def evaluate_state(state: DiscoveryState, workers: int | None = None) -> ReconstructionReport:
+def evaluate_state(state: DiscoveryState) -> ReconstructionReport:
     """Re-evaluate a state from scratch; pure, and equal to its last history record."""
-    ev = _evaluate(
-        state.dataset, state.model, state.config, state.accepted, state.round, workers
-    )
-    return ev.report
+    return _evaluate(state.dataset, state.model, state.config, state.accepted, state.round).report
 
 
 def class_count_config(cfg: ExperimentConfig, data: Dataset) -> ExperimentConfig:
@@ -391,7 +385,6 @@ def class_count_config(cfg: ExperimentConfig, data: Dataset) -> ExperimentConfig
 def run_class_count_experiment(
     base_cfg: ExperimentConfig,
     class_counts: list[int],
-    workers: int | None = None,
     data: Dataset | None = None,
 ) -> list[tuple[int, float]]:
     """Cluster accuracy on a fixed OOD pool as a function of training class count.
@@ -416,6 +409,6 @@ def run_class_count_experiment(
         keep = np.flatnonzero(np.isin(raw.true_labels, sorted(set(non_eval[:count]) | eval_set)))
         # the split marks the other rows EXCLUDED and shares raw's features;
         # only the evaluation is kept: no count's split or model outlives its run
-        ev = _prepare(cfg, raw, workers, rows=keep)[1]
+        ev = _prepare(cfg, raw, rows=keep)[1]
         rows.append((count, ev.report.weighted_ood_accuracy))
     return rows

@@ -1,4 +1,4 @@
-"""Discovery quality metrics: plurality cluster accuracy, DRA, and NMI.
+"""Discovery quality metrics: plurality cluster accuracy and DRA.
 
 Each discovered cluster is mapped to the ground-truth label held by the
 plurality of its members (several clusters may map to the same label).
@@ -192,32 +192,3 @@ def dataset_reconstruction_accuracy(
         routed_correct=routed_correct,
     )
 
-
-def nmi(assignments, true_labels) -> float:
-    """Mutual information normalized by the arithmetic mean of the entropies.
-
-    Degenerate single-cluster or single-label inputs score 0.
-    """
-    assign = np.asarray(assignments, dtype=np.int64)
-    truth = np.asarray(true_labels, dtype=np.int64)
-    if assign.shape != truth.shape:
-        raise ValueError("assignments and true_labels must have equal length")
-    if assign.size == 0:
-        raise ValueError("empty input")
-    n = assign.size
-    _, u = np.unique(assign, return_inverse=True)
-    _, v = np.unique(truth, return_inverse=True)
-    ku, kv = u.max() + 1, v.max() + 1
-    table = np.bincount(u * kv + v, minlength=ku * kv).reshape(ku, kv)
-    pij = table / n
-    pi = pij.sum(axis=1)
-    pj = pij.sum(axis=0)
-
-    nz = pij > 0
-    mi = float((pij[nz] * np.log(pij[nz] / np.outer(pi, pj)[nz])).sum())
-    hu = float(-(pi[pi > 0] * np.log(pi[pi > 0])).sum())
-    hv = float(-(pj[pj > 0] * np.log(pj[pj > 0])).sum())
-    denom = 0.5 * (hu + hv)
-    if denom == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, mi / denom))

@@ -366,11 +366,12 @@ class TestDiscover:
         assert (first / "curves.csv").read_bytes() == (again / "curves.csv").read_bytes()
         assert (first / "clusters.csv").read_bytes() == (again / "clusters.csv").read_bytes()
 
-    def test_parallel_workers_identical(self, tmp_path):
+    def test_parallel_workers_identical(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
         assert main(["discover", "--config", path, "--mode", "static", "--out", str(serial)]) == 0
+        assert cli.WORKERS_NOTE not in capsys.readouterr().err
         assert (
             main(
                 [
@@ -387,7 +388,15 @@ class TestDiscover:
             )
             == 0
         )
-        assert (serial / "curves.csv").read_bytes() == (parallel / "curves.csv").read_bytes()
+        assert capsys.readouterr().err.splitlines().count(cli.WORKERS_NOTE) == 1
+        for name in ("curves.csv", "clusters.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+        def report_less_wall_clock(out):
+            lines = (out / "report.json").read_bytes().splitlines()
+            return [line for line in lines if b'"wall_clock_seconds"' not in line]
+
+        assert report_less_wall_clock(serial) == report_less_wall_clock(parallel)
 
     def test_emitted_report_revalidates(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -418,30 +427,9 @@ class TestDiscover:
         assert detector["calibration_size"] == 180
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        csv = tmp_path / "poisoned.csv"
-        # poisoned training sample: finite, so it loads, but it overflows the forward pass
-        rows = ["f0,f1,label", "1e308,0.3,0"]
-        rows += [f"0.{i},0.{i},{i % 2}" for i in range(1, 9)]
-        rows += ["0.5,9.0,2", "0.6,9.1,2", "0.7,9.2,2"]
-        csv.write_text("\n".join(rows) + "\n")
-        doc = base_config()
-        doc["data"] = {"kind": "csv", "path": str(csv)}
-        doc["split"] = {"held_out_classes": [2], "seed": 0}
-        doc["kmeans"]["k"] = 2
-        path = write_config(tmp_path, doc)
+        path = write_config(tmp_path, _poisoned_csv(tmp_path))
         assert main(["discover", "--config", path, "--mode", "static", "--out", str(tmp_path / "x")]) == 2
-        assert "runtime failure" in capsys.readouterr().err
-
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, base_config())
-        baseline = tmp_path / "noenv"
-        assert main(["discover", "--config", path, "--mode", "static", "--out", str(baseline)]) == 0
-        monkeypatch.setenv("CLASSDISCO_WORKERS", "3")
-        enved = tmp_path / "env"
-        assert main(["discover", "--config", path, "--mode", "static", "--out", str(enved)]) == 0
-        assert (baseline / "curves.csv").read_bytes() == (enved / "curves.csv").read_bytes()
-        report = json.loads((enved / "report.json").read_text())
-        assert report["workers"] == 3
+        assert "runtime failure: non-finite loss" in capsys.readouterr().err
 
 
 class TestWorkers:
@@ -451,8 +439,8 @@ class TestWorkers:
         [
             ("-2", None, "--workers"),
             ("0", None, "--workers"),
-            (None, "two", "CLASSDISCO_WORKERS"),
-            (None, "-1", "CLASSDISCO_WORKERS"),
+            # beside a bad flag, a bad CLASSDISCO_WORKERS is not the one named
+            ("0", "two", "--workers"),
         ],
     )
     def test_bad_worker_count_fails_before_training(
@@ -461,13 +449,17 @@ class TestWorkers:
         path = write_config(tmp_path, classcount_config())
         if env is not None:
             monkeypatch.setenv("CLASSDISCO_WORKERS", env)
-        argv = _argv(command, path, str(tmp_path / "out"))
-        if flag is not None:
-            argv += ["--workers", flag]
+        argv = _argv(command, path, str(tmp_path / "out")) + ["--workers", flag]
         no_training(monkeypatch)
         assert main(argv) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_environment_variable_is_not_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CLASSDISCO_WORKERS", "two")
+        path = write_config(tmp_path, base_config())
+        assert main(_argv("discover", path, str(tmp_path / "out"))) == 0
+        assert cli.WORKERS_NOTE not in capsys.readouterr().err
 
 
 class TestClassCount:
@@ -587,18 +579,36 @@ def _argv(command, path, out):
     return ["classcount", "--config", path, "--counts", "2", "--out", out]
 
 
-def _poisoned_csv(tmp_path):
-    """Seven classes, one training sample finite but large enough to overflow the forward pass."""
-    rows = ["f0,f1,label", "1e308,0.3,0"]
-    rows += [f"0.{i},0.{i},{i % 2}" for i in range(1, 9)]
-    rows += [f"0.{i},9.{c},{c}" for c in range(2, 7) for i in range(5, 8)]
-    csv = tmp_path / "poisoned.csv"
-    csv.write_text("\n".join(rows) + "\n")
+def _csv_config(tmp_path, text):
+    csv = tmp_path / "data.csv"
+    csv.write_text(text)
     doc = base_config()
     doc["data"] = {"kind": "csv", "path": str(csv)}
+    return doc
+
+
+def _poisoned_csv(tmp_path):
+    """Seven sound classes, trained with a step so large that the loss turns non-finite."""
+    rows = ["f0,f1,label", "0.9,0.3,0"]
+    rows += [f"0.{i},0.{i},{i % 2}" for i in range(1, 9)]
+    rows += [f"0.{i},9.{c},{c}" for c in range(2, 7) for i in range(5, 8)]
+    doc = _csv_config(tmp_path, "\n".join(rows) + "\n")
     doc["split"] = {"held_out_classes": [2], "seed": 0}
     doc["kmeans"]["k"] = 2
+    doc["adam"]["learning_rate"] = 1e300
     return doc
+
+
+def _float32_overflow_csv(tmp_path):
+    return _csv_config(tmp_path, "f0,f1,label\n1e308,0.3,0\n0.1,0.2,1\n")
+
+
+def _ragged_csv(tmp_path):
+    return _csv_config(tmp_path, "a,b,label\n# note\n1,2,0\n3,4\n5,6,1\n")
+
+
+def _header_only_csv(tmp_path):
+    return _csv_config(tmp_path, "a,b,label\n")
 
 
 def _unknown_key(tmp_path):
@@ -621,6 +631,15 @@ class TestExitCodes:
         + [
             (command, _missing_data, 1, "absent.csv")
             for command in ("validate", "discover", "classcount")
+        ]
+        + [
+            (command, make_doc, 1, message)
+            for command in ("validate", "discover", "classcount")
+            for make_doc, message in [
+                (_float32_overflow_csv, "data.csv: line 2, column 'f0'"),
+                (_ragged_csv, "data.csv: line 4 has 2 columns, not 3"),
+                (_header_only_csv, "data.csv: no data rows"),
+            ]
         ]
         + [(command, _poisoned_csv, 2, "runtime failure") for command in ("discover", "classcount")],
     )
@@ -657,7 +676,6 @@ class TestReportFormat:
             "mode",
             "config",
             "seed_registry",
-            "workers",
             "dra_accounting",
             "rounds",
             "accepted",

@@ -101,7 +101,7 @@ def test_load_csv(tmp_path):
 
 @pytest.mark.parametrize(
     "cell, line",
-    [("", 3), ("nan", 3), ("inf", 3), ("abc", 3)],
+    [("", 3), ("nan", 3), ("inf", 3), ("abc", 3), ("1e308", 3), ("-1e39", 3)],
 )
 def test_load_csv_rejects_non_finite_features(tmp_path, cell, line):
     path = tmp_path / "data.csv"
@@ -115,6 +115,22 @@ def test_load_csv_line_numbers_skip_blank_and_comment_lines(tmp_path):
     path.write_text("f0,f1,label\n\n# note\n0.5,1.5,0\n\n,2.0,1\n")
     with pytest.raises(ValueError, match="line 6, column 'f0'"):
         load_csv(str(path))
+
+
+def test_load_csv_accepts_the_float32_extremes(tmp_path):
+    big = float(np.finfo(np.float32).max)
+    path = tmp_path / "data.csv"
+    path.write_text(f"f0,label\n{big!r},0\n{-big!r},1\n")
+    assert load_csv(str(path)).features[:, 0].tolist() == [big, -big]
+
+
+@pytest.mark.parametrize("text", ["a,b,label\n", "a,b,label\n# note\n\n", ""])
+def test_load_csv_without_data_rows(tmp_path, recwarn, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"data\.csv: no data rows"):
+        load_csv(str(path))
+    assert not recwarn.list
 
 
 class TestSynthGaussian:

@@ -275,10 +275,10 @@ class TestEvaluateRows:
         pool = data.unlabeled_indices()
         assert len(pool) == 2200 and len(data.labeled_indices()) == 2200
         model = init_model(NetworkConfig(input_dim=784, output_classes=2, hidden_dims=(16,)), 4)
-        engine._evaluate(data, model, cfg, [], 0, 1)  # also the first-call imports
+        engine._evaluate(data, model, cfg, [], 0)  # also the first-call imports
         tracemalloc.start()
         try:
-            ev = engine._evaluate(data, model, cfg, [], 0, 1)
+            ev = engine._evaluate(data, model, cfg, [], 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -322,7 +322,7 @@ class TestDetectorMode:
         data = make_split(load_data(cfg.data), cfg.split)
         net = NetworkConfig(input_dim=8, output_classes=3, hidden_dims=(64,))
         model = engine._train_labeled(init_model(net, seed=14), data, cfg, cfg.epochs_initial)
-        ev = engine._evaluate(data, model, cfg, [], 0, None)
+        ev = engine._evaluate(data, model, cfg, [], 0)
         pool = data.unlabeled_indices()
         want = ood.calibrate(model, data.features[data.labeled_indices()], cfg.detector_quantile)
         part = ood.partition(want, model, data.features[pool])
@@ -408,7 +408,7 @@ class TestClassCountExperiment:
         got = dict(run_class_count_experiment(cfg, [2, 4], data=raw))
         for count in (2, 4):
             keep = np.flatnonzero(np.isin(raw.true_labels, [*range(count), 5, 6, 7, 8, 9]))
-            ev = engine._prepare(run_cfg, select_rows(raw, keep), None)[1]
+            ev = engine._prepare(run_cfg, select_rows(raw, keep))[1]
             assert got[count] == ev.report.weighted_ood_accuracy
 
     def test_largest_count_allocates_less_than_its_kept_rows(self):

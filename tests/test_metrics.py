@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import numpy as np
@@ -10,7 +9,6 @@ from classdisco.metrics import (
     FrozenCluster,
     cluster_accuracy,
     dataset_reconstruction_accuracy,
-    nmi,
     plurality_label,
 )
 
@@ -251,78 +249,3 @@ class TestDraForms:
         rows = report.clusters + report.frozen
         assert sum(c.size for c in rows) == report.o == report.n_total - ell
 
-
-class TestNmi:
-    def test_identical_is_one(self):
-        labels = np.array([0, 0, 1, 1, 2, 2, 2])
-        assert nmi(labels, labels) == pytest.approx(1.0)
-
-    def test_identical_up_to_renaming_is_one(self):
-        a = np.array([0, 0, 1, 1, 2, 2])
-        b = np.array([5, 5, 3, 3, 9, 9])
-        assert nmi(a, b) == pytest.approx(1.0)
-
-    def test_independent_is_zero(self):
-        # product construction: every (cluster, label) cell has identical count
-        assignments = np.array([i % 2 for i in range(12)])
-        labels = np.array([(i // 2) % 3 for i in range(12)])
-        counts = np.zeros((2, 3))
-        for a, l in zip(assignments, labels):
-            counts[a, l] += 1
-        assert (counts == 2).all()
-        assert abs(nmi(assignments, labels)) < 1e-9
-
-    def test_ten_point_hand_oracle(self):
-        assignments = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
-        labels = np.array([0, 0, 1, 1, 1, 1, 2, 2, 2, 0])
-
-        def entropy(values):
-            _, counts = np.unique(values, return_counts=True)
-            p = counts / len(values)
-            return float(-(p * np.log(p)).sum())
-
-        mi = 0.0
-        n = len(assignments)
-        for a in set(assignments.tolist()):
-            for l in set(labels.tolist()):
-                pij = np.mean((assignments == a) & (labels == l))
-                if pij > 0:
-                    pa = np.mean(assignments == a)
-                    pl = np.mean(labels == l)
-                    mi += pij * math.log(pij / (pa * pl))
-        expected = mi / (0.5 * (entropy(assignments) + entropy(labels)))
-        assert nmi(assignments, labels) == pytest.approx(expected, abs=1e-12)
-
-    def test_degenerate_single_cluster_is_zero(self):
-        assert nmi(np.zeros(6, dtype=int), np.zeros(6, dtype=int)) == 0.0
-
-    def test_range(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            assignments, truths = random_instance(rng)
-            value = nmi(assignments, truths)
-            assert 0.0 <= value <= 1.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            nmi(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
-
-    def test_matches_add_at_contingency_table(self):
-        def add_at_nmi(assignments, labels):
-            _, u = np.unique(assignments, return_inverse=True)
-            _, v = np.unique(labels, return_inverse=True)
-            table = np.zeros((u.max() + 1, v.max() + 1))
-            np.add.at(table, (u, v), 1.0)
-            pij = table / len(assignments)
-            pi, pj = pij.sum(axis=1), pij.sum(axis=0)
-            nz = pij > 0
-            mi = float((pij[nz] * np.log(pij[nz] / np.outer(pi, pj)[nz])).sum())
-            hu = float(-(pi[pi > 0] * np.log(pi[pi > 0])).sum())
-            hv = float(-(pj[pj > 0] * np.log(pj[pj > 0])).sum())
-            denom = 0.5 * (hu + hv)
-            return 0.0 if denom == 0.0 else min(1.0, max(0.0, mi / denom))
-
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            assignments, truths = random_instance(rng)
-            assert nmi(assignments, truths) == add_at_nmi(assignments, truths)
