@@ -18,7 +18,7 @@ import time
 
 from . import engine
 from .config import ConfigError, config_to_dict, load_config, validate_config
-from .dataset import Dataset, IdxFormatError
+from .dataset import Dataset
 from .engine import DiscoveryState, ExperimentConfig
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _write(out: str, name: str, text: str) -> str:
     except OSError as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
-        # a RuntimeError (exit 2): an OSError such as FileNotFoundError reads as a missing input
+        # a RuntimeError (exit 2): the run's output failed, not its input
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
     return path
 
@@ -265,10 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_data(cfg: ExperimentConfig) -> Dataset:
-    """The run's one load of its data; a missing file or a bad cell is a config error."""
+def _read_data(cfg: ExperimentConfig, command: str):
+    """The data (loaded unless validating) and its ``shape()``; a read failure is a config error."""
     try:
-        return engine.load_data(cfg.data)
+        data = None if command == "validate" else engine.load_data(cfg.data)
+        return data, (cfg.data if data is None else data).shape()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"data file missing: {exc.filename}") from exc
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load data: {exc}") from exc
 
@@ -278,18 +281,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        # a run loads its data once, here; validate reads only what shape() needs
-        data = None if args.command == "validate" else _load_data(cfg)
+        data, (width, counts) = _read_data(cfg, args.command)
         # classcount runs its own split, so that is the one to check
-        problems = validate_config(
-            engine.class_count_config(cfg, data) if args.command == "classcount" else cfg, data
-        )
+        checked = engine.class_count_config(cfg, data) if args.command == "classcount" else cfg
+        problems = validate_config(checked, width, counts)
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         if problems:
             return EXIT_CONFIG
         return args.run(args, cfg, data)
-    except (ConfigError, FileNotFoundError, IdxFormatError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ValueError, FloatingPointError) as exc:

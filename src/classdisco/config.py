@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import types
 import typing
 from typing import Any
 
-from .dataset import Dataset
 from .engine import ConfigError, ExperimentConfig
 
 # JSON type a scalar annotation accepts: (description, check).
@@ -145,11 +143,8 @@ def _echo(value):
     return value
 
 
-def validate_config(cfg: ExperimentConfig, data: Dataset | None = None) -> list[str]:
-    """Cross-field and data-dependent checks; returns human-readable problems.
-
-    The data checks read ``data`` (``cfg.data`` loaded) when given, else ``cfg.data.shape()``.
-    """
+def validate_config(cfg: ExperimentConfig, width: int, counts: dict[int, int]) -> list[str]:
+    """Cross-field checks and checks against the data's ``shape()``; returns the problems."""
     problems: list[str] = []
 
     held_out = cfg.split.held_out_classes
@@ -159,16 +154,6 @@ def validate_config(cfg: ExperimentConfig, data: Dataset | None = None) -> list[
         problems.append(
             f"rounds ({cfg.rounds}) exceeds the number of held-out classes ({len(held_out)})"
         )
-
-    missing_files = [p for p in cfg.data.files if not os.path.exists(p)]
-    problems.extend(f"data file missing: {p}" for p in missing_files)
-    if missing_files:
-        return problems
-    try:
-        width, counts = (cfg.data if data is None else data).shape()
-    except (OSError, ValueError) as exc:
-        problems.append(f"cannot load data: {exc}")
-        return problems
 
     missing = sorted(c for c in held_out if c not in counts)
     if missing:

@@ -13,6 +13,7 @@ exposed to the learner; only evaluation reads them.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import ClassVar
@@ -138,7 +139,6 @@ class GaussianMixtureSpec:
     """Synthetic benchmark: isotropic unit-variance Gaussians around class centers."""
 
     kind: ClassVar[str] = "synthetic"
-    files: ClassVar[tuple[str, ...]] = ()
 
     n_classes: int
     dim: int
@@ -172,21 +172,13 @@ class IdxData:
     images: str
     labels: str
 
-    @property
-    def files(self) -> tuple[str, ...]:
-        return self.images, self.labels
-
     def load(self) -> Dataset:
         return load_idx(self.images, self.labels)
 
     def shape(self) -> tuple[int, dict[int, int]]:
-        """Read up to the labels, never the pixels."""
-        with open(self.images, "rb") as f:
-            img_header = f.read(16)
-        with open(self.labels, "rb") as f:
-            lbl_bytes = f.read()
-        n, rows, cols = read_idx_header(img_header, lbl_bytes, self.images, self.labels)
-        return rows * cols, _class_counts(np.frombuffer(lbl_bytes[8 : 8 + n], dtype=np.uint8))
+        """Every check ``load`` makes, without reading the pixels."""
+        width, labels = _check_idx(self.images, self.labels)
+        return width, _class_counts(labels)
 
 
 @dataclass(frozen=True)
@@ -196,10 +188,6 @@ class CsvData:
     kind: ClassVar[str] = "csv"
 
     path: str
-
-    @property
-    def files(self) -> tuple[str, ...]:
-        return (self.path,)
 
     def load(self) -> Dataset:
         return load_csv(self.path)
@@ -222,43 +210,52 @@ def _class_counts(labels) -> dict[int, int]:
     return {int(c): int(n) for c, n in zip(ids, ns)}
 
 
-def _read_exact(data: bytes, offset: int, count: int, path: str) -> bytes:
-    if len(data) < offset + count:
+def _need(path: str, offset: int, count: int, size: int) -> None:
+    if size < offset + count:
         raise IdxFormatError(
             f"{path}: truncated file, needed {count} bytes at byte offset {offset}, "
-            f"file ends at {len(data)}"
+            f"file ends at {size}"
         )
-    return data[offset : offset + count]
 
 
-def read_idx_header(
-    img_bytes: bytes, lbl_bytes: bytes, images_path: str, labels_path: str
-) -> tuple[int, int, int]:
-    """Check the magic numbers and sample counts of an IDX image/label pair.
+def _unpack(fmt: str, data: bytes, offset: int, path: str) -> tuple[int, ...]:
+    _need(path, offset, struct.calcsize(fmt), len(data))
+    return struct.unpack_from(fmt, data, offset)
 
-    Only the 16-byte image header and the 8-byte label header are read, so
-    the payloads may be cut off or absent. Returns (count, rows, cols).
-    """
-    (img_magic,) = struct.unpack(">I", _read_exact(img_bytes, 0, 4, images_path))
+
+def _check_idx(images_path: str, labels_path: str) -> tuple[int, np.ndarray]:
+    """Check an IDX pair's magic numbers, counts and payload lengths, reading
+    no pixels; return the pixels per image and the labels (uint8)."""
+    with open(images_path, "rb") as f:
+        img_header = f.read(16)
+        img_size = os.fstat(f.fileno()).st_size
+    with open(labels_path, "rb") as f:
+        lbl_bytes = f.read()
+
+    (img_magic,) = _unpack(">I", img_header, 0, images_path)
     if img_magic != IDX_IMAGES_MAGIC:
         raise IdxFormatError(
             f"{images_path}: bad magic {img_magic} at byte offset 0, expected {IDX_IMAGES_MAGIC}"
         )
-    n_images, rows, cols = struct.unpack(">III", _read_exact(img_bytes, 4, 12, images_path))
+    n_images, rows, cols = _unpack(">III", img_header, 4, images_path)
+    if rows * cols > np.iinfo(np.intp).max:
+        raise IdxFormatError(f"{images_path}: {rows}x{cols} images at byte offset 8 are too large")
 
-    (lbl_magic,) = struct.unpack(">I", _read_exact(lbl_bytes, 0, 4, labels_path))
+    (lbl_magic,) = _unpack(">I", lbl_bytes, 0, labels_path)
     if lbl_magic != IDX_LABELS_MAGIC:
         raise IdxFormatError(
             f"{labels_path}: bad magic {lbl_magic} at byte offset 0, expected {IDX_LABELS_MAGIC}"
         )
-    (n_labels,) = struct.unpack(">I", _read_exact(lbl_bytes, 4, 4, labels_path))
+    (n_labels,) = _unpack(">I", lbl_bytes, 4, labels_path)
 
     if n_images != n_labels:
         raise IdxFormatError(
             f"count mismatch at byte offset 4: {images_path} declares {n_images} images, "
             f"{labels_path} declares {n_labels} labels"
         )
-    return n_images, rows, cols
+    _need(images_path, 16, n_images * rows * cols, img_size)
+    _need(labels_path, 8, n_images, len(lbl_bytes))
+    return rows * cols, np.frombuffer(lbl_bytes, dtype=np.uint8, count=n_images, offset=8)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -267,20 +264,13 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     Pixels are scaled to [0, 1] by dividing the raw bytes by 255 and flattened
     row-major. Every label is present, and every class is a human class.
     """
-    with open(images_path, "rb") as f:
-        img_bytes = f.read()
-    with open(labels_path, "rb") as f:
-        lbl_bytes = f.read()
-
-    n_images, rows, cols = read_idx_header(img_bytes, lbl_bytes, images_path, labels_path)
-    pixels = _read_exact(img_bytes, 16, n_images * rows * cols, images_path)
-    labels_raw = _read_exact(lbl_bytes, 8, n_images, labels_path)
-
-    features = np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, rows * cols)
-    labels = _readonly(np.frombuffer(labels_raw, dtype=np.uint8).astype(np.int64))
+    width, labels_raw = _check_idx(images_path, labels_path)
+    n_images = len(labels_raw)
+    pixels = np.fromfile(images_path, dtype=np.uint8, count=n_images * width, offset=16)
+    labels = _readonly(labels_raw.astype(np.int64))
     n_classes = int(labels.max()) + 1 if n_images else 0
     return Dataset(
-        features=_readonly(features / 255.0),  # float64, one new array
+        features=_readonly(pixels.reshape(n_images, width) / 255.0),  # float64, one new array
         labels=labels,
         true_labels=labels,
         label_map=tuple(range(n_classes)),
@@ -290,10 +280,11 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 def load_csv(path: str) -> Dataset:
     """Load a CSV with a header row; last column is the integer class label.
 
-    Every data row must have the first one's column count, and every feature
-    must be finite and within float32's range, which the learnability scorer
-    computes in. The first row or cell that is not (a short row; an empty or
-    non-numeric cell, nan, inf, 1e308) is reported by line, a cell also by column.
+    The header and every data row must have the first data row's column
+    count, and every feature must be finite and within float32's range, which
+    the learnability scorer computes in. The first row or cell that is not (a
+    short row; an empty or non-numeric cell, nan, inf, 1e308) is reported by
+    line, a cell also by column.
     """
     with open(path) as f:
         header, *lines = f.read().splitlines() or [""]
@@ -304,15 +295,18 @@ def load_csv(path: str) -> Dataset:
     for (n, _), width in zip(rows, widths):
         if width != widths[0]:
             raise ValueError(f"{path}: line {n} has {width} columns, not {widths[0]}")
+    names = header.split(",")
+    if len(names) != widths[0]:
+        raise ValueError(f"{path}: line 1 (the header) has {len(names)} columns, not {widths[0]}")
     if widths[0] < 2:
         raise ValueError(f"{path}: need at least one feature column plus a label column")
     raw = np.genfromtxt([line for _, line in rows], delimiter=",", dtype=np.float64, ndmin=2)
     bad = np.argwhere(~(np.abs(raw[:, :-1]) <= np.finfo(np.float32).max))
     if len(bad):
         row, col = bad[0]
-        names = header.split(",")
-        name = names[col].strip() if col < len(names) else f"#{col + 1}"
-        raise ValueError(f"{path}: line {rows[row][0]}, column {name!r}: not a finite float32")
+        raise ValueError(
+            f"{path}: line {rows[row][0]}, column {names[col].strip()!r}: not a finite float32"
+        )
     labels = raw[:, -1]
     if not np.all(labels == np.round(labels)):
         raise ValueError(f"{path}: last column must contain integer labels")

@@ -313,6 +313,7 @@ def _adam_update(model: Model, work: np.ndarray, adam: AdamConfig) -> None:
     model.flat_params -= np.divide(num, den, out=num)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step fails the finite-loss check
 def train_epochs(
     model: Model, features, labels, adam: AdamConfig, epochs: int, rows=None
 ) -> Model:

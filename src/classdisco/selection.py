@@ -159,7 +159,8 @@ def learnability_scores(
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))
     model = train_epochs(model, x, tr_y, adam, epochs=run_epochs, rows=tr_rows)
-    proba = predict_proba(model, x, rows=ho_rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are reported below
+        proba = predict_proba(model, x, rows=ho_rows)
     bad = ho_rows[~np.isfinite(proba).all(axis=1)]
     if len(bad):
         raise TrainingDivergedError(f"non-finite held-out prediction for row {bad[0]} of features")

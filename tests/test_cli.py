@@ -1,7 +1,10 @@
 import errno
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import typing
 from unittest import mock
 
@@ -16,6 +19,7 @@ from classdisco.config import ConfigError, config_to_dict, parse_config
 from classdisco.dataset import DataSource
 from classdisco.engine import OOD_MODES
 from classdisco.selection import POLICY_KINDS
+from conftest import write_idx_pair
 
 
 def base_config(**overrides):
@@ -621,6 +625,39 @@ def _missing_data(tmp_path):
     return doc
 
 
+def _narrow_header_csv(tmp_path):
+    return _csv_config(tmp_path, "a,b\n1,2,0\n3,4,1\n")
+
+
+def _idx_config(tmp_path, cut_images=0, cut_labels=0):
+    """A sound IDX pair for ``base_config``, each file cut ``cut_*`` bytes short."""
+    images, labels = tmp_path / "im.idx", tmp_path / "lb.idx"
+    truth = np.repeat(np.arange(6), 10)
+    pixels = np.random.default_rng(0).integers(0, 256, size=(60, 2, 4)).astype(np.uint8)
+    write_idx_pair(pixels, truth, str(images), str(labels))
+    for path, cut in ((images, cut_images), (labels, cut_labels)):
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) - cut)
+    doc = base_config()
+    doc["data"] = {"kind": "idx", "images": str(images), "labels": str(labels)}
+    return doc
+
+
+def _truncated_images(tmp_path):
+    return _idx_config(tmp_path, cut_images=5)
+
+
+def _truncated_labels(tmp_path):
+    return _idx_config(tmp_path, cut_labels=3)
+
+
+def _missing_idx_pair(tmp_path):
+    doc = base_config()
+    images, labels = str(tmp_path / "absent-im.idx"), str(tmp_path / "absent-lb.idx")
+    doc["data"] = {"kind": "idx", "images": images, "labels": labels}
+    return doc
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "command, make_doc, code, message",
@@ -639,6 +676,9 @@ class TestExitCodes:
                 (_float32_overflow_csv, "data.csv: line 2, column 'f0'"),
                 (_ragged_csv, "data.csv: line 4 has 2 columns, not 3"),
                 (_header_only_csv, "data.csv: no data rows"),
+                (_narrow_header_csv, "data.csv: line 1 (the header) has 2 columns, not 3"),
+                (_truncated_images, "im.idx: truncated file, needed 480 bytes at byte offset 16"),
+                (_truncated_labels, "lb.idx: truncated file, needed 60 bytes at byte offset 8"),
             ]
         ]
         + [(command, _poisoned_csv, 2, "runtime failure") for command in ("discover", "classcount")],
@@ -649,6 +689,31 @@ class TestExitCodes:
         path = write_config(tmp_path, make_doc(tmp_path))
         assert main(_argv(command, path, str(tmp_path / "out"))) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "discover", "classcount"])
+    def test_missing_idx_pair_names_the_first_file(self, tmp_path, capsys, command):
+        # the labels file is missing too, and the config has cross-field
+        # problems (rounds beyond the held-out classes); neither is reported
+        doc = _missing_idx_pair(tmp_path)
+        doc["rounds"] = 7
+        path = write_config(tmp_path, doc)
+        assert main(_argv(command, path, str(tmp_path / "out"))) == 1
+        expected = f"config error: data file missing: {tmp_path / 'absent-im.idx'}"
+        assert capsys.readouterr().err.splitlines() == [expected]
+
+    @pytest.mark.parametrize("command", ["discover", "classcount"])
+    def test_divergence_is_one_stderr_line(self, tmp_path, command):
+        # a fresh interpreter under the default warning filters, where a
+        # numpy RuntimeWarning would print its message and source line
+        path = write_config(tmp_path, _poisoned_csv(tmp_path))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "classdisco.cli", *_argv(command, path, str(tmp_path / "o"))]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("runtime failure: non-finite loss")
 
     @pytest.mark.parametrize("command", ["discover", "classcount"])
     def test_uncreatable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, command):

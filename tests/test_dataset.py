@@ -1,8 +1,10 @@
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classdisco.dataset import (
@@ -11,6 +13,7 @@ from classdisco.dataset import (
     UNLABELED,
     Dataset,
     GaussianMixtureSpec,
+    IdxData,
     IdxFormatError,
     SplitSpec,
     add_class,
@@ -77,6 +80,63 @@ class TestLoadIdx:
         assert np.array_equal(data.true_labels, labels)
 
 
+@st.composite
+def idx_pairs(draw):
+    """The bytes of a tiny IDX image/label pair, maybe with corrupted header
+    bytes and either file cut short."""
+    n, rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    pixels = draw(st.binary(min_size=n * rows * cols, max_size=n * rows * cols))
+    labels = bytes(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    blobs = [
+        bytearray(struct.pack(">IIII", 2051, n, rows, cols) + pixels),
+        bytearray(struct.pack(">II", 2049, n) + labels),
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        which = draw(st.integers(0, 1))
+        blobs[which][draw(st.integers(0, (15, 7)[which]))] = draw(st.integers(0, 255))
+    return tuple(
+        bytes(blob[: draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))])
+        for blob in blobs
+    )
+
+
+class TestIdxShape:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=idx_pairs())
+    # no images, but more pixels per image than numpy can shape
+    @example(pair=(struct.pack(">IIII", 2051, 0, 2**32 - 1, 2**32 - 1), struct.pack(">II", 2049, 0)))
+    def test_shape_fails_exactly_when_load_fails(self, tmp_path_factory, pair):
+        directory = tmp_path_factory.mktemp("idx")
+        paths = str(directory / "im.idx"), str(directory / "lb.idx")
+        for path, blob in zip(paths, pair):
+            with open(path, "wb") as f:
+                f.write(blob)
+
+        def outcome(read):
+            try:
+                return read()
+            except IdxFormatError as exc:
+                return f"IdxFormatError: {exc}"
+
+        assert outcome(IdxData(*paths).shape) == outcome(lambda: load_idx(*paths).shape())
+
+    def test_shape_reads_no_pixels(self, tmp_path):
+        n, side = 60_000, 28
+        images, labels = tmp_path / "im.idx", tmp_path / "lb.idx"
+        with open(images, "wb") as f:
+            f.write(struct.pack(">IIII", 2051, n, side, side))
+            f.truncate(16 + n * side * side)  # a sparse 47 MB pixel payload
+        labels.write_bytes(struct.pack(">II", 2049, n) + bytes(range(10)) * (n // 10))
+        tracemalloc.start()
+        try:
+            shape = IdxData(str(images), str(labels)).shape()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shape == (side * side, {c: n // 10 for c in range(10)})
+        assert peak < 1_000_000
+
+
 def test_load_idx_full_mnist_shape():
     from conftest import MNIST_SKIP_REASON, mnist_train_paths
 
@@ -122,6 +182,15 @@ def test_load_csv_accepts_the_float32_extremes(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(f"f0,label\n{big!r},0\n{-big!r},1\n")
     assert load_csv(str(path)).features[:, 0].tolist() == [big, -big]
+
+
+@pytest.mark.parametrize("header", ["a,b", "a,b,c,label"])
+def test_load_csv_header_must_match_the_rows(tmp_path, header):
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n1,2,0\n3,4,1\n")
+    message = rf"data\.csv: line 1 \(the header\) has {header.count(',') + 1} columns, not 3"
+    with pytest.raises(ValueError, match=message):
+        load_csv(str(path))
 
 
 @pytest.mark.parametrize("text", ["a,b,label\n", "a,b,label\n# note\n\n", ""])
