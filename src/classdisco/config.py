@@ -5,27 +5,35 @@ sections, so every key, its type and its default are declared once, on the
 dataclass; a field without a default is a required key. Unknown keys are
 errors so a typo can never silently fall back to a default. Each value must
 already have its field's JSON type: integers for ``int`` fields (never a
-bool, string or float), JSON booleans for flags, lists for the tuple and set
-fields; nothing is coerced. Every error names the dotted key path.
-``config_to_dict`` materializes every default, which is what run reports
-echo; parsing that echo reproduces the exact same configuration.
+bool, string or float), finite numbers for ``float`` fields, JSON booleans
+for flags, lists for the tuple and set fields; nothing is coerced. Every
+error names the dotted key path. ``config_to_dict`` materializes every
+default, which is what run reports echo; parsing that echo reproduces the
+exact same configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import types
 import typing
 from typing import Any
 
 from .engine import ConfigError, ExperimentConfig
 
-# JSON type a scalar annotation accepts: (description, check).
+# JSON type a scalar annotation accepts: (description, check). The float bound
+# rejects NaN, Infinity and 1e400 (read as inf), and compares a huge int exactly.
 _SCALARS = {
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    float: (
+        "a finite number",
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
+    ),
     str: ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -116,7 +124,7 @@ def load_config(path: str) -> ExperimentConfig:
             doc = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and str(doc.get("schema", "")).startswith("classdisco-report"):
         doc = doc.get("config")

@@ -238,8 +238,8 @@ def _check_idx(images_path: str, labels_path: str) -> tuple[int, np.ndarray]:
             f"{images_path}: bad magic {img_magic} at byte offset 0, expected {IDX_IMAGES_MAGIC}"
         )
     n_images, rows, cols = _unpack(">III", img_header, 4, images_path)
-    if rows * cols > np.iinfo(np.intp).max:
-        raise IdxFormatError(f"{images_path}: {rows}x{cols} images at byte offset 8 are too large")
+    if not 0 < rows * cols <= np.iinfo(np.intp).max:
+        raise IdxFormatError(f"{images_path}: bad image size {rows}x{cols} at byte offset 8")
 
     (lbl_magic,) = _unpack(">I", lbl_bytes, 0, labels_path)
     if lbl_magic != IDX_LABELS_MAGIC:

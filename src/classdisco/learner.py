@@ -6,7 +6,7 @@ used for clustering. Training is plain minibatch cross-entropy with Adam
 updates; everything is deterministic given the seeds.
 
 The dense stack is the only architecture built in; richer feature extractors
-(convolutions and the like) would slot in by generalizing ``_layer_sizes``,
+(convolutions and the like) would slot in by generalizing ``_shapes``,
 ``init_model``, ``_forward`` and ``embed``. Nothing downstream cares about the
 architecture, only about ``predict_proba`` and ``embed``.
 """
@@ -14,7 +14,7 @@ architecture, only about ``predict_proba`` and ``embed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,45 +73,41 @@ class AdamConfig:
 class Model:
     """Weights plus optimizer state. Treat as owned during training; inference is read-only.
 
-    ``params`` is ``[W0, b0, W1, b1, ...]``; the Adam moments ``m`` and ``v``
-    hold one array per entry of ``params``, in the same order. Construction
-    copies the three lists into the rows of one new ``(3, size)`` block in the
-    params' dtype: ``flat_params``, ``flat_m`` and ``flat_v`` are those rows and
-    the list entries are views of them, so an Adam step is a few whole-vector ufuncs.
-    One block rather than three vectors keeps the allocator's peak RSS at the
+    ``block`` is one ``(3, size)`` array: its rows ``flat_params``, ``flat_m``
+    and ``flat_v`` hold the parameters ``[W0, b0, W1, b1, ...]`` and their Adam
+    moments, laid out by the config's layers. ``params``, ``m`` and ``v`` (and
+    ``weights`` and ``biases``) are lists of views of those rows, one array per
+    layer weight or bias, so an Adam step is a few whole-vector ufuncs. One
+    block rather than three vectors keeps the allocator's peak RSS at the
     per-array layout's.
     """
 
     config: NetworkConfig
-    params: list[np.ndarray]
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    block: np.ndarray
     step: int = 0
     epochs_trained: int = 0
     loss_log: tuple[float, ...] = ()
-    flat_params: np.ndarray = field(init=False, repr=False)
-    flat_m: np.ndarray = field(init=False, repr=False)
-    flat_v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = [np.shape(p) for p in self.params]
-        block = np.empty((3, sum(math.prod(shape) for shape in shapes)), self.params[0].dtype)
-        for row, arrays in zip(block, (self.params, self.m, self.v)):
-            np.concatenate([np.ravel(a) for a in arrays], out=row)
-        self.flat_params, self.flat_m, self.flat_v = block
-        self.params, self.m, self.v = (_views(row, shapes) for row in block)
-
-    @property
-    def weights(self) -> list[np.ndarray]:
-        return self.params[0::2]
-
-    @property
-    def biases(self) -> list[np.ndarray]:
-        return self.params[1::2]
+        self.flat_params, self.flat_m, self.flat_v = self.block
+        shapes = _shapes(self.config)
+        self.params, self.m, self.v = (_views(row, shapes) for row in self.block)
+        self.weights, self.biases = self.params[0::2], self.params[1::2]
 
     def copy(self) -> "Model":
-        """An independent model: construction copies every array into a new block."""
-        return replace(self)
+        """An independent model: a copy of the block."""
+        return replace(self, block=self.block.copy())
+
+
+def _shapes(cfg: NetworkConfig) -> list[tuple[int, ...]]:
+    """The shapes of ``[W0, b0, W1, b1, ...]`` for ``cfg``'s layers."""
+    dims = [cfg.input_dim, *cfg.hidden_dims, cfg.output_classes]
+    return [shape for fan in zip(dims[:-1], dims[1:]) for shape in (fan, fan[1:])]
+
+
+def _zero_block(cfg: NetworkConfig, dtype) -> np.ndarray:
+    """A ``Model.block`` for ``cfg``: zero parameters and zero Adam moments."""
+    return np.zeros((3, sum(math.prod(shape) for shape in _shapes(cfg))), dtype)
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -125,13 +121,8 @@ def _workspace(model: Model) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Row 0 holds the flat gradient, rows 1 and 2 are Adam's scratch.
     """
-    work = np.zeros((3, model.flat_params.size), model.flat_params.dtype)
+    work = np.zeros_like(model.block)
     return work, _views(work[0], [p.shape for p in model.params])
-
-
-def _layer_sizes(cfg: NetworkConfig) -> list[tuple[int, int]]:
-    dims = [cfg.input_dim, *cfg.hidden_dims, cfg.output_classes]
-    return list(zip(dims[:-1], dims[1:]))
 
 
 def init_model(cfg: NetworkConfig, seed: int, dtype=np.float64) -> Model:
@@ -140,12 +131,10 @@ def init_model(cfg: NetworkConfig, seed: int, dtype=np.float64) -> Model:
     if cfg.input_dim is None or cfg.output_classes is None:
         raise ValueError("input_dim and output_classes must be set before building a model")
     rng = seeds.spawn(seed)
-    params = []
-    for fan_in, fan_out in _layer_sizes(cfg):
-        params.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).astype(dtype))
-        params.append(np.zeros(fan_out, dtype))
-    zeros = [np.zeros_like(p) for p in params]
-    return Model(config=cfg, params=params, m=zeros, v=zeros)
+    model = Model(cfg, _zero_block(cfg, dtype))
+    for W in model.weights:
+        W[...] = rng.normal(0.0, np.sqrt(2.0 / W.shape[0]), size=W.shape)
+    return model
 
 
 def _check_width(model: Model, features: np.ndarray) -> np.ndarray:
@@ -158,10 +147,10 @@ def _check_width(model: Model, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_rows(rows, n: int) -> np.ndarray | None:
-    """``rows`` as int64 row indices, each in ``[0, n)``; None stays None."""
-    rows = None if rows is None else np.asarray(rows, dtype=np.int64)
-    bad = () if rows is None else rows[(rows < 0) | (rows >= n)]
+def _check_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as int64 row indices, each in ``[0, n)``; None means every row."""
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    bad = rows[(rows < 0) | (rows >= n)]
     if len(bad):
         raise ValueError(f"row {bad[0]} is outside the {n} rows of features")
     return rows
@@ -210,9 +199,9 @@ _CAST_ROWS = 16  # a casting gather stages this many rows at a time in the featu
 
 
 def _gather(x: np.ndarray, rows, dtype) -> np.ndarray:
-    """``x[rows].astype(dtype)`` for a slice or index array ``rows``, copying only what it must."""
-    if x.dtype == dtype or isinstance(rows, slice):
-        return x[rows].astype(dtype, copy=False)
+    """``x[rows].astype(dtype)`` for an index array ``rows``, copying only what it must."""
+    if x.dtype == dtype:
+        return x[rows]
     out = np.empty((len(rows), x.shape[1]), dtype)
     for start in range(0, len(rows), _CAST_ROWS):
         out[start : start + _CAST_ROWS] = x[rows[start : start + _CAST_ROWS]]
@@ -232,14 +221,11 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
     """
     x = _check_width(model, features)
     rows = _check_rows(rows, len(x))
-    n = len(x) if rows is None else len(rows)
     W, b = model.weights[0], model.biases[0]
-    h = np.empty((n, W.shape[1]), W.dtype)
-    for part in np.array_split(np.arange(n), max(1, -(-n // _BLOCK_ROWS))):
-        if len(part):
-            block = slice(part[0], part[-1] + 1)
-            read = block if rows is None else rows[block]
-            _dense_relu(_gather(x, read, W.dtype), W, b, out=h[block])
+    h = np.empty((len(rows), W.shape[1]), W.dtype)
+    blocks = max(1, -(-len(rows) // _BLOCK_ROWS))
+    for part, out in zip(np.array_split(rows, blocks), np.array_split(h, blocks)):
+        _dense_relu(_gather(x, part, W.dtype), W, b, out=out)
     for W, b in zip(model.weights[1:-1], model.biases[1:-1]):
         h = _dense_relu(h, W, b)
     return h
@@ -336,7 +322,7 @@ def train_epochs(
     x = _check_width(model, features)
     y = np.asarray(labels, dtype=np.int64)
     rows = _check_rows(rows, len(x))
-    n = len(x) if rows is None else len(rows)
+    n = len(rows)
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for {n} training rows")
     if n == 0:
@@ -354,7 +340,7 @@ def train_epochs(
     for _ in range(epochs):
         rng = seeds.spawn(adam.seed, out.epochs_trained)
         order = rng.permutation(n)
-        x_rows = order if rows is None else rows[order]
+        x_rows = rows[order]
         y_order = y[order]
         total = 0.0
         for start in range(0, n, adam.batch_size):
@@ -383,15 +369,11 @@ def expand_outputs(model: Model, new_output_classes: int, seed: int) -> Model:
     old = model.config.output_classes
     if new_output_classes <= old:
         raise ValueError(f"cannot shrink outputs from {old} to {new_output_classes}")
-    extra = new_output_classes - old
-    fan_in = model.params[-2].shape[0]
-    rng = seeds.spawn(seed)
-    new_cols = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, extra))
-    params, m, v = list(model.params), list(model.m), list(model.v)
-    params[-2] = np.concatenate([params[-2], new_cols], axis=1)
-    params[-1] = np.concatenate([params[-1], np.zeros(extra)])
-    for moments in (m, v):
-        moments[-2] = np.concatenate([moments[-2], np.zeros((fan_in, extra))], axis=1)
-        moments[-1] = np.concatenate([moments[-1], np.zeros(extra)])
+    fan_in, extra = model.weights[-1].shape[0], new_output_classes - old
+    new_cols = seeds.spawn(seed).normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, extra))
     config = replace(model.config, output_classes=new_output_classes)
-    return replace(model, config=config, params=params, m=m, v=v)
+    out = replace(model, config=config, block=_zero_block(config, model.block.dtype))
+    for got, was in zip(out.params + out.m + out.v, model.params + model.m + model.v):
+        got[tuple(map(slice, was.shape))] = was
+    out.weights[-1][:, old:] = new_cols
+    return out

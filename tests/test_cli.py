@@ -46,8 +46,9 @@ def base_config(**overrides):
 
 
 def write_config(tmp_path, doc, name="exp.json"):
+    """Write ``doc`` as JSON; a string is written as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -651,6 +652,25 @@ def _truncated_labels(tmp_path):
     return _idx_config(tmp_path, cut_labels=3)
 
 
+def _zero_width_images(tmp_path):
+    """``_idx_config``'s pair rewritten with a 0x28 images header and no pixels."""
+    doc = _idx_config(tmp_path)
+    images, labels = doc["data"]["images"], doc["data"]["labels"]
+    write_idx_pair(np.zeros((60, 0, 28), np.uint8), np.repeat(np.arange(6), 10), images, labels)
+    return doc
+
+
+def _number_literal(section, key, literal):
+    """``base_config`` with ``section.key`` written as the raw JSON text ``literal``."""
+
+    def make_doc(tmp_path):
+        doc = base_config()
+        doc[section][key] = "<literal>"
+        return json.dumps(doc).replace('"<literal>"', literal)
+
+    return make_doc
+
+
 def _missing_idx_pair(tmp_path):
     doc = base_config()
     images, labels = str(tmp_path / "absent-im.idx"), str(tmp_path / "absent-lb.idx")
@@ -679,6 +699,22 @@ class TestExitCodes:
                 (_narrow_header_csv, "data.csv: line 1 (the header) has 2 columns, not 3"),
                 (_truncated_images, "im.idx: truncated file, needed 480 bytes at byte offset 16"),
                 (_truncated_labels, "lb.idx: truncated file, needed 60 bytes at byte offset 8"),
+                (_zero_width_images, "im.idx: bad image size 0x28 at byte offset 8"),
+                (_number_literal("kmeans", "seed", "9" * 5000), "is not valid JSON"),
+            ]
+            + [
+                (
+                    _number_literal(section, key, literal),
+                    f"config error: '{section}.{key}' must be a finite number, got {shown}",
+                )
+                for section, key, literal, shown in [
+                    ("adam", "learning_rate", "NaN", "NaN"),
+                    ("adam", "epsilon", "Infinity", "Infinity"),
+                    ("data", "separation", "1e400", "Infinity"),
+                    ("kmeans", "tol", "NaN", "NaN"),
+                    ("kmeans", "tol", "-Infinity", "-Infinity"),
+                    ("adam", "learning_rate", "9" * 401, "999"),
+                ]
             ]
         ]
         + [(command, _poisoned_csv, 2, "runtime failure") for command in ("discover", "classcount")],

@@ -5,16 +5,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from classdisco import engine, ood, selection
 from classdisco.clustering import KMeansConfig
 from classdisco.dataset import (
     DISCOVERED_CLASS,
+    EXCLUDED,
     GaussianMixtureSpec,
     SplitSpec,
     make_split,
 )
 from classdisco.engine import (
+    OOD_MODES,
     ExperimentConfig,
     evaluate_state,
     load_data,
@@ -23,7 +27,7 @@ from classdisco.engine import (
     run_static,
 )
 from classdisco.learner import AdamConfig, NetworkConfig, init_model, train_epochs
-from classdisco.selection import SelectionPolicy
+from classdisco.selection import POLICY_KINDS, LearnabilityConfig, SelectionPolicy
 from conftest import select_rows
 
 
@@ -300,6 +304,78 @@ class TestEvaluateState:
         cfg = world(seed=13, epochs_initial=0)
         state, report = run_static(cfg)
         assert evaluate_state(state).dra == report.dra
+
+
+class TestWholeRunInvariants:
+    # Each learnability or threshold round trains a scorer for about 2,000
+    # Adam steps, so a three-round example of those policies, run twice,
+    # takes about a second: the example count keeps the test within a few.
+    @settings(max_examples=10, deadline=None)
+    @given(
+        rounds=st.integers(1, 3),
+        ood_mode=st.sampled_from(OOD_MODES),
+        policy=st.sampled_from(POLICY_KINDS),
+        use_embeddings=st.booleans(),
+        include_existing=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(
+        rounds=3,
+        ood_mode="detector",
+        policy="learnability",
+        use_embeddings=True,
+        include_existing=True,
+        seed=1,
+    )
+    def test_rounds_keep_the_run_invariants(
+        self, rounds, ood_mode, policy, use_embeddings, include_existing, seed
+    ):
+        """Tiny runs, with EXCLUDED rows from a per-class cap."""
+        cfg = ExperimentConfig(
+            data=GaussianMixtureSpec(6, 4, 6.0, 16, seed=seed),
+            split=SplitSpec(held_out_classes=frozenset({3, 4, 5}), per_class_cap=13, seed=seed),
+            net=NetworkConfig(hidden_dims=(8,)),
+            adam=AdamConfig(batch_size=16, seed=seed),
+            kmeans=KMeansConfig(k=4, restarts=2, seed=seed),
+            policy=SelectionPolicy(kind=policy, seed=seed, min_accuracy=0.5),
+            learnability=LearnabilityConfig(
+                hidden_dims=(4,),
+                epochs=1,
+                use_embeddings=use_embeddings,
+                include_existing=include_existing,
+            ),
+            epochs_initial=2,
+            epochs_per_round=1,
+            rounds=rounds,
+            ood_mode=ood_mode,
+            detector_quantile=0.5,
+            seed=seed,
+        )
+        with mock.patch.object(engine, "add_class", wraps=engine.add_class) as spy:
+            state, reports = run_dynamic(cfg)
+        assert evaluate_state(state) == reports[-1]
+
+        accepted = [a.indices for a in state.accepted]
+        for call, members in zip(spy.call_args_list, accepted, strict=True):
+            before, passed = call.args
+            assert np.array_equal(passed, members)
+            assert np.isin(members, before.unlabeled_indices()).all()
+
+        data = state.dataset
+        human = np.asarray(data.label_map) != DISCOVERED_CLASS
+        labeled = data.labeled_indices()
+        parts = [labeled[human[data.labels[labeled]]], data.unlabeled_indices(), *accepted]
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.flatnonzero(data.labels != EXCLUDED))
+
+        ells = {rec.report.ell for rec in state.history}
+        assert ells == {data.human_labeled_count()}
+        if ood_mode == "oracle":
+            sizes = [rec.ood_pool_size for rec in state.history]
+            assert np.array_equal(np.diff(sizes), [-len(a) for a in accepted])
+
+        again, again_reports = run_dynamic(cfg)
+        assert again.model.block.tobytes() == state.model.block.tobytes()
+        assert again_reports == reports
 
 
 class TestDetectorMode:

@@ -537,13 +537,6 @@ class TestInferenceRows:
             predict_proba(model, x, rows=[3, 1])
             assert spy.call_count == 1
 
-    def test_no_rows_reads_views_of_the_features(self):
-        x = shared_matrix(16)
-        model = init_model(NetworkConfig(input_dim=16, output_classes=3, hidden_dims=(8,)), 0)
-        with mock.patch.object(learner, "_dense_relu", wraps=learner._dense_relu) as spy:
-            embed(model, x)
-        assert np.shares_memory(spy.call_args.args[0], x)
-
     @pytest.mark.parametrize("rows,bad", [([0, 1, 999], 999), ([2, -1, 12], -1), ([12], 12)])
     def test_out_of_range_row_is_named_before_any_work(self, rows, bad):
         x, y = toy_batch(n=12)
