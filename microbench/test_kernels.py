@@ -5,10 +5,12 @@ collects them. Run them from the root of a checkout, one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m pytest microbench
 
-Shapes: the ``_sq_dists`` and ``_class_means`` kernels at 5000x128 and
-1000x128 points with k=15 (the pool sizes of the ``mnist784-dynamic``
-workload), a whole ``lloyd_fit`` of 10 iterations at 5000x128 with k=15, a
-whole ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
+Shapes: the stacked ``_sq_dists`` and ``_class_means`` kernels at 5000x128
+and 1000x128 points with k=15 (the pool sizes of the ``mnist784-dynamic``
+workload) for a group of 5 restarts in lockstep (the group size
+``fit_with_restarts`` takes for 10 restarts at that k and width), a whole
+``lloyd_fit`` of 10 iterations of such a group at 5000x128, a whole
+``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
 5000x128 and 1000x128, Adam at 16-128-15 and 784-128-15, and one whole
 training step (gradients plus Adam) at batch 32 on the learnability
 scorer's 16-32-15 and 784-32-6 networks. Adam and the step run in float64,
@@ -33,34 +35,37 @@ POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="100
 NETS = [pytest.param(16, id="16-128-15"), pytest.param(784, id="784-128-15")]
 SCORER_NETS = [pytest.param(16, 15, id="16-32-15"), pytest.param(784, 6, id="784-32-6")]
 LLOYD_ITERS = 10
+GROUP = 5  # restarts per lockstep group for 10 restarts at k=15 and d=128
 DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="float32")]
 SHARED_ROWS = 10000  # the train step gathers its batch by row index from a matrix this tall
 
 
 def pool(n, d):
-    """Points, k centroids drawn from them, and the nearest-centroid assignment."""
+    """Centered points (in ``center``'s layout), their norms, each restart's K
+    centroids drawn from them, the nearest-centroid assignments and the
+    (GROUP, K, n) block."""
     rng = np.random.default_rng(0)
-    points = rng.standard_normal((n, d))
-    centroids = points[rng.choice(n, K, replace=False)].copy()
-    norms = (points * points).sum(axis=1)
-    assign = clustering._sq_dists(points, norms, centroids).argmin(axis=1)
-    return points, norms, centroids, assign
+    _, points, norms = clustering.center(rng.standard_normal((n, d)))
+    centroids = np.stack([points[rng.choice(n, K, replace=False)] for _ in range(GROUP)])
+    block = np.empty((GROUP, K, n))
+    assign = clustering._nearest(clustering._sq_dists(points, norms, centroids, block))
+    return points, norms, centroids, assign, block
 
 
 @pytest.mark.parametrize("n,d", POOLS)
 def test_sq_dists(benchmark, n, d):
-    points, norms, centroids, _ = pool(n, d)
-    benchmark(clustering._sq_dists, points, norms, centroids)
+    points, norms, centroids, _, block = pool(n, d)
+    benchmark(clustering._sq_dists, points, norms, centroids, block)
 
 
 @pytest.mark.parametrize("n,d", POOLS)
 def test_class_means(benchmark, n, d):
-    points, _, centroids, assign = pool(n, d)
-    benchmark(clustering._class_means, points, assign, K, centroids)
+    points, _, centroids, assign, block = pool(n, d)
+    benchmark(clustering._class_means, points, assign, centroids, block)
 
 
 def test_lloyd_fit(benchmark):
-    points, _, centroids, _ = pool(5000, 128)
+    points, _, centroids, _, _ = pool(5000, 128)
     result = benchmark(clustering.lloyd_fit, points, centroids, max_iters=LLOYD_ITERS, tol=0.0)
     assert result.iterations_run == LLOYD_ITERS  # no early stop: every round times the same work
 

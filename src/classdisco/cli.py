@@ -42,8 +42,8 @@ CLUSTERS_COLUMNS = (
 )
 CLASSCOUNT_COLUMNS = ("class_count", "mean_cluster_accuracy")
 ACCEPTED_KEYS = ("round", "new_label", "plurality_label", "size", "learnability")
-WORKERS_HELP = "accepted and ignored: k-means restarts run serially"
-WORKERS_NOTE = "note: --workers is ignored: the thread pool is retired, restarts run serially"
+WORKERS_HELP = "accepted and ignored: k-means restarts run in lockstep in one thread"
+WORKERS_NOTE = "note: --workers is ignored: the thread pool is retired, restarts run in lockstep"
 
 
 def _fmt(x) -> str:
@@ -154,7 +154,8 @@ def _rounds(state: DiscoveryState) -> list[dict]:
 
 def _check_workers(args) -> None:
     """``--workers`` is still parsed, so old command lines run, but it selects
-    nothing: k-means restarts run serially. A value below 1 stays an error."""
+    nothing: k-means restarts run in lockstep in one thread. A value below 1
+    stays an error."""
     if args.workers is None:
         return
     if args.workers < 1:

@@ -155,6 +155,11 @@ class GaussianMixtureSpec:
             raise ValueError("separation must be >= 0")
         if self.per_class_n < 1:
             raise ValueError("per_class_n must be >= 1")
+        limit = np.iinfo(np.int64).max
+        if self.n_classes * self.per_class_n > limit:
+            raise ValueError(f"n_classes x per_class_n must be at most {limit} rows")
+        if self.dim > limit:
+            raise ValueError(f"dim must be at most {limit}")
 
     def load(self) -> Dataset:
         return synth_gaussian(self)

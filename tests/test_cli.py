@@ -671,6 +671,17 @@ def _number_literal(section, key, literal):
     return make_doc
 
 
+def _huge_data_key(key):
+    """``base_config`` with ``data.key`` set to 10**30, beyond int64."""
+
+    def make_doc(tmp_path):
+        doc = base_config()
+        doc["data"][key] = 10**30
+        return doc
+
+    return make_doc
+
+
 def _missing_idx_pair(tmp_path):
     doc = base_config()
     images, labels = str(tmp_path / "absent-im.idx"), str(tmp_path / "absent-lb.idx")
@@ -701,6 +712,8 @@ class TestExitCodes:
                 (_truncated_labels, "lb.idx: truncated file, needed 60 bytes at byte offset 8"),
                 (_zero_width_images, "im.idx: bad image size 0x28 at byte offset 8"),
                 (_number_literal("kmeans", "seed", "9" * 5000), "is not valid JSON"),
+                (_huge_data_key("per_class_n"), "invalid 'data': n_classes x per_class_n must"),
+                (_huge_data_key("dim"), "invalid 'data': dim must be at most"),
             ]
             + [
                 (
