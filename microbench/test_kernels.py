@@ -102,7 +102,7 @@ def test_train_step(benchmark, input_dim, classes, dtype):
     work, grads = learner._workspace(model)
 
     def step():
-        learner.loss_and_gradients(model, learner._gather(x, rows, dtype), y[rows], grads)
+        learner.loss_and_gradients(model, x[rows].astype(dtype, copy=False), y[rows], grads)
         learner._adam_update(model, work, adam)
 
     benchmark(step)

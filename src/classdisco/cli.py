@@ -134,9 +134,9 @@ def _cluster_rows(state: DiscoveryState):
             learn, density = (f.learnability, f.density) if f else (math.nan, math.nan)
             accepted = int(row.cluster_id == accepted_id)
             rows.append((rec.round, "cluster", *_overlap(row), learn, density, accepted))
-        for j, row in enumerate(rec.report.frozen):
-            learn = state.accepted[j].learnability if j < len(state.accepted) else math.nan
-            rows.append((rec.round, "frozen", *_overlap(row), float(learn), math.nan, 1))
+        for j, row in enumerate(rec.report.frozen):  # a prefix of state.accepted
+            learn = float(state.accepted[j].learnability)
+            rows.append((rec.round, "frozen", *_overlap(row), learn, math.nan, 1))
     return rows
 
 
@@ -267,13 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_data(cfg: ExperimentConfig, command: str):
-    """The data (loaded unless validating) and its ``shape()``; a read failure is a config error."""
+    """The data (loaded unless validating) and its ``shape()``; a read failure, or data too
+    large to allocate, is a config error."""
     try:
         data = None if command == "validate" else engine.load_data(cfg.data)
         return data, (cfg.data if data is None else data).shape()
     except FileNotFoundError as exc:
         raise ConfigError(f"data file missing: {exc.filename}") from exc
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot load data: {exc}") from exc
 
 
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, ValueError, FloatingPointError) as exc:
+    except (RuntimeError, ValueError, FloatingPointError, MemoryError) as exc:
         # RuntimeError covers learner.TrainingDivergedError
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -204,8 +204,8 @@ def lloyd_fit(
     block = np.empty((restarts, k, ctr.shape[0]))
     ids = np.arange(restarts)  # the stack positions of the restarts still running
     prev = np.full(restarts, np.nan)  # no inertia yet: neither check below can fire
-    history = []  # (ids, inertias) of each iteration
-    finished = {}
+    traces = [[] for _ in range(restarts)]  # each restart's inertia per iteration
+    best, best_at = None, None  # the best stopped restart and its stack position
     d2 = _sq_dists(ctr, norms, cents, block)
     assign = _nearest(d2)
     _repair_empty(ctr, norms, cents, d2, assign, np.ones(restarts, dtype=bool))
@@ -214,7 +214,8 @@ def lloyd_fit(
         new = _class_means(ctr, assign, cents, d2)
         _sq_dists(ctr, norms, new, d2)
         inertia = _inertia(d2, assign)
-        history.append((ids, inertia))
+        for i, value in zip(ids.tolist(), inertia.tolist()):
+            traces[i].append(value)
         rising = np.flatnonzero(inertia > prev * (1 + 1e-12) + 1e-12)
         if rising.size:
             r = rising[0]
@@ -231,21 +232,22 @@ def lloyd_fit(
         if done.any():
             last = np.where(moved, _inertia(d2, final), inertia)
             for r in np.flatnonzero(done):
-                trace = [float(vals[running == ids[r]][0]) for running, vals in history]
-                finished[ids[r]] = Clustering(
-                    centroids=cents[r] + mu,
-                    assignments=final[r].copy(),  # not a view holding every restart's row
-                    inertia=float(last[r]),
-                    iterations_run=it,
-                    inertia_trace=tuple(trace + [float(last[r])] * bool(moved[r])),
-                )
+                # ties go to the lowest stack position, whichever stops first
+                if best is None or (last[r], ids[r]) < (best.inertia, best_at):
+                    best_at = ids[r]
+                    best = Clustering(
+                        centroids=cents[r] + mu,
+                        assignments=final[r].copy(),  # not a view holding every restart's row
+                        inertia=float(last[r]),
+                        iterations_run=it,
+                        inertia_trace=tuple(traces[best_at] + [float(last[r])] * bool(moved[r])),
+                    )
             keep = ~done
             ids, cents, prev, final = ids[keep], cents[keep], prev[keep], final[keep]
             if not ids.size:
                 break
         assign = final
-    # min keeps the first: the lowest stack position
-    return min((finished[i] for i in range(restarts)), key=lambda c: c.inertia)
+    return best
 
 
 def fit_with_restarts(points, cfg: KMeansConfig) -> Clustering:

@@ -276,8 +276,7 @@ def _score_clusters(
             labels=labels,
             rows=rows,
         )
-        ids = np.unique(clustering.assignments)
-        learn[ids] = raw
+        learn[present] = raw
     density = selection.density_score(ev.embeddings, clustering)
     return [
         ClusterFeatures(

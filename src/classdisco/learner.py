@@ -195,17 +195,6 @@ def predict_proba(model: Model, features, rows=None) -> np.ndarray:
 
 
 _BLOCK_ROWS = 1024  # inference runs the first layer over at most this many rows at once
-_CAST_ROWS = 16  # a casting gather stages this many rows at a time in the features' dtype
-
-
-def _gather(x: np.ndarray, rows, dtype) -> np.ndarray:
-    """``x[rows].astype(dtype)`` for an index array ``rows``, copying only what it must."""
-    if x.dtype == dtype:
-        return x[rows]
-    out = np.empty((len(rows), x.shape[1]), dtype)
-    for start in range(0, len(rows), _CAST_ROWS):
-        out[start : start + _CAST_ROWS] = x[rows[start : start + _CAST_ROWS]]
-    return out
 
 
 def embed(model: Model, features, rows=None) -> np.ndarray:
@@ -217,7 +206,8 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
     ``ceil(n / _BLOCK_ROWS)`` equal blocks, each read from ``features`` and
     written into one preallocated activation, so at most one block of rows
     is copied; the deeper layers run on the whole activation. A model of
-    another dtype than ``features`` reads the blocks straight into its own.
+    another dtype than ``features`` gathers each block and then casts it, so
+    one block's gather and its cast are the most it holds beside ``h``.
     """
     x = _check_width(model, features)
     rows = _check_rows(rows, len(x))
@@ -225,7 +215,7 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
     h = np.empty((len(rows), W.shape[1]), W.dtype)
     blocks = max(1, -(-len(rows) // _BLOCK_ROWS))
     for part, out in zip(np.array_split(rows, blocks), np.array_split(h, blocks)):
-        _dense_relu(_gather(x, part, W.dtype), W, b, out=out)
+        _dense_relu(x[part].astype(W.dtype, copy=False), W, b, out=out)
     for W, b in zip(model.weights[1:-1], model.biases[1:-1]):
         h = _dense_relu(h, W, b)
     return h
@@ -308,7 +298,7 @@ def train_epochs(
     ``rows`` names the training rows of ``features`` in training order
     (default: all rows), each checked against ``features`` before any work;
     ``labels`` holds one label per training row. Each batch is gathered
-    straight from ``features`` into the model's dtype, so training on ``rows``
+    from ``features`` and cast to the model's dtype, so training on ``rows``
     is bit-identical to training on ``features[rows]``, without copying them.
 
     The shuffle for each epoch is derived from ``adam.seed`` and the model's
@@ -346,7 +336,9 @@ def train_epochs(
         for start in range(0, n, adam.batch_size):
             batch = slice(start, start + adam.batch_size)
             y_batch = y_order[batch]
-            loss, _ = loss_and_gradients(out, _gather(x, x_rows[batch], dtype), y_batch, grads)
+            loss, _ = loss_and_gradients(
+                out, x[x_rows[batch]].astype(dtype, copy=False), y_batch, grads
+            )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {out.epochs_trained}, "

@@ -137,7 +137,7 @@ def dataset_reconstruction_accuracy(
                 if np.intersect1d(fc.indices, pool).size:
                     raise ValueError("frozen cluster members overlap the current pool")
                 seen.append(fc.indices)
-        merged = np.concatenate(seen) if seen else np.empty(0, dtype=np.int64)
+        merged = np.concatenate(seen)
         if len(np.unique(merged)) != len(merged):
             raise ValueError("frozen cluster member sets overlap")
 

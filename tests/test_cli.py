@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import typing
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,8 @@ from classdisco.dataset import DataSource
 from classdisco.engine import OOD_MODES
 from classdisco.selection import POLICY_KINDS
 from conftest import write_idx_pair
+
+SYNTHETIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
 
 
 def base_config(**overrides):
@@ -110,6 +113,24 @@ class TestValidate:
         path = write_config(tmp_path, base_config(rounds=7))
         assert main(["validate", "--config", path]) == 1
         assert "rounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "discover"])
+    @pytest.mark.parametrize(
+        "held_out, message",
+        [
+            ([], "split.held_out_classes is empty: discovery has no OOD pool"),
+            ([3, 4, 9], "held-out classes not present in data: [9]"),
+        ],
+        ids=["empty", "absent-class"],
+    )
+    def test_held_out_classes_checked_against_data(
+        self, tmp_path, capsys, command, held_out, message
+    ):
+        doc = base_config()
+        doc["split"]["held_out_classes"] = held_out
+        path = write_config(tmp_path, doc)
+        assert main(_argv(command, path, str(tmp_path / "out"))) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
     def test_split_leaving_one_trainable_class(self, tmp_path, capsys):
         doc = base_config()
@@ -431,6 +452,41 @@ class TestDiscover:
         assert 0.0 <= detector["threshold"] <= 1.0
         assert detector["calibration_size"] == 180
 
+    def test_a_one_cluster_pool_stops_before_round_one(self, tmp_path, capsys):
+        doc = json.loads(SYNTHETIC_CONFIG.read_text())
+        doc["kmeans"]["k"] = 1
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["discover", "--config", path, "--mode", "dynamic", "--out", str(out)]) == 0
+        assert "stopped early: pool exhausted before round 1" in capsys.readouterr().out.splitlines()
+        report = json.loads((out / "report.json").read_text())
+        assert report["stopped_early"] == "pool exhausted before round 1"
+        assert [r["round"] for r in report["rounds"]] == [0]
+        assert report["accepted"] == []
+        assert len((out / "curves.csv").read_text().splitlines()) == 2
+
+    def test_a_two_layer_net_runs_end_to_end(self, tmp_path):
+        doc = base_config()
+        doc["net"]["hidden_dims"] = [16, 8]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["discover", "--config", path, "--mode", "dynamic", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["net"]["hidden_dims"] == [16, 8]
+        assert len(report["rounds"]) == 4
+        assert len(report["accepted"]) == 3
+
+    @pytest.mark.parametrize("command", ["discover", "classcount"])
+    def test_a_model_too_large_to_allocate_is_a_runtime_failure(self, tmp_path, capsys, command):
+        # 10**15 hidden units: a parameter block of hundreds of PiB, beyond
+        # any address space, so numpy refuses it outright
+        doc = classcount_config()
+        doc["net"]["hidden_dims"] = [10**15]
+        path = write_config(tmp_path, doc)
+        assert main(_argv(command, path, str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: Unable to allocate") and len(err.splitlines()) == 1
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, _poisoned_csv(tmp_path))
         assert main(["discover", "--config", path, "--mode", "static", "--out", str(tmp_path / "x")]) == 2
@@ -503,6 +559,17 @@ class TestClassCount:
         doc["data"]["per_class_n"] = 40
         path = write_config(tmp_path, doc)
         assert main(["classcount", "--config", path, "--counts", "1", "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [("2,x", "invalid --counts value '2,x'"), (",", "--counts is empty")],
+    )
+    def test_unparsable_counts_exit_one(self, tmp_path, capsys, monkeypatch, counts, message):
+        path = write_config(tmp_path, classcount_config())
+        no_training(monkeypatch)
+        argv = ["classcount", "--config", path, "--counts", counts, "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
         "held_out, k", [([], 5), ([9], 50)], ids=["no-held-out", "k-above-configured-pool"]
@@ -682,6 +749,36 @@ def _huge_data_key(key):
     return make_doc
 
 
+def _without(section, key=None):
+    """``base_config`` with ``section`` (or ``section.key``) left out."""
+
+    def make_doc(tmp_path):
+        doc = base_config()
+        if key is None:
+            del doc[section]
+        else:
+            del doc[section][key]
+        return doc
+
+    return make_doc
+
+
+def _scalar_section(tmp_path):
+    return base_config(kmeans=3)
+
+
+def _report_without_config(tmp_path):
+    return {"schema": cli.REPORT_SCHEMA, "config": 3}
+
+
+def _fractional_label_csv(tmp_path):
+    return _csv_config(tmp_path, "a,b,label\n1,2,0\n3,4,1.5\n")
+
+
+def _negative_label_csv(tmp_path):
+    return _csv_config(tmp_path, "a,b,label\n1,2,0\n3,4,-1\n")
+
+
 def _missing_idx_pair(tmp_path):
     doc = base_config()
     images, labels = str(tmp_path / "absent-im.idx"), str(tmp_path / "absent-lb.idx")
@@ -714,6 +811,15 @@ class TestExitCodes:
                 (_number_literal("kmeans", "seed", "9" * 5000), "is not valid JSON"),
                 (_huge_data_key("per_class_n"), "invalid 'data': n_classes x per_class_n must"),
                 (_huge_data_key("dim"), "invalid 'data': dim must be at most"),
+                (_without("data"), "config error: missing required key 'data'"),
+                (
+                    _without("split", "held_out_classes"),
+                    "config error: missing required key 'split.held_out_classes'",
+                ),
+                (_scalar_section, "config error: 'kmeans' must be an object, got 3"),
+                (_report_without_config, "exp.json carries no embedded config"),
+                (_fractional_label_csv, "data.csv: last column must contain integer labels"),
+                (_negative_label_csv, "data.csv: labels must be non-negative"),
             ]
             + [
                 (
@@ -738,6 +844,18 @@ class TestExitCodes:
         path = write_config(tmp_path, make_doc(tmp_path))
         assert main(_argv(command, path, str(tmp_path / "out"))) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["discover", "classcount"])
+    def test_data_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys, command):
+        # 6 x 10**17 rows: exabytes of labels alone, beyond any address
+        # space, so numpy refuses them outright
+        doc = classcount_config()
+        doc["data"]["per_class_n"] = 10**17
+        path = write_config(tmp_path, doc)
+        assert main(_argv(command, path, str(tmp_path / "out"))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot load data: Unable to allocate")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["validate", "discover", "classcount"])
     def test_missing_idx_pair_names_the_first_file(self, tmp_path, capsys, command):

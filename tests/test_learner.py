@@ -520,6 +520,23 @@ class TestInferenceRows:
         assert embed(model, x, rows=rows).tobytes() == embed(model, copy).tobytes()
         assert predict_proba(model, x, rows=rows).tobytes() == predict_proba(model, copy).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_deeper_layers_match_a_direct_forward_pass(self, dtype, blocks):
+        """Two hidden layers: ``embed`` and ``predict_proba`` on ``(X, rows)``
+        equal a forward pass on ``X[rows]`` in the model's dtype, byte for byte."""
+        x = shared_matrix(784)
+        n = blocks * learner._BLOCK_ROWS - 24
+        rows = np.random.default_rng(blocks).integers(0, len(x), n)
+        net = NetworkConfig(input_dim=784, output_classes=6, hidden_dims=(5, 3))
+        model = init_model(net, seed=1, dtype=dtype)
+        acts, logits = learner._forward(model, x[rows].astype(dtype))
+        got = embed(model, x, rows=rows)
+        assert got.dtype == dtype and got.shape == (n, 3) and got.any()
+        assert got.tobytes() == acts[-1].tobytes()
+        want = learner._softmax(logits).tobytes()
+        assert predict_proba(model, x, rows=rows).tobytes() == want
+
     def test_blocks_are_equal_and_bounded(self):
         x = shared_matrix(16)
         model = init_model(NetworkConfig(input_dim=16, output_classes=3, hidden_dims=(8,)), 0)
@@ -598,11 +615,11 @@ class TestFloat32Model:
             assert np.array_equal(getattr(narrow, name), getattr(wide, name).astype(np.float32))
         assert learner._workspace(narrow)[0].dtype == np.float32
 
-    def test_a_block_is_read_without_its_float64_copy(self):
+    def test_a_float32_embed_reads_its_pool_one_block_at_a_time(self):
         x = shared_matrix(784)
         net = NetworkConfig(input_dim=784, output_classes=3, hidden_dims=(8,))
         model = init_model(net, seed=0, dtype=np.float32)
-        rows = np.arange(1000) % len(x)
+        rows = np.arange(3000) % len(x)  # three blocks of 1000 rows
         embed(model, x, rows=rows)  # first-call allocations
         tracemalloc.start()
         try:
@@ -610,7 +627,7 @@ class TestFloat32Model:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the 1000-row block in float32, and only a few rows of float64 beside it:
-        # never the 1000 rows in float64 (twice the block) before their cast
-        block = len(rows) * 784 * 4
-        assert block < peak < 1.1 * block
+        # one block's float64 gather next to its float32 cast: never the
+        # whole pool's gather, which alone is twice that
+        block = 1000 * 784
+        assert 4 * block < peak < 1.1 * (8 + 4) * block

@@ -1,7 +1,7 @@
 """The opt-in micro-benches still run: each is called once, untimed, so a
 change to the private kernels they call (``learner._workspace``,
-``learner._gather``, ``clustering._sq_dists`` and the like) cannot break
-them silently."""
+``learner._adam_update``, ``clustering._sq_dists`` and the like) cannot
+break them silently."""
 
 import os
 import subprocess
