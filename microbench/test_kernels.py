@@ -7,9 +7,9 @@ collects them. Run them from the root of a checkout, one BLAS thread:
 
 Shapes: the stacked ``_sq_dists`` and ``_class_means`` kernels at 5000x128
 and 1000x128 points with k=15 (the pool sizes of the ``mnist784-dynamic``
-workload) for a group of 5 restarts in lockstep (the group size
-``fit_with_restarts`` takes for 10 restarts at that k and width), a whole
-``lloyd_fit`` of 10 iterations of such a group at 5000x128, a whole
+workload) for a stack of 5 restarts in lockstep (half the 10 that a default
+``fit_with_restarts`` stacks), a whole
+``lloyd_fit`` of 10 iterations of such a stack at 5000x128, a whole
 ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
 5000x128 and 1000x128, Adam at 16-128-15 and 784-128-15, and one whole
 training step (gradients plus Adam) at batch 32 on the learnability
@@ -35,7 +35,7 @@ POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="100
 NETS = [pytest.param(16, id="16-128-15"), pytest.param(784, id="784-128-15")]
 SCORER_NETS = [pytest.param(16, 15, id="16-32-15"), pytest.param(784, 6, id="784-32-6")]
 LLOYD_ITERS = 10
-GROUP = 5  # restarts per lockstep group for 10 restarts at k=15 and d=128
+GROUP = 5  # restarts in the kernels' lockstep stack; a default fit stacks 10
 DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="float32")]
 SHARED_ROWS = 10000  # the train step gathers its batch by row index from a matrix this tall
 

@@ -192,6 +192,9 @@ def lloyd_fit(
     block holds the one-hot assignments for the class sums. A restart leaves
     the block once it stops. Inertia is checked non-increasing on every
     iteration; the returned assignments point to the nearest final centroid.
+    An inertia summed from the expanded distances carries a rounding error of
+    up to ``4 (d + 2) eps sum|x|^2``; below that floor it is noise that may
+    rise, so a restart also stops once its inertia reaches it.
     ``centered`` is as in ``kmeanspp_init``.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -200,7 +203,8 @@ def lloyd_fit(
         raise ValueError("centroid width does not match point width")
     mu, ctr, norms = center(pts) if centered is None else centered
     cents = init.reshape(-1, *init.shape[-2:]) - mu
-    restarts, k, _ = cents.shape
+    restarts, k, d = cents.shape
+    floor = 4 * (d + 2) * np.finfo(np.float64).eps * norms.sum()
     block = np.empty((restarts, k, ctr.shape[0]))
     ids = np.arange(restarts)  # the stack positions of the restarts still running
     prev = np.full(restarts, np.nan)  # no inertia yet: neither check below can fire
@@ -223,6 +227,7 @@ def lloyd_fit(
                 f"inertia increased from {prev[r]} to {inertia[r]} at iteration {it}"
             )
         done = (new == cents).all(axis=(1, 2)) | ((prev - inertia) < tol * prev) | (it == max_iters)
+        done |= inertia <= floor  # its points sit on their centroids to within rounding
         cents, prev = new, inertia
         # Reconcile stopping restarts against their final centroids (d2 is
         # their block) so assignments are truly nearest.
@@ -255,19 +260,11 @@ def fit_with_restarts(points, cfg: KMeansConfig) -> Clustering:
 
     The result equals, bit for bit, the best of
     ``lloyd_fit(points, kmeanspp_init(points, cfg.k, seed=cfg.seed + i))``.
-    The points are centered once, and the restarts run in lockstep in as few
-    equal groups as keep each group's ``(R, k, n)`` block no larger than the
-    centered points (``R * k <= d``; one restart at a time when ``k > d``).
+    The points are centered once, and every restart runs in one lockstep
+    stack, whose ``(R, k, n)`` block grows linearly in ``cfg.restarts``.
     """
     pts = np.asarray(points, dtype=np.float64)
     centered = center(pts)
-    groups = -(-cfg.restarts // max(1, pts.shape[1] // cfg.k))
-    bounds = [cfg.restarts * g // groups for g in range(groups + 1)]
-    best = None
-    for lo, hi in zip(bounds, bounds[1:]):
-        subseeds = range(cfg.seed + lo, cfg.seed + hi)
-        init = kmeanspp_init(pts, cfg.k, seed=subseeds, centered=centered)
-        fit = lloyd_fit(pts, init, max_iters=cfg.max_iters, tol=cfg.tol, centered=centered)
-        if best is None or fit.inertia < best.inertia:  # strict: ties keep the lower sub-seed
-            best = fit
-    return best
+    subseeds = range(cfg.seed, cfg.seed + cfg.restarts)
+    init = kmeanspp_init(pts, cfg.k, seed=subseeds, centered=centered)
+    return lloyd_fit(pts, init, max_iters=cfg.max_iters, tol=cfg.tol, centered=centered)

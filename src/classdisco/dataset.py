@@ -155,11 +155,11 @@ class GaussianMixtureSpec:
             raise ValueError("separation must be >= 0")
         if self.per_class_n < 1:
             raise ValueError("per_class_n must be >= 1")
-        limit = np.iinfo(np.int64).max
-        if self.n_classes * self.per_class_n > limit:
-            raise ValueError(f"n_classes x per_class_n must be at most {limit} rows")
-        if self.dim > limit:
-            raise ValueError(f"dim must be at most {limit}")
+        limit = np.iinfo(np.intp).max  # the largest array numpy can address
+        if self.n_classes * self.per_class_n * self.dim * 8 > limit:
+            raise ValueError(
+                f"n_classes x per_class_n x dim float64 features must be at most {limit} bytes"
+            )
 
     def load(self) -> Dataset:
         return synth_gaussian(self)
@@ -272,14 +272,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     width, labels_raw = _check_idx(images_path, labels_path)
     n_images = len(labels_raw)
     pixels = np.fromfile(images_path, dtype=np.uint8, count=n_images * width, offset=16)
-    labels = _readonly(labels_raw.astype(np.int64))
-    n_classes = int(labels.max()) + 1 if n_images else 0
-    return Dataset(
-        features=_readonly(pixels.reshape(n_images, width) / 255.0),  # float64, one new array
-        labels=labels,
-        true_labels=labels,
-        label_map=tuple(range(n_classes)),
-    )
+    features = _readonly(pixels.reshape(n_images, width) / 255.0)  # float64, one new array
+    return _fully_labeled(features, labels_raw.astype(np.int64))
 
 
 def load_csv(path: str) -> Dataset:
@@ -315,14 +309,22 @@ def load_csv(path: str) -> Dataset:
     labels = raw[:, -1]
     if not np.all(labels == np.round(labels)):
         raise ValueError(f"{path}: last column must contain integer labels")
-    labels = _readonly(labels.astype(np.int64))
+    labels = labels.astype(np.int64)
     if (labels < 0).any():
         raise ValueError(f"{path}: labels must be non-negative")
+    return _fully_labeled(_readonly(np.ascontiguousarray(raw[:, :-1])), labels)
+
+
+def _fully_labeled(features: np.ndarray, true_labels: np.ndarray) -> Dataset:
+    """A Dataset in which every row is labeled and every class is a human
+    class: ``label_map`` lists the classes present, ascending, and each label
+    is its class's index in it."""
+    present, dense = np.unique(true_labels, return_inverse=True)
     return Dataset(
-        features=_readonly(np.ascontiguousarray(raw[:, :-1])),
-        labels=labels,
-        true_labels=labels,
-        label_map=tuple(range(int(labels.max()) + 1 if len(labels) else 0)),
+        features=features,
+        labels=dense,
+        true_labels=_readonly(true_labels),
+        label_map=tuple(present.tolist()),
     )
 
 
@@ -343,16 +345,11 @@ def synth_gaussian(spec: GaussianMixtureSpec) -> Dataset:
     centers = spec.separation * directions / norms
 
     n = spec.n_classes * spec.per_class_n
-    labels = _readonly(np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_n))
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_n)
     features = rng.standard_normal((n, spec.dim))
     per_class = features.reshape(spec.n_classes, spec.per_class_n, spec.dim)  # a view
     per_class += centers[:, None, :]  # noise + center is center + noise, exactly
-    return Dataset(
-        features=_readonly(features),
-        labels=labels,
-        true_labels=labels,
-        label_map=tuple(range(spec.n_classes)),
-    )
+    return _fully_labeled(_readonly(features), labels)
 
 
 def make_split(data: Dataset, spec: SplitSpec, rows=None) -> Dataset:

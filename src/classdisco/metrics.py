@@ -131,15 +131,9 @@ def dataset_reconstruction_accuracy(
 
     if ood_indices is not None:
         pool = np.asarray(ood_indices, dtype=np.int64)
-        seen = [pool]
-        for fc in frozen:
-            if fc.indices is not None:
-                if np.intersect1d(fc.indices, pool).size:
-                    raise ValueError("frozen cluster members overlap the current pool")
-                seen.append(fc.indices)
-        merged = np.concatenate(seen)
+        merged = np.concatenate([pool] + [fc.indices for fc in frozen if fc.indices is not None])
         if len(np.unique(merged)) != len(merged):
-            raise ValueError("frozen cluster member sets overlap")
+            raise ValueError("frozen cluster members overlap the current pool or each other")
 
     n_routed = 0
     routed_correct = 0

@@ -738,12 +738,12 @@ def _number_literal(section, key, literal):
     return make_doc
 
 
-def _huge_data_key(key):
-    """``base_config`` with ``data.key`` set to 10**30, beyond int64."""
+def _huge_data_key(key, value=10**30):
+    """``base_config`` with ``data.key`` set to ``value``, by default beyond int64."""
 
     def make_doc(tmp_path):
         doc = base_config()
-        doc["data"][key] = 10**30
+        doc["data"][key] = value
         return doc
 
     return make_doc
@@ -809,8 +809,10 @@ class TestExitCodes:
                 (_truncated_labels, "lb.idx: truncated file, needed 60 bytes at byte offset 8"),
                 (_zero_width_images, "im.idx: bad image size 0x28 at byte offset 8"),
                 (_number_literal("kmeans", "seed", "9" * 5000), "is not valid JSON"),
-                (_huge_data_key("per_class_n"), "invalid 'data': n_classes x per_class_n must"),
-                (_huge_data_key("dim"), "invalid 'data': dim must be at most"),
+                (_huge_data_key("per_class_n"), "invalid 'data': n_classes x per_class_n x dim"),
+                (_huge_data_key("dim"), "invalid 'data': n_classes x per_class_n x dim"),
+                # 6 x 10**17 rows of 8 floats: beyond what numpy can address
+                (_huge_data_key("per_class_n", 10**17), "invalid 'data': n_classes x per_class_n"),
                 (_without("data"), "config error: missing required key 'data'"),
                 (
                     _without("split", "held_out_classes"),
@@ -847,10 +849,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["discover", "classcount"])
     def test_data_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys, command):
-        # 6 x 10**17 rows: exabytes of labels alone, beyond any address
-        # space, so numpy refuses them outright
+        # 10 x 10**16 rows of 8 floats pass the config's bound, but their
+        # labels alone take 711 PiB, beyond any address space, so numpy
+        # refuses them outright
         doc = classcount_config()
-        doc["data"]["per_class_n"] = 10**17
+        doc["data"]["per_class_n"] = 10**16
         path = write_config(tmp_path, doc)
         assert main(_argv(command, path, str(tmp_path / "out"))) == 1
         err = capsys.readouterr().err

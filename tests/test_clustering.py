@@ -209,6 +209,18 @@ class TestLloyd:
         tiny = np.finfo(np.float64).tiny  # subnormal sums carry no relative precision
         assert result.inertia == pytest.approx(direct, rel=1e-9, abs=1e-12 * spread + tiny)
 
+    def test_fewer_distinct_rows_than_k_stops_at_the_rounding_floor(self):
+        # two distinct rows and k=3: the true inertia is 0, and an inertia
+        # summed from |c|^2 - 2 c.x + |x|^2 is rounding noise that can rise
+        points = np.zeros((17, 16))
+        points[:6, :2] = [45.0, 84.5]
+        floor = 4 * 18 * np.finfo(np.float64).eps * clustering.center(points)[2].sum()
+        for seed in range(20):
+            result = lloyd_fit(points, kmeanspp_init(points, 3, seed=seed))
+            assert result.inertia <= floor
+            assert len(set(zip(result.assignments.tolist(), points[:, 0].tolist()))) == 3
+        assert fit_with_restarts(points, KMeansConfig(k=3, restarts=10)).inertia <= floor
+
     def test_zero_points_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning comes before the error
@@ -243,11 +255,10 @@ class TestRestarts:
         best_index = int(np.argmin(inertias))  # argmin takes the first, the tie rule
         assert np.array_equal(result.assignments, trials[best_index].assignments)
 
-    @pytest.mark.parametrize("dim, groups", [(3, 6), (8, 3), (12, 2), (24, 1)])
-    def test_centers_once_and_matches_self_centering_trials(self, dim, groups):
-        # a group's (R, k, n) block may be no larger than the centered points,
-        # so R * k <= d: 6 restarts at k=4 run one at a time at d=3, 2 at a
-        # time at d=8, 3 at d=12 and all 6 at once at d=24
+    @pytest.mark.parametrize("dim", [3, 8, 12, 24])
+    def test_centers_once_and_matches_self_centering_trials(self, dim):
+        # every restart runs in one stack, whether its (R, k, n) block is
+        # larger than the centered points (R * k > d) or not
         rng = np.random.default_rng(6)
         points = rng.standard_normal((75, dim)) + 8.0 * rng.integers(0, 3, (75, 1)) + 1e3
         cfg = KMeansConfig(k=4, restarts=6, seed=9)
@@ -257,13 +268,11 @@ class TestRestarts:
             mock.patch.object(clustering, "lloyd_fit", wraps=lloyd_fit) as lloyd_spy,
         ):
             result = fit_with_restarts(points, cfg)
-        assert center.call_count == 1
-        # each group goes through the module attributes, points first
-        assert seed_spy.call_count == lloyd_spy.call_count == groups
+        # one seeding and one Lloyd call, through the module attributes, points first
+        assert center.call_count == seed_spy.call_count == lloyd_spy.call_count == 1
         for call in seed_spy.call_args_list + lloyd_spy.call_args_list:
             assert call.args[0] is center.call_args.args[0]
-        sizes = [len(call.kwargs["seed"]) for call in seed_spy.call_args_list]
-        assert sum(sizes) == cfg.restarts and max(sizes) - min(sizes) <= 1
+        assert seed_spy.call_args.kwargs["seed"] == range(cfg.seed, cfg.seed + cfg.restarts)
         trials = [
             lloyd_fit(points, kmeanspp_init(points, 4, seed=cfg.seed + i))
             for i in range(cfg.restarts)
@@ -363,9 +372,9 @@ class TestLockstep:
         assert_same_clustering(result, trials[0])
 
     def test_peak_memory_is_the_points_and_one_block(self):
-        # 10 restarts at k=15, d=128 run as two groups of 5: the (5, 15, n)
-        # block is 59% of the centered points' bytes, and nothing else is
-        # that large
+        # 10 restarts at k=15, d=128 run as one stack: the centered points,
+        # one (10, 15, n) block and a few (10, n) rows (assignments, their
+        # reconciliation, minima), and nothing else that large
         rng = np.random.default_rng(0)
         centers = 3.0 * rng.standard_normal((15, 128))
         points = centers[rng.integers(15, size=5000)] + rng.standard_normal((5000, 128))
@@ -375,7 +384,8 @@ class TestLockstep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * points.nbytes
+        row = 10 * 5000 * 8
+        assert peak < points.nbytes + 15 * row + 6 * row
 
 
 # Reference kernels: one restart at a time, in the straightforward formulas
@@ -438,6 +448,8 @@ def reference_lloyd(points, init_centroids, max_iters=300, tol=1e-4):
     centroids = np.asarray(init_centroids, dtype=np.float64) - mu
     k = centroids.shape[0]
     trace, prev = [], None
+    norms = clustering.center(points)[2]
+    floor = 4 * (points.shape[1] + 2) * np.finfo(np.float64).eps * norms.sum()
     assign = dists(centroids).argmin(axis=0)
     centroids, assign = reference_repair_empty(ctr, centroids, assign, dists)
     for it in range(max_iters):
@@ -447,7 +459,10 @@ def reference_lloyd(points, init_centroids, max_iters=300, tol=1e-4):
         converged = np.array_equal(new_centroids, centroids)
         centroids = new_centroids
         final = dists(centroids).argmin(axis=0)
-        stop = converged or (prev is not None and (prev - inertia) < tol * prev)
+        # at or below the floor, an inertia is rounding noise and may rise
+        stop = converged or inertia <= floor or (
+            prev is not None and (prev - inertia) < tol * prev
+        )
         if stop or it == max_iters - 1:
             if not np.array_equal(final, assign):
                 centroids, assign = reference_repair_empty(ctr, centroids, final, dists)

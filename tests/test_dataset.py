@@ -159,6 +159,23 @@ def test_load_csv(tmp_path):
     assert data.n_classes_visible == 2
 
 
+def test_load_csv_label_map_lists_the_classes_present(tmp_path):
+    # a map of every id up to the largest label would hold 10**7 entries
+    path = tmp_path / "data.csv"
+    path.write_text("f0,label\n0.5,0\n1.5,1\n2.5,10000000\n")
+    load_csv(str(path))  # the first call's lazy imports allocate too
+    tracemalloc.start()
+    try:
+        data = load_csv(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.label_map == (0, 1, 10**7)
+    assert np.array_equal(data.labels, [0, 1, 2])
+    assert np.array_equal(data.true_labels, [0, 1, 10**7])
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "cell, line",
     [("", 3), ("nan", 3), ("inf", 3), ("abc", 3), ("1e308", 3), ("-1e39", 3)],

@@ -23,15 +23,17 @@ def test_benchmark_wrap_points_resolve():
 
 
 def test_tracer_sees_the_kmeans_stages():
-    # fit_with_restarts calls both stages through the module attributes,
-    # points first, and lloyd_fit returns a Clustering, as the count hook reads
+    # fit_with_restarts calls both stages once per fit, through the module
+    # attributes, points first, and lloyd_fit returns a Clustering, as the
+    # count hook reads; so the benchmark's fit count counts fits
     points = np.random.default_rng(0).standard_normal((60, 8))
     traced = load_tracer().Tracer()
     traced.install()
     try:
-        clustering.fit_with_restarts(points, clustering.KMeansConfig(k=3, restarts=4, seed=0))
+        for k in (3, 5):  # k=5 at d=8: a block larger than the points
+            clustering.fit_with_restarts(points, clustering.KMeansConfig(k=k, restarts=4, seed=0))
     finally:
         traced.uninstall()
-    names = {span[0] for span in traced.spans}
-    assert {"clustering.kmeanspp_init", "clustering.lloyd_fit"} <= names
+    names = [span[0] for span in traced.spans]
+    assert names.count("clustering.kmeanspp_init") == names.count("clustering.lloyd_fit") == 2
     assert traced.counts["clustering.lloyd_iterations"] > 0
