@@ -11,12 +11,13 @@ workload) for a stack of 5 restarts in lockstep (half the 10 that a default
 ``fit_with_restarts`` stacks), a whole
 ``lloyd_fit`` of 10 iterations of such a stack at 5000x128, a whole
 ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
-5000x128 and 1000x128, Adam at 16-128-15 and 784-128-15, and one whole
-training step (gradients plus Adam) at batch 32 on the learnability
-scorer's 16-32-15 and 784-32-6 networks. Adam and the step run in float64,
-as the main classifier does, and in float32, as the scorer does. The step
-gathers its batch by row index from a shared float64 10000-row matrix into
-the model's dtype, as ``train_epochs`` does with ``rows``.
+5000x128 and 1000x128, Adam at 16-128-15, 784-128-15 and the main
+classifier's 784-128-10, and one whole training step (gradients plus Adam)
+at batch 32 on the learnability scorer's 16-32-15 and 784-32-6 networks and
+at batch 128 on the main classifier's 784-128-10. Adam and the step run in
+float32, the ``TRAIN_DTYPE`` of both models, and in float64 for comparison.
+The step gathers its batch by row index from a shared float64 10000-row
+matrix into the model's dtype, as ``train_epochs`` does with ``rows``.
 A whole ``learnability_scores`` call runs at the ``mnist784-dynamic`` round-0
 shape: 5000 pool rows of a shared, read-only 10000x784 matrix in 15 clusters,
 under the default ``LearnabilityConfig``. ``embed`` of the same 5000 pool rows
@@ -32,8 +33,17 @@ from classdisco import clustering, learner, selection  # noqa: E402
 
 K = 15
 POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="1000x128")]
-NETS = [pytest.param(16, id="16-128-15"), pytest.param(784, id="784-128-15")]
-SCORER_NETS = [pytest.param(16, 15, id="16-32-15"), pytest.param(784, 6, id="784-32-6")]
+NETS = [
+    pytest.param(16, K, id="16-128-15"),
+    pytest.param(784, K, id="784-128-15"),
+    pytest.param(784, 10, id="784-128-10"),
+]
+# input width, hidden width, classes and batch size of one training step
+STEP_NETS = [
+    pytest.param(16, 32, 15, 32, id="16-32-15"),
+    pytest.param(784, 32, 6, 32, id="784-32-6"),
+    pytest.param(784, 128, 10, 128, id="784-128-10-batch128"),
+]
 LLOYD_ITERS = 10
 GROUP = 5  # restarts in the kernels' lockstep stack; a default fit stacks 10
 DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="float32")]
@@ -80,9 +90,9 @@ def test_fit_with_restarts(benchmark, n, d):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("input_dim", NETS)
-def test_adam_update(benchmark, input_dim, dtype):
-    net = learner.NetworkConfig(input_dim=input_dim, output_classes=K, hidden_dims=(128,))
+@pytest.mark.parametrize("input_dim,classes", NETS)
+def test_adam_update(benchmark, input_dim, classes, dtype):
+    net = learner.NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(128,))
     model = learner.init_model(net, seed=0, dtype=dtype)
     work, _ = learner._workspace(model)
     work[0] = 1e-3
@@ -90,15 +100,17 @@ def test_adam_update(benchmark, input_dim, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("input_dim,classes", SCORER_NETS)
-def test_train_step(benchmark, input_dim, classes, dtype):
-    net = learner.NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(32,))
+@pytest.mark.parametrize("input_dim,hidden,classes,batch", STEP_NETS)
+def test_train_step(benchmark, input_dim, hidden, classes, batch, dtype):
+    net = learner.NetworkConfig(
+        input_dim=input_dim, output_classes=classes, hidden_dims=(hidden,)
+    )
     model = learner.init_model(net, seed=0, dtype=dtype)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((SHARED_ROWS, input_dim))
     y = rng.integers(0, classes, SHARED_ROWS)
-    rows = rng.permutation(SHARED_ROWS)[:32]
-    adam = learner.AdamConfig(batch_size=32)
+    rows = rng.permutation(SHARED_ROWS)[:batch]
+    adam = learner.AdamConfig(batch_size=batch)
     work, grads = learner._workspace(model)
 
     def step():

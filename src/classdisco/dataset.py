@@ -281,9 +281,9 @@ def load_csv(path: str) -> Dataset:
 
     The header and every data row must have the first data row's column
     count, and every feature must be finite and within float32's range, which
-    the learnability scorer computes in. The first row or cell that is not (a
-    short row; an empty or non-numeric cell, nan, inf, 1e308) is reported by
-    line, a cell also by column.
+    the models compute in; every label an integer in [0, 2**63). The first row,
+    cell or label that is not (a short row; nan, inf, 1e308 or a non-numeric
+    cell; a label of 1.5, -1 or 1e20) is reported by line, a cell also by column.
     """
     with open(path) as f:
         header, *lines = f.read().splitlines() or [""]
@@ -307,12 +307,14 @@ def load_csv(path: str) -> Dataset:
             f"{path}: line {rows[row][0]}, column {names[col].strip()!r}: not a finite float32"
         )
     labels = raw[:, -1]
-    if not np.all(labels == np.round(labels)):
-        raise ValueError(f"{path}: last column must contain integer labels")
-    labels = labels.astype(np.int64)
-    if (labels < 0).any():
-        raise ValueError(f"{path}: labels must be non-negative")
-    return _fully_labeled(_readonly(np.ascontiguousarray(raw[:, :-1])), labels)
+    integral = np.isfinite(labels) & (labels == np.floor(labels))
+    bad = np.flatnonzero(~(integral & (labels >= 0) & (labels < 2.0**63)))
+    if len(bad):
+        at = bad[0]
+        rule = "labels must be non-negative integers below 2**63"
+        rule = rule if integral[at] else "last column must contain integer labels"
+        raise ValueError(f"{path}: {rule}; line {rows[at][0]} has {labels[at]:g}")
+    return _fully_labeled(_readonly(np.ascontiguousarray(raw[:, :-1])), labels.astype(np.int64))
 
 
 def _fully_labeled(features: np.ndarray, true_labels: np.ndarray) -> Dataset:

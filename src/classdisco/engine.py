@@ -32,6 +32,7 @@ from .dataset import (
     make_split,
 )
 from .learner import (
+    TRAIN_DTYPE,
     AdamConfig,
     Model,
     NetworkConfig,
@@ -212,7 +213,8 @@ def _prepare(cfg: ExperimentConfig, raw: Dataset, rows=None) -> tuple[DiscoveryS
         net = replace(net, input_dim=data.n_features)
     if net.output_classes is None:
         net = replace(net, output_classes=data.n_classes_visible)
-    model = _train_labeled(init_model(net, seed=cfg.seed), data, cfg, cfg.epochs_initial)
+    model = init_model(net, seed=cfg.seed, dtype=TRAIN_DTYPE)
+    model = _train_labeled(model, data, cfg, cfg.epochs_initial)
     ev = _evaluate(data, model, cfg, [], 0)
     record = RoundRecord(
         round=0,

@@ -20,6 +20,8 @@ import numpy as np
 
 from . import seeds
 
+TRAIN_DTYPE = np.float32  # of every model the engine and the scorer train; k-means stays float64
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
@@ -184,14 +186,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_proba(model: Model, features, rows=None) -> np.ndarray:
+def predict_proba(model: Model, features, rows=None, dtype=None) -> np.ndarray:
     """Softmax class probabilities, one row per sample, rows summing to 1.
 
-    ``rows`` is as in ``embed``. Entries are strictly inside (0, 1) except
-    under extreme logit gaps, where the losing entries saturate to 0: beyond
-    ~745 in a float64 model, and already beyond ~88 in a float32 one.
+    ``rows`` is as in ``embed``; the softmax runs in ``dtype`` (default: the
+    model's). Entries are strictly inside (0, 1) except under extreme logit
+    gaps, where the losing entries saturate to 0: beyond ~745 in float64, and
+    already beyond ~88 in float32.
     """
-    return _softmax(_logits(model, embed(model, features, rows)))
+    logits = _logits(model, embed(model, features, rows))
+    return _softmax(logits.astype(dtype or logits.dtype, copy=False))
 
 
 _BLOCK_ROWS = 1024  # inference runs the first layer over at most this many rows at once
@@ -304,6 +308,8 @@ def train_epochs(
     The shuffle for each epoch is derived from ``adam.seed`` and the model's
     global epoch counter, so repeated calls continue the same deterministic
     stream and identical runs produce bit-identical weights.
+    After each epoch, ``flat_m`` entries below the dtype's smallest normal are
+    set to 0: ``m *= beta1`` cannot round a subnormal to 0, and subnormals slow every step.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -346,9 +352,14 @@ def train_epochs(
                 )
             _adam_update(out, work, adam)
             total += loss * len(y_batch)
+        _flush_subnormals(out.flat_m)
         out.epochs_trained += 1
         out.loss_log = out.loss_log + (total / n,)
     return out
+
+
+def _flush_subnormals(m: np.ndarray) -> None:
+    m[np.abs(m) < np.finfo(m.dtype).tiny] = 0  # moves no parameter above ~1e-26 in magnitude
 
 
 def expand_outputs(model: Model, new_output_classes: int, seed: int) -> Model:

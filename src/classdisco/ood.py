@@ -32,8 +32,9 @@ class Partition:
 
 
 def max_confidences(model: Model, features, rows=None) -> np.ndarray:
-    """Maximum softmax probability per sample; ``rows`` as in ``predict_proba``."""
-    return predict_proba(model, features, rows).max(axis=1)
+    """Maximum softmax probability per sample; ``rows`` as in ``predict_proba``. It is
+    float64 for every model: a float32 softmax reads exactly 1.0 from a logit gap of ~17."""
+    return predict_proba(model, features, rows, dtype=np.float64).max(axis=1)
 
 
 def calibrate(model: Model, features, q: float = 0.95, rows=None) -> OodDetector:
@@ -56,7 +57,7 @@ def calibrate(model: Model, features, q: float = 0.95, rows=None) -> OodDetector
 def partition(detector: OodDetector, model: Model, features, rows=None) -> Partition:
     """Route every one of ``rows`` of ``features`` (default: every row): OOD iff
     confidence < threshold, ties in-distribution. Indices are positions in ``rows``."""
-    probs = predict_proba(model, features, rows)
+    probs = predict_proba(model, features, rows, dtype=np.float64)
     conf = probs.max(axis=1)
     is_in = conf >= detector.threshold
     in_idx = np.flatnonzero(is_in)

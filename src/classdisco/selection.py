@@ -14,8 +14,8 @@ import numpy as np
 
 from . import seeds
 from .clustering import Clustering
-from .learner import AdamConfig, NetworkConfig, TrainingDivergedError, init_model
-from .learner import predict_proba, train_epochs
+from .learner import TRAIN_DTYPE, AdamConfig, NetworkConfig, TrainingDivergedError
+from .learner import init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
 
@@ -23,9 +23,6 @@ MIN_SCOREABLE_SIZE = 5
 # is a single Adam update and each update moves parameters by about the
 # learning rate; epochs are raised until this update budget is met.
 _MIN_SCORER_UPDATES = 2000
-
-# The scorer's predictions only feed an argmax, and float32 halves its Adam step's cost.
-_SCORER_DTYPE = np.float32
 
 POLICY_KINDS = ("learnability", "random", "density", "threshold")
 
@@ -98,7 +95,7 @@ def learnability_scores(
 
     Every class is read from ``features`` by row index: the scorer trains on
     its rows and predicts its holdout rows without gathering either side.
-    The scorer computes in float32, so a feature beyond ~3.4e38 raises TrainingDivergedError.
+    It computes in ``TRAIN_DTYPE``: a feature beyond ~3.4e38 raises TrainingDivergedError.
     """
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
@@ -154,7 +151,7 @@ def learnability_scores(
         input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims
     )
     sub_seed = int(rng.integers(2**32))
-    model = init_model(net, seed=sub_seed, dtype=_SCORER_DTYPE)
+    model = init_model(net, seed=sub_seed, dtype=TRAIN_DTYPE)
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-_MIN_SCORER_UPDATES // batches_per_epoch))

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -423,6 +424,21 @@ class TestDiscover:
             return [line for line in lines if b'"wall_clock_seconds"' not in line]
 
         assert report_less_wall_clock(serial) == report_less_wall_clock(parallel)
+
+    def test_synthetic_config_reruns_byte_identical(self, tmp_path):
+        """Two dynamic runs of configs/synthetic.json, whose main classifier and
+        scorer train in float32, write the same bytes apart from the wall clock."""
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            argv = ["discover", "--mode", "dynamic", "--config", str(SYNTHETIC_CONFIG)]
+            assert main(argv + ["--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["clusters.csv", "curves.csv", "report.json"]
+        first, second = (json.loads((out / "report.json").read_text()) for out in outs)
+        first.pop("wall_clock_seconds"), second.pop("wall_clock_seconds")
+        assert first == second
+        for name in ("curves.csv", "clusters.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_emitted_report_revalidates(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -846,6 +862,26 @@ class TestExitCodes:
         path = write_config(tmp_path, make_doc(tmp_path))
         assert main(_argv(command, path, str(tmp_path / "out"))) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("1e20", "labels must be non-negative integers below 2**63; line 3 has 1e+20"),
+            ("inf", "last column must contain integer labels; line 3 has inf"),
+            ("nan", "last column must contain integer labels; line 3 has nan"),
+        ],
+    )
+    def test_a_label_beyond_int64_names_its_line_without_a_warning(
+        self, tmp_path, capsys, label, message
+    ):
+        path = write_config(tmp_path, _csv_config(tmp_path, f"a,b,label\n1,2,0\n3,4,{label}\n"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--config", path]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert f"data.csv: {message}" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["discover", "classcount"])
     def test_data_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys, command):

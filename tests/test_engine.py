@@ -1,3 +1,4 @@
+import contextlib
 import math
 import weakref
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classdisco import engine, ood, selection
+from classdisco import clustering, engine, learner, ood, selection
 from classdisco.clustering import KMeansConfig
 from classdisco.dataset import (
     DISCOVERED_CLASS,
@@ -264,6 +265,55 @@ class TestTrainLabeled:
         for name in ("flat_params", "flat_m", "flat_v"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.loss_log == want.loss_log
+
+
+class TestFloat32MainModel:
+    def test_the_main_model_trains_in_float32_and_k_means_in_float64(self):
+        """From ``_prepare`` through ``expand_outputs`` and retraining, the main
+        model's block, workspace, gradients and embeddings are float32, and
+        ``fit_with_restarts`` clusters float64 points. The random policy runs no
+        scorer, so every training call seen is the main model's."""
+        seen = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def record(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.setdefault(name, []).append((args, out))
+                return out
+
+            return mock.patch.object(module, name, record)
+
+        spied = [(engine, n) for n in ("_prepare", "init_model", "_train_labeled", "expand_outputs")]
+        spied += [(engine, "embed"), (clustering, "kmeanspp_init"), (clustering, "lloyd_fit")]
+        spied += [(learner, n) for n in ("_workspace", "loss_and_gradients", "_adam_update")]
+        cfg = world(seed=1, policy="random", rounds=1, epochs_initial=2, epochs_per_round=1)
+        with contextlib.ExitStack() as stack:
+            for module, name in spied:
+                stack.enter_context(spy(module, name))
+            state, _ = run_dynamic(cfg)
+
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert {name for _, name in spied} == set(seen)
+        assert len(seen["expand_outputs"]) == 1 and len(seen["_train_labeled"]) == 2
+        (_, (prepared, ev)), = seen["_prepare"]
+        models = [prepared.model, state.model] + [out for _, out in seen["init_model"]]
+        models += [m for name in ("_train_labeled", "expand_outputs") for (m, *_), _ in seen[name]]
+        models += [out for name in ("_train_labeled", "expand_outputs") for _, out in seen[name]]
+        assert {m.block.dtype for m in models} == {f32}
+        for _, (work, grads) in seen["_workspace"]:
+            assert {work.dtype, *(g.dtype for g in grads)} == {f32}
+        for (model, x, _, _), (_, grads) in seen["loss_and_gradients"]:
+            assert {model.block.dtype, x.dtype, *(g.dtype for g in grads)} == {f32}
+        for (model, work, _), _ in seen["_adam_update"]:
+            assert {model.block.dtype, work.dtype} == {f32}
+        assert ev.embeddings.dtype == f32
+        assert {out.dtype for _, out in seen["embed"]} == {f32}
+        for (points, *_), init in seen["kmeanspp_init"]:
+            assert {points.dtype, init.dtype} == {f64}
+        for (points, init, *_), fit in seen["lloyd_fit"]:
+            assert {points.dtype, init.dtype, fit.centroids.dtype} == {f64}
 
 
 class TestEvaluateRows:

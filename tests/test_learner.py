@@ -631,3 +631,71 @@ class TestFloat32Model:
         # whole pool's gather, which alone is twice that
         block = 1000 * 784
         assert 4 * block < peak < 1.1 * (8 + 4) * block
+
+
+DEAD_START = 1e-3  # a first moment left by gradients that then stop for good
+
+
+def stuck_m_problem(dtype, dead_rows=(0,)):
+    """A float model on ten rows whose input column 0 is all zero: the first
+    layer's weights out of it get an exactly-zero gradient at every step, and
+    their first moments start at ``DEAD_START``."""
+    x, y = toy_batch(seed=5, n=10, dim=8)
+    x[:, 0] = 0.0
+    model = init_model(TOY_NET, seed=5, dtype=dtype)
+    model.m[0][list(dead_rows)] = DEAD_START
+    model.v[0][list(dead_rows)] = DEAD_START**2
+    return model, x, y
+
+
+class TestSubnormalFlush:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_gradient_that_stays_zero_leaves_m_exactly_zero(self, dtype):
+        """``m *= beta1`` alone strands a subnormal ``m``; the per-epoch flush
+        zeroes it within one epoch of the steps it takes to leave normal range."""
+        model, x, y = stuck_m_problem(dtype)
+        adam = AdamConfig(batch_size=1, seed=5)
+        tiny = np.finfo(dtype).tiny
+        steps = int(np.ceil(np.log(tiny / DEAD_START) / np.log(adam.beta1))) + len(y)
+        epochs = -(-steps // len(y))
+        flushed = train_epochs(model, x, y, adam, epochs)
+        assert flushed.m[0][0].tobytes() == np.zeros(TOY_NET.hidden_dims, dtype).tobytes()
+        with mock.patch.object(learner, "_flush_subnormals", lambda m: None):
+            stuck = train_epochs(model, x, y, adam, epochs + 20)
+        assert (0 < np.abs(stuck.m[0][0])).all() and (np.abs(stuck.m[0][0]) < tiny).all()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        hidden=st.integers(2, 6),
+        classes=st.integers(2, 3),
+        dead=st.integers(1, 2**6 - 1),
+    )
+    def test_flushing_keeps_the_parameters_and_second_moments(
+        self, seed, dim, hidden, classes, dead
+    ):
+        """On random float32 problems where some hidden units die after training
+        has begun, flushed and unflushed training give the same ``flat_params``
+        and ``flat_v`` bytes; only the dead units' stranded ``m`` differs."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((16, dim))
+        y = rng.integers(0, classes, 16)
+        net = NetworkConfig(input_dim=dim, output_classes=classes, hidden_dims=(hidden,))
+        model = init_model(net, seed=seed, dtype=np.float32)
+        model.flat_m[:] = rng.standard_normal(len(model.flat_m)) * 1e-2
+        model.flat_v[:] = rng.uniform(1e-4, 1e-2, len(model.flat_v))
+        units = [u for u in range(hidden) if dead >> u & 1] or [0]
+        model.biases[0][units] = -1e3  # those units output 0 for every row from here on
+        adam = AdamConfig(batch_size=2, seed=seed)
+        epochs = 110  # 880 steps: past the ~800 a float32 m of 1e-2 takes to go subnormal
+        flushed = train_epochs(model, x, y, adam, epochs)
+        with mock.patch.object(learner, "_flush_subnormals", lambda m: None):
+            unflushed = train_epochs(model, x, y, adam, epochs)
+        for name in ("flat_params", "flat_v"):
+            assert getattr(flushed, name).tobytes() == getattr(unflushed, name).tobytes()
+        assert flushed.loss_log == unflushed.loss_log
+        stranded = flushed.flat_m != unflushed.flat_m
+        assert stranded.any()
+        assert (flushed.flat_m[stranded] == 0).all()
+        assert (np.abs(unflushed.flat_m[stranded]) < np.finfo(np.float32).tiny).all()

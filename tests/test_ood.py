@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from classdisco.learner import AdamConfig, NetworkConfig, init_model, train_epochs
+from classdisco import learner
+from classdisco.learner import AdamConfig, NetworkConfig, init_model, predict_proba, train_epochs
 from classdisco.ood import OodDetector, calibrate, max_confidences, partition
 
 
-def confidence_model():
+def confidence_model(dtype=np.float64):
     """Maps a non-negative scalar x to logits (x, 0), so max prob = 1/(1+exp(-x))."""
-    model = init_model(NetworkConfig(input_dim=1, output_classes=2, hidden_dims=(1,)), seed=0)
+    net = NetworkConfig(input_dim=1, output_classes=2, hidden_dims=(1,))
+    model = init_model(net, seed=0, dtype=dtype)
     model.weights[0][:] = [[1.0]]
     model.weights[1][:] = [[1.0, 0.0]]
     for b in model.biases:
@@ -221,3 +223,22 @@ class TestRows:
         model = confidence_model()
         with pytest.raises(ValueError, match="empty"):
             calibrate(model, np.ones((4, 1)), rows=[])
+
+
+class TestFloat32Confidences:
+    def test_a_float32_model_calibrates_below_one(self):
+        """Logit gaps of 20-30 saturate a float32 softmax to exactly 1.0, which
+        would make the threshold 1.0; the detector's float64 softmax of the same
+        float32 logits keeps them apart, and routes by the same confidences."""
+        model = confidence_model(np.float32)
+        gaps = np.linspace(20.0, 30.0, 200).reshape(-1, 1)
+        assert (predict_proba(model, gaps).max(axis=1) == 1.0).all()
+        logits = learner._logits(model, learner.embed(model, gaps))
+        assert logits.dtype == np.float32
+        want = learner._softmax(logits.astype(np.float64)).max(axis=1)
+        det = calibrate(model, gaps)
+        assert det.threshold < 1.0
+        assert det.threshold == float(np.quantile(want, 0.05, method="lower"))
+        assert max_confidences(model, gaps).tobytes() == want.tobytes()
+        part = partition(det, model, gaps)
+        assert np.array_equal(part.in_dist_indices, np.flatnonzero(want >= det.threshold))

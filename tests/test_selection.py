@@ -317,7 +317,7 @@ def reference_learnability_scores(features, assignments, cfg, seed, extra_classe
     ho_x, ho_y = np.concatenate(hold_x), np.concatenate(hold_lbl)
     net = NetworkConfig(input_dim=x.shape[1], output_classes=n_classes, hidden_dims=cfg.hidden_dims)
     sub_seed = int(rng.integers(2**32))
-    model = init_model(net, seed=sub_seed, dtype=selection._SCORER_DTYPE)
+    model = init_model(net, seed=sub_seed, dtype=learner.TRAIN_DTYPE)
     adam = AdamConfig(batch_size=min(32, len(tr_y)), seed=sub_seed)
     batches_per_epoch = -(-len(tr_y) // adam.batch_size)
     run_epochs = max(cfg.epochs, -(-selection._MIN_SCORER_UPDATES // batches_per_epoch))
