@@ -11,7 +11,8 @@ workload) for a stack of 5 restarts in lockstep (half the 10 that a default
 ``fit_with_restarts`` stacks), a whole
 ``lloyd_fit`` of 10 iterations of such a stack at 5000x128, a whole
 ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
-5000x128 and 1000x128, Adam at 16-128-15, 784-128-15 and the main
+5000x128 and 1000x128, each k-means case in float32, the dtype of the
+embeddings it clusters, and in float64; Adam at 16-128-15, 784-128-15 and the main
 classifier's 784-128-10, and one whole training step (gradients plus Adam)
 at batch 32 on the learnability scorer's 16-32-15 and 784-32-6 networks and
 at batch 128 on the main classifier's 784-128-10. Adam and the step run in
@@ -50,41 +51,45 @@ DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="f
 SHARED_ROWS = 10000  # the train step gathers its batch by row index from a matrix this tall
 
 
-def pool(n, d):
-    """Centered points (in ``center``'s layout), their norms, each restart's K
-    centroids drawn from them, the nearest-centroid assignments and the
-    (GROUP, K, n) block."""
+def pool(n, d, dtype):
+    """Centered points (in ``center``'s layout) of ``dtype``, their norms, each
+    restart's K centroids drawn from them, the nearest-centroid assignments and
+    the (GROUP, K, n) block."""
     rng = np.random.default_rng(0)
-    _, points, norms = clustering.center(rng.standard_normal((n, d)))
+    _, points, norms = clustering.center(rng.standard_normal((n, d)).astype(dtype))
     centroids = np.stack([points[rng.choice(n, K, replace=False)] for _ in range(GROUP)])
-    block = np.empty((GROUP, K, n))
+    block = np.empty((GROUP, K, n), dtype)
     assign = clustering._nearest(clustering._sq_dists(points, norms, centroids, block))
     return points, norms, centroids, assign, block
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n,d", POOLS)
-def test_sq_dists(benchmark, n, d):
-    points, norms, centroids, _, block = pool(n, d)
+def test_sq_dists(benchmark, n, d, dtype):
+    points, norms, centroids, _, block = pool(n, d, dtype)
     benchmark(clustering._sq_dists, points, norms, centroids, block)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n,d", POOLS)
-def test_class_means(benchmark, n, d):
-    points, _, centroids, assign, block = pool(n, d)
+def test_class_means(benchmark, n, d, dtype):
+    points, _, centroids, assign, block = pool(n, d, dtype)
     benchmark(clustering._class_means, points, assign, centroids, block)
 
 
-def test_lloyd_fit(benchmark):
-    points, _, centroids, _, _ = pool(5000, 128)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_lloyd_fit(benchmark, dtype):
+    points, _, centroids, _, _ = pool(5000, 128, dtype)
     result = benchmark(clustering.lloyd_fit, points, centroids, max_iters=LLOYD_ITERS, tol=0.0)
     assert result.iterations_run == LLOYD_ITERS  # no early stop: every round times the same work
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n,d", POOLS)
-def test_fit_with_restarts(benchmark, n, d):
+def test_fit_with_restarts(benchmark, n, d, dtype):
     rng = np.random.default_rng(0)
     centers = 3.0 * rng.standard_normal((K, d))
-    points = centers[rng.integers(K, size=n)] + rng.standard_normal((n, d))
+    points = (centers[rng.integers(K, size=n)] + rng.standard_normal((n, d))).astype(dtype)
     cfg = clustering.KMeansConfig(k=K, restarts=10, seed=0)
     benchmark(clustering.fit_with_restarts, points, cfg)
 

@@ -12,6 +12,12 @@ them in one call, and each Lloyd iteration computes one ``(R, k, n)`` distance
 block by a stacked matmul (one GEMM per restart, never one fused GEMM across
 restarts, so a restart's bits do not depend on its neighbours). A single
 restart is the ``R = 1`` case of the same code.
+
+k-means follows the dtype of its points: float32 points are centered,
+seeded, distanced and averaged in float32, and centroids come back float32;
+any other input is clustered in float64. Inertias are summed in float64,
+k-means++ forms its draw weights in float64, and Lloyd's rounding floor and
+its rising-inertia check scale with the dtype's ``eps``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
+from .learner import as_float
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ def center(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if points.shape[0] == 0:
         raise ValueError("cannot cluster zero points")
     mu = points.mean(axis=0)
-    ctr = np.subtract(points.T, mu[:, None], out=np.empty(points.shape[::-1])).T
+    ctr = np.subtract(points.T, mu[:, None], out=np.empty(points.shape[::-1], points.dtype)).T
     norms = np.einsum("ij,ij->i", ctr, ctr)
     ctr.flags.writeable = norms.flags.writeable = False
     return mu, ctr, norms
@@ -109,9 +116,10 @@ def kmeanspp_init(points, k: int, seed, centered=None) -> np.ndarray:
     giving an ``(R, k, d)`` stack whose row i is exactly what ``seed[i]``
     alone gives. D^2 is taken on the points centered at their mean, as in
     ``lloyd_fit``; the centroids returned are rows of the given points.
-    ``centered`` is ``center(points)`` when the caller has it already.
+    ``centered`` is ``center(points)`` when the caller has it already. Each
+    draw's probabilities are D^2 over its sum, both in float64.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = as_float(points)
     n = pts.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available points")
@@ -120,13 +128,14 @@ def kmeanspp_init(points, k: int, seed, centered=None) -> np.ndarray:
     _, ctr, norms = center(pts) if centered is None else centered
     chosen = np.empty((len(rngs), k), dtype=np.intp)
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
-    block = np.empty((len(rngs), 1, n))
+    block = np.empty((len(rngs), 1, n), pts.dtype)
     closest = _sq_dists(ctr, norms, ctr[chosen[:, :1]], block)[:, 0].copy()
     for j in range(1, k):
         for r, rng in enumerate(rngs):  # each restart draws from its own stream
-            total = closest[r].sum()
+            weights = closest[r].astype(np.float64, copy=False)
+            total = weights.sum()
             # a zero total: every point coincides with a chosen centroid
-            chosen[r, j] = rng.choice(n, p=closest[r] / total) if total > 0 else rng.integers(n)
+            chosen[r, j] = rng.choice(n, p=weights / total) if total > 0 else rng.integers(n)
         d2 = _sq_dists(ctr, norms, ctr[chosen[:, j : j + 1]], block)
         np.minimum(closest, d2[:, 0], out=closest)
     return pts[chosen[0] if single else chosen]
@@ -144,7 +153,7 @@ def _class_means(ctr, assign, fallback, block):
     np.put_along_axis(block, assign[:, None, :], 1.0, axis=1)
     sums = np.matmul(block, ctr)
     counts = _counts(assign, k)[:, :, None]
-    return np.where(counts > 0, sums / np.maximum(counts, 1), fallback)
+    return np.where(counts > 0, sums / np.maximum(counts, 1).astype(sums.dtype), fallback)
 
 
 def _counts(assign, k):
@@ -173,8 +182,8 @@ def _repair_empty(ctr, norms, cents, d2, assign, which):
 
 
 def _inertia(d2, assign):
-    """Each restart's sum of the distances at its assignments, ``(R,)``."""
-    return np.take_along_axis(d2, assign[:, None, :], axis=1)[:, 0].sum(axis=1)
+    """Each restart's sum of the distances at its assignments, ``(R,)``, in float64."""
+    return np.take_along_axis(d2, assign[:, None, :], axis=1)[:, 0].sum(axis=1, dtype=np.float64)
 
 
 def lloyd_fit(
@@ -190,22 +199,28 @@ def lloyd_fit(
     iteration computes one distance block, for its new centroids: it gives
     this iteration's inertia and the next one's assignments, and the same
     block holds the one-hot assignments for the class sums. A restart leaves
-    the block once it stops. Inertia is checked non-increasing on every
-    iteration; the returned assignments point to the nearest final centroid.
-    An inertia summed from the expanded distances carries a rounding error of
-    up to ``4 (d + 2) eps sum|x|^2``; below that floor it is noise that may
-    rise, so a restart also stops once its inertia reaches it.
-    ``centered`` is as in ``kmeanspp_init``.
+    the block once it stops. The returned assignments point to the nearest
+    final centroid. An inertia summed from the expanded distances carries a
+    rounding error of up to ``4 (d + 2) eps sum|x|^2``, eps of the points'
+    dtype; below that floor it is noise that may rise, so a restart also
+    stops once its inertia reaches it. An inertia that rises by more than the
+    floor plus underflow's error on any iteration raises RuntimeError. The
+    centroids are cast to the points' dtype. ``centered`` is as in
+    ``kmeanspp_init``.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    init = np.asarray(init_centroids, dtype=np.float64)
+    pts = as_float(points)
+    init = np.asarray(init_centroids, dtype=pts.dtype)
     if init.shape[-1] != pts.shape[1]:
         raise ValueError("centroid width does not match point width")
     mu, ctr, norms = center(pts) if centered is None else centered
     cents = init.reshape(-1, *init.shape[-2:]) - mu
     restarts, k, d = cents.shape
-    floor = 4 * (d + 2) * np.finfo(np.float64).eps * norms.sum()
-    block = np.empty((restarts, k, ctr.shape[0]))
+    fin = np.finfo(pts.dtype)
+    floor = 4 * (d + 2) * float(fin.eps) * norms.sum(dtype=np.float64)
+    # rounding may lift an inertia by up to the floor, and underflow by up to
+    # one subnormal per product of each distance
+    slack = floor + 4 * (d + 2) * ctr.shape[0] * float(fin.smallest_subnormal)
+    block = np.empty((restarts, k, ctr.shape[0]), pts.dtype)
     ids = np.arange(restarts)  # the stack positions of the restarts still running
     prev = np.full(restarts, np.nan)  # no inertia yet: neither check below can fire
     traces = [[] for _ in range(restarts)]  # each restart's inertia per iteration
@@ -220,7 +235,7 @@ def lloyd_fit(
         inertia = _inertia(d2, assign)
         for i, value in zip(ids.tolist(), inertia.tolist()):
             traces[i].append(value)
-        rising = np.flatnonzero(inertia > prev * (1 + 1e-12) + 1e-12)
+        rising = np.flatnonzero(inertia > prev + slack)
         if rising.size:
             r = rising[0]
             raise RuntimeError(
@@ -263,7 +278,7 @@ def fit_with_restarts(points, cfg: KMeansConfig) -> Clustering:
     The points are centered once, and every restart runs in one lockstep
     stack, whose ``(R, k, n)`` block grows linearly in ``cfg.restarts``.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = as_float(points)
     centered = center(pts)
     subseeds = range(cfg.seed, cfg.seed + cfg.restarts)
     init = kmeanspp_init(pts, cfg.k, seed=subseeds, centered=centered)

@@ -20,7 +20,13 @@ import numpy as np
 
 from . import seeds
 
-TRAIN_DTYPE = np.float32  # of every model the engine and the scorer train; k-means stays float64
+TRAIN_DTYPE = np.float32  # of every model the engine and the scorer train, so of the embeddings
+
+
+def as_float(x) -> np.ndarray:
+    """``x`` as a float array: float32 stays float32, uncopied; anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -140,7 +146,7 @@ def init_model(cfg: NetworkConfig, seed: int, dtype=np.float64) -> Model:
 
 
 def _check_width(model: Model, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+    x = as_float(features)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise ValueError(
             f"feature width {x.shape[1] if x.ndim == 2 else x.shape} "

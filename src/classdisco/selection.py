@@ -15,7 +15,7 @@ import numpy as np
 from . import seeds
 from .clustering import Clustering
 from .learner import TRAIN_DTYPE, AdamConfig, NetworkConfig, TrainingDivergedError
-from .learner import init_model, predict_proba, train_epochs
+from .learner import as_float, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
 
@@ -95,9 +95,10 @@ def learnability_scores(
 
     Every class is read from ``features`` by row index: the scorer trains on
     its rows and predicts its holdout rows without gathering either side.
+    float32 features are read as they are; any other dtype as float64.
     It computes in ``TRAIN_DTYPE``: a feature beyond ~3.4e38 raises TrainingDivergedError.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = as_float(features)
     assign = np.asarray(assignments, dtype=np.int64)
     pool_rows = np.arange(len(assign)) if rows is None else np.asarray(rows, dtype=np.int64)
     if len(pool_rows) != len(assign):

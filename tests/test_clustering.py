@@ -592,3 +592,93 @@ class TestKernelsBitIdentical:
         assert np.array_equal(result.assignments, assign)
         assert result.inertia_trace == tuple(trace)
         assert result.inertia == trace[-1]
+
+
+@st.composite
+def float32_pools(draw):
+    """float32 points with duplicate rows (often fewer distinct rows than k),
+    at a scale from 1 down to 1e-15, some offset by 1e4; k and 1-4 restarts."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 6))
+    distinct = draw(st.integers(1, n))
+    base = draw(hnp.arrays(np.float32, (distinct, d), elements=st.floats(-1, 1, width=32)))
+    rows = draw(hnp.arrays(np.int64, n, elements=st.integers(0, distinct - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-8, 1e-15]))
+    offset = draw(st.sampled_from([0.0, 1e4]))
+    points = base[rows] * np.float32(scale) + np.float32(offset)
+    return points, draw(st.integers(1, min(n, 8))), draw(st.integers(1, 4))
+
+
+def float32_distances(points, centroids):
+    """The squared distances in float64, ``(n, k)``, and per point how far
+    float32 rounding can move them: the expanded distance's error on the
+    centered points and centroids, underflow's, and the centroids' rounding
+    when they are shifted back by the mean."""
+    eps, sub = np.finfo(np.float32).eps, np.finfo(np.float32).smallest_subnormal
+    x, c = points.astype(np.float64), centroids.astype(np.float64)
+    mu = x.mean(axis=0)
+    d = x.shape[1]
+    d2 = ((x[:, None, :] - c[None]) ** 2).sum(axis=2)
+    spread = ((x - mu) ** 2).sum(axis=1) + ((c - mu) ** 2).sum(axis=1).max()
+    shift = 2 * eps * (np.sqrt(d2) * np.linalg.norm(c, axis=1)).max(axis=1)
+    shift += (eps * c).max() ** 2 * d
+    return d2, 2 * (4 * (d + 2) * (eps * spread + sub) + shift)
+
+
+class TestFloat32:
+    """float32 points are clustered in float32; any other input in float64."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=float32_pools(), seed=st.integers(0, 2**32 - 1))
+    @example(problem=(np.zeros((17, 16), np.float32), 3, 4), seed=0)
+    @example(problem=(np.full((9, 2), 1e4, np.float32), 4, 2), seed=1)
+    def test_fit_stays_float32_and_keeps_its_checks(self, problem, seed):
+        points, k, restarts = problem
+        cfg = KMeansConfig(k=k, restarts=restarts, seed=seed, max_iters=50)
+        fit = fit_with_restarts(points, cfg)  # an inertia rising past its slack raises
+        trials = [
+            lloyd_fit(points, kmeanspp_init(points, k, seed=seed + i), max_iters=50)
+            for i in range(restarts)
+        ]
+        assert_same_clustering(fit, best_single(trials))  # lockstep holds in float32 too
+        d = points.shape[1]
+        norms = clustering.center(points)[2].sum(dtype=np.float64)
+        eps, sub = np.finfo(np.float32).eps, np.finfo(np.float32).smallest_subnormal
+        slack = 4 * (d + 2) * (eps * norms + len(points) * sub)  # lloyd_fit's own
+        for result in trials:
+            assert result.centroids.dtype == np.float32
+            trace = result.inertia_trace
+            for earlier, later in zip(trace, trace[1:]):
+                assert later <= earlier + slack
+            d2, error = float32_distances(points, result.centroids)
+            mine = d2[np.arange(len(points)), result.assignments]
+            assert (mine <= d2.min(axis=1) + error).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.int32, np.float16])
+    def test_other_points_are_clustered_in_float64(self, dtype):
+        points = blobs([[0, 0], [10, 0], [0, 10]], n_per=10, noise=1.0, seed=0)[0].astype(dtype)
+        init = kmeanspp_init(points, 3, seed=0)
+        fit = fit_with_restarts(points, KMeansConfig(k=3, restarts=3))
+        assert init.dtype == lloyd_fit(points, init).centroids.dtype == np.float64
+        assert fit.centroids.dtype == np.float64
+        wide = points.astype(np.float64)
+        assert_same_clustering(fit, fit_with_restarts(wide, KMeansConfig(k=3, restarts=3)))
+
+    def test_peak_memory_is_under_six_tenths_of_float64(self):
+        # the float32 fit holds float32 centered points and a float32 block,
+        # and makes no float64 copy of its points
+        rng = np.random.default_rng(0)
+        centers = 3.0 * rng.standard_normal((15, 128))
+        wide = centers[rng.integers(15, size=5000)] + rng.standard_normal((5000, 128))
+        narrow = wide.astype(np.float32)
+        wide = narrow.astype(np.float64)  # the same values
+        cfg = KMeansConfig(k=15, restarts=10, seed=0)
+        peaks = []
+        for points in (narrow, wide):
+            tracemalloc.start()
+            try:
+                fit_with_restarts(points, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.6 * peaks[1]

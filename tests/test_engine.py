@@ -268,11 +268,12 @@ class TestTrainLabeled:
 
 
 class TestFloat32MainModel:
-    def test_the_main_model_trains_in_float32_and_k_means_in_float64(self):
+    def test_the_main_model_trains_and_k_means_clusters_in_float32(self):
         """From ``_prepare`` through ``expand_outputs`` and retraining, the main
         model's block, workspace, gradients and embeddings are float32, and
-        ``fit_with_restarts`` clusters float64 points. The random policy runs no
-        scorer, so every training call seen is the main model's."""
+        k-means seeds, iterates and returns centroids in float32 on them. The
+        random policy runs no scorer, so every training call seen is the main
+        model's."""
         seen = {}
 
         def spy(module, name):
@@ -294,7 +295,7 @@ class TestFloat32MainModel:
                 stack.enter_context(spy(module, name))
             state, _ = run_dynamic(cfg)
 
-        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        f32 = np.dtype(np.float32)
         assert {name for _, name in spied} == set(seen)
         assert len(seen["expand_outputs"]) == 1 and len(seen["_train_labeled"]) == 2
         (_, (prepared, ev)), = seen["_prepare"]
@@ -311,9 +312,9 @@ class TestFloat32MainModel:
         assert ev.embeddings.dtype == f32
         assert {out.dtype for _, out in seen["embed"]} == {f32}
         for (points, *_), init in seen["kmeanspp_init"]:
-            assert {points.dtype, init.dtype} == {f64}
+            assert {points.dtype, init.dtype} == {f32}
         for (points, init, *_), fit in seen["lloyd_fit"]:
-            assert {points.dtype, init.dtype, fit.centroids.dtype} == {f64}
+            assert {points.dtype, init.dtype, fit.centroids.dtype} == {f32}
 
 
 class TestEvaluateRows:

@@ -557,6 +557,43 @@ class TestLearnabilityFloat32:
         assert np.isfinite(clean).all()
 
 
+    @pytest.mark.parametrize("distractors", [False, True])
+    def test_float32_features_score_as_their_float64_widening(self, distractors):
+        """A float32 matrix is read as it is; its float64 widening holds the
+        same values, so every batch the scorer casts, and every score, is the
+        same."""
+        rng = np.random.default_rng(3)
+        feats = rng.standard_normal((400, 16)).astype(np.float32)
+        rows = rng.permutation(400)[:300]
+        assign = rng.integers(4, size=300)
+        labels = rng.integers(-1, 3, size=400) if distractors else None
+        cfg = LearnabilityConfig(hidden_dims=(8,), epochs=2)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 60):
+            narrow, wide = (
+                learnability_scores(x, assign, cfg, seed=7, labels=labels, rows=rows)
+                for x in (feats, feats.astype(np.float64))
+            )
+        assert narrow.tobytes() == wide.tobytes()
+
+    def test_float32_embeddings_are_scored_without_a_float64_copy(self):
+        import tracemalloc
+
+        # the engine's use_embeddings input: 5000 float32 pool embeddings
+        rng = np.random.default_rng(0)
+        emb = rng.standard_normal((5000, 128)).astype(np.float32)
+        assign = rng.integers(15, size=5000)
+        cfg = LearnabilityConfig(epochs=1)
+        with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 10):
+            learnability_scores(emb, assign, cfg, seed=0)  # first-call imports
+            tracemalloc.start()
+            try:
+                learnability_scores(emb, assign, cfg, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < emb.size * 8  # one float64 copy of the embeddings
+
+
 class TestLearnabilityInputs:
     @pytest.mark.parametrize("n_labels", [50, 301])
     def test_labels_must_have_one_per_feature_row(self, n_labels):
