@@ -17,12 +17,13 @@ classifier's 784-128-10, and one whole training step (gradients plus Adam)
 at batch 32 on the learnability scorer's 16-32-15 and 784-32-6 networks and
 at batch 128 on the main classifier's 784-128-10. Adam and the step run in
 float32, the ``TRAIN_DTYPE`` of both models, and in float64 for comparison.
-The step gathers its batch by row index from a shared float64 10000-row
-matrix into the model's dtype, as ``train_epochs`` does with ``rows``.
+The step gathers its batch by row index from a shared ``TRAIN_DTYPE``
+10000-row matrix, as the engine's Dataset holds it, into the model's dtype,
+as ``train_epochs`` does with ``rows``.
 A whole ``learnability_scores`` call runs at the ``mnist784-dynamic`` round-0
 shape: 5000 pool rows of a shared, read-only 10000x784 matrix in 15 clusters,
 under the default ``LearnabilityConfig``. ``embed`` of the same 5000 pool rows
-by row index, through the 784-128-5 network that shape embeds with.
+by row index, through the ``TRAIN_DTYPE`` 784-128-5 network that shape embeds with.
 """
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_train_step(benchmark, input_dim, hidden, classes, batch, dtype):
     )
     model = learner.init_model(net, seed=0, dtype=dtype)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((SHARED_ROWS, input_dim))
+    x = rng.standard_normal((SHARED_ROWS, input_dim)).astype(learner.TRAIN_DTYPE)
     y = rng.integers(0, classes, SHARED_ROWS)
     rows = rng.permutation(SHARED_ROWS)[:batch]
     adam = learner.AdamConfig(batch_size=batch)
@@ -128,7 +129,7 @@ def test_train_step(benchmark, input_dim, hidden, classes, batch, dtype):
 def shared_pool():
     """A read-only 10000x784 matrix, as the engine's Dataset holds it, and its even rows."""
     rng = np.random.default_rng(0)
-    shared = rng.standard_normal((SHARED_ROWS, 784))
+    shared = rng.standard_normal((SHARED_ROWS, 784)).astype(learner.TRAIN_DTYPE)
     shared.flags.writeable = False
     return rng, shared, np.arange(0, SHARED_ROWS, 2)
 
@@ -147,5 +148,5 @@ def test_learnability_scores(benchmark):
 def test_embed_pool_rows(benchmark):
     _, shared, pool = shared_pool()
     net = learner.NetworkConfig(input_dim=784, output_classes=5, hidden_dims=(128,))
-    model = learner.init_model(net, seed=0)
+    model = learner.init_model(net, seed=0, dtype=learner.TRAIN_DTYPE)
     benchmark(learner.embed, model, shared, rows=pool)

@@ -9,6 +9,11 @@ matrix and ground truth; it marks rows rather than copying them.
 for a human class, ``DISCOVERED_CLASS`` for one added by discovery.
 Ground-truth labels are carried separately in ``true_labels`` and are never
 exposed to the learner; only evaluation reads them.
+
+Features are stored as one read-only ``TRAIN_DTYPE`` matrix, the dtype of
+every model that reads them. Each value is the float32 nearest the float64
+its loader computes: the float a model would cast that float64 row to, so
+no result depends on the stored dtype.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import seeds
+from .learner import TRAIN_DTYPE
 
 UNLABELED = -1  # in the unlabeled pool
 EXCLUDED = -2  # outside the run: neither labeled nor in the pool
@@ -70,7 +76,7 @@ class Dataset:
     label_map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _frozen(self.features, np.float64))
+        object.__setattr__(self, "features", _frozen(self.features, TRAIN_DTYPE))
         for name in ("labels", "true_labels"):
             object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
         self.validate()
@@ -156,9 +162,11 @@ class GaussianMixtureSpec:
         if self.per_class_n < 1:
             raise ValueError("per_class_n must be >= 1")
         limit = np.iinfo(np.intp).max  # the largest array numpy can address
-        if self.n_classes * self.per_class_n * self.dim * 8 > limit:
+        itemsize = np.dtype(TRAIN_DTYPE).itemsize
+        if self.n_classes * self.per_class_n * self.dim * itemsize > limit:
             raise ValueError(
-                f"n_classes x per_class_n x dim float64 features must be at most {limit} bytes"
+                f"n_classes x per_class_n x dim features of {itemsize} bytes each "
+                f"must be at most {limit} bytes"
             )
 
     def load(self) -> Dataset:
@@ -267,12 +275,14 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label pair into a fully labeled Dataset.
 
     Pixels are scaled to [0, 1] by dividing the raw bytes by 255 and flattened
-    row-major. Every label is present, and every class is a human class.
+    row-major, each stored as the ``TRAIN_DTYPE`` nearest its float64 quotient.
+    Every label is present, and every class is a human class.
     """
     width, labels_raw = _check_idx(images_path, labels_path)
     n_images = len(labels_raw)
     pixels = np.fromfile(images_path, dtype=np.uint8, count=n_images * width, offset=16)
-    features = _readonly(pixels.reshape(n_images, width) / 255.0)  # float64, one new array
+    scale = (np.arange(256) / 255.0).astype(TRAIN_DTYPE)  # byte -> its rounded quotient
+    features = _readonly(scale[pixels.reshape(n_images, width)])  # one new array
     return _fully_labeled(features, labels_raw.astype(np.int64))
 
 
@@ -284,6 +294,7 @@ def load_csv(path: str) -> Dataset:
     the models compute in; every label an integer in [0, 2**63). The first row,
     cell or label that is not (a short row; nan, inf, 1e308 or a non-numeric
     cell; a label of 1.5, -1 or 1e20) is reported by line, a cell also by column.
+    Cells are parsed in float64 and stored as the nearest ``TRAIN_DTYPE``.
     """
     with open(path) as f:
         header, *lines = f.read().splitlines() or [""]
@@ -314,7 +325,8 @@ def load_csv(path: str) -> Dataset:
         rule = "labels must be non-negative integers below 2**63"
         rule = rule if integral[at] else "last column must contain integer labels"
         raise ValueError(f"{path}: {rule}; line {rows[at][0]} has {labels[at]:g}")
-    return _fully_labeled(_readonly(np.ascontiguousarray(raw[:, :-1])), labels.astype(np.int64))
+    features = _readonly(np.ascontiguousarray(raw[:, :-1], dtype=TRAIN_DTYPE))  # in range: checked
+    return _fully_labeled(features, labels.astype(np.int64))
 
 
 def _fully_labeled(features: np.ndarray, true_labels: np.ndarray) -> Dataset:
@@ -335,7 +347,8 @@ def synth_gaussian(spec: GaussianMixtureSpec) -> Dataset:
 
     Class centers sit on a hypersphere of radius ``separation`` (directions
     drawn from the seed), so one knob controls how far apart classes are in
-    units of the unit within-class standard deviation.
+    units of the unit within-class standard deviation. Each class's noise and
+    center are summed in float64, one class at a time, and stored cast.
     """
     rng = seeds.spawn(spec.seed)
     directions = rng.standard_normal((spec.n_classes, spec.dim))
@@ -346,11 +359,12 @@ def synth_gaussian(spec: GaussianMixtureSpec) -> Dataset:
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
     centers = spec.separation * directions / norms
 
-    n = spec.n_classes * spec.per_class_n
     labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class_n)
-    features = rng.standard_normal((n, spec.dim))
+    features = np.empty((len(labels), spec.dim), TRAIN_DTYPE)
     per_class = features.reshape(spec.n_classes, spec.per_class_n, spec.dim)  # a view
-    per_class += centers[:, None, :]  # noise + center is center + noise, exactly
+    for block, center in zip(per_class, centers):  # the draws continue one (n, dim) stream
+        # noise + center is center + noise, exactly; summed in float64, then cast
+        np.add(rng.standard_normal((spec.per_class_n, spec.dim)), center, out=block)
     return _fully_labeled(_readonly(features), labels)
 
 

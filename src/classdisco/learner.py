@@ -20,7 +20,7 @@ import numpy as np
 
 from . import seeds
 
-TRAIN_DTYPE = np.float32  # of every model the engine and the scorer train, so of the embeddings
+TRAIN_DTYPE = np.float32  # of every model the engine and scorer train, the embeddings and features
 
 
 def as_float(x) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import seeds
 from .clustering import Clustering
-from .learner import TRAIN_DTYPE, AdamConfig, NetworkConfig, TrainingDivergedError
+from .learner import _BLOCK_ROWS, TRAIN_DTYPE, AdamConfig, NetworkConfig, TrainingDivergedError
 from .learner import as_float, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
@@ -172,11 +172,20 @@ def learnability_scores(
 
 
 def density_score(embeddings, clustering: Clustering) -> np.ndarray:
-    """Mean Euclidean distance of members to their centroid, one value per cluster."""
-    pts = np.asarray(embeddings, dtype=np.float64)
+    """Mean Euclidean distance of members to their centroid, one value per cluster.
+
+    Each distance is taken in float64, in row blocks of ``_BLOCK_ROWS``: a
+    row's norm reduces over that row alone, so the blocks give the bits of
+    the whole-matrix form without a float64 copy of ``embeddings``.
+    """
+    pts = np.asarray(embeddings)
     assign = clustering.assignments
     k = clustering.k
-    dists = np.linalg.norm(pts - clustering.centroids[assign], axis=1)
+    dists = np.empty(len(assign))
+    for start in range(0, len(assign), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        diff = pts[block].astype(np.float64) - clustering.centroids[assign[block]]
+        dists[block] = np.linalg.norm(diff, axis=1)
     totals = np.bincount(assign, weights=dists, minlength=k)
     counts = np.bincount(assign, minlength=k)
     out = np.zeros(k)

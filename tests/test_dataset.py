@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from classdisco.dataset import (
     DISCOVERED_CLASS,
     EXCLUDED,
     UNLABELED,
+    CsvData,
     Dataset,
     GaussianMixtureSpec,
     IdxData,
@@ -18,10 +20,12 @@ from classdisco.dataset import (
     SplitSpec,
     add_class,
     load_csv,
+    load_data,
     load_idx,
     make_split,
     synth_gaussian,
 )
+from classdisco.learner import TRAIN_DTYPE
 from conftest import select_rows
 
 
@@ -76,7 +80,7 @@ class TestLoadIdx:
         idx_writer(pixels, labels, img_p, lbl_p)
         data = load_idx(img_p, lbl_p)
         expected = pixels.reshape(7, 20).astype(np.float64) / 255.0
-        assert np.array_equal(data.features, expected)
+        assert data.features.tobytes() == expected.astype(np.float32).tobytes()
         assert np.array_equal(data.true_labels, labels)
 
 
@@ -490,17 +494,17 @@ class TestZeroCopy:
         assert (data.features == 1.0).all()
 
     def test_read_only_owned_array_is_adopted(self):
-        x = np.ones((4, 3))
+        x = np.ones((4, 3), dtype=TRAIN_DTYPE)
         x.flags.writeable = False
         data = unlabeled_dataset(x)
         assert np.shares_memory(data.features, x)
         assert data.features is x
 
     def test_read_only_array_of_another_dtype_is_converted(self):
-        x = np.ones((4, 3), dtype=np.float32)
+        x = np.ones((4, 3), dtype=np.float64)
         x.flags.writeable = False
         data = unlabeled_dataset(x)
-        assert data.features.dtype == np.float64
+        assert data.features.dtype == TRAIN_DTYPE
         assert not data.features.flags.writeable
 
     def test_uncapped_split_and_add_class_share_features(self):
@@ -570,4 +574,100 @@ def test_synth_gaussian_features_are_centers_plus_noise(n_classes, dim, per_clas
     directions = rng.standard_normal((n_classes, dim))
     centers = 6.0 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
     noise = rng.standard_normal((n_classes * per_class, dim))
-    assert data.features.tobytes() == (centers[data.true_labels] + noise).tobytes()
+    expected = (centers[data.true_labels] + noise).astype(np.float32)
+    assert data.features.tobytes() == expected.tobytes()
+
+
+class TestFloat32Store:
+    """Every source is stored as one read-only ``TRAIN_DTYPE`` matrix, each
+    value the float32 nearest the float64 the loader computes."""
+
+    def test_every_source_yields_read_only_train_dtype_features(self, tmp_path, idx_writer):
+        img_p, lbl_p = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)  # every byte value once
+        idx_writer(pixels, [0, 1, 0, 1], img_p, lbl_p)
+        csv = tmp_path / "d.csv"
+        cells = [["0.1", "-2.5e-8"], ["1e30", "3.14159265358979"], ["-0.3", "7"]]
+        csv.write_text("a,b,label\n" + "".join(f"{a},{b},{i % 2}\n" for i, (a, b) in enumerate(cells)))
+        spec = GaussianMixtureSpec(3, 5, 4.0, 6, seed=2)
+        expected = {
+            "idx": pixels.reshape(4, 64).astype(np.float64) / 255.0,
+            "csv": np.array(cells, dtype=np.float64),
+            "synthetic": None,  # checked against its float64 reference below
+        }
+        for source in (IdxData(img_p, lbl_p), CsvData(str(csv)), spec):
+            features = load_data(source).features
+            assert features.dtype == TRAIN_DTYPE
+            assert not features.flags.writeable and features.flags.c_contiguous
+            want = expected[source.kind]
+            if want is not None:
+                assert features.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_synth_gaussian_peaks_below_one_float64_copy(self):
+        spec = GaussianMixtureSpec(10, 784, 6.0, 1000, seed=0)
+        synth_gaussian(GaussianMixtureSpec(2, 3, 6.0, 2))  # the first call's lazy imports
+        tracemalloc.start()
+        try:
+            data = synth_gaussian(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.features.shape == (10_000, 784)
+        assert peak < data.features.size * np.dtype(np.float64).itemsize
+
+    def test_size_bound_counts_train_dtype_bytes(self):
+        """The largest addressable float32 matrix is accepted (unloaded), one
+        more class row is not; the message names the stored item size."""
+        limit = np.iinfo(np.intp).max
+        fits = limit // (2 * TRAIN_DTYPE().itemsize)
+        assert GaussianMixtureSpec(2, 1, 1.0, fits).shape() == (1, {0: fits, 1: fits})
+        with pytest.raises(ValueError, match="features of 4 bytes each must be at most"):
+            GaussianMixtureSpec(2, 1, 1.0, fits + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(12, 60),
+    d=st.integers(1, 12),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    batch=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_float32_model_reads_a_float64_matrix_and_its_float32_cast_alike(
+    n, d, scale, batch, seed
+):
+    """The invariant the float32 store rests on: casting before or after the
+    gather gives the same floats, so every stage gives the same bits."""
+    from classdisco import ood, selection
+    from classdisco.learner import AdamConfig, NetworkConfig, embed, init_model, train_epochs
+    from classdisco.selection import LearnabilityConfig, learnability_scores
+
+    rng = np.random.default_rng(seed)
+    x64 = rng.standard_normal((n, d)) * scale + rng.standard_normal(d)
+    x32 = x64.astype(np.float32)
+    labels = rng.integers(0, 3, n)
+    rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+    net = NetworkConfig(input_dim=d, output_classes=3, hidden_dims=(6,))
+    model = init_model(net, seed=seed, dtype=TRAIN_DTYPE)
+    adam = AdamConfig(batch_size=batch, seed=seed)
+    a, b = (train_epochs(model, x, labels[rows], adam, 2, rows=rows) for x in (x64, x32))
+    assert a.block.tobytes() == b.block.tobytes() and a.loss_log == b.loss_log
+    assert embed(a, x64, rows).tobytes() == embed(a, x32, rows).tobytes()
+
+    detector = ood.calibrate(a, x32, 0.8, rows=rows)
+    assert detector == ood.calibrate(a, x64, 0.8, rows=rows)
+    parts = [ood.partition(detector, a, x, rows=rows) for x in (x64, x32)]
+    for field in ("in_dist_indices", "in_dist_labels", "ood_indices"):
+        assert np.array_equal(getattr(parts[0], field), getattr(parts[1], field))
+
+    pool = rng.permutation(n)[:10]
+    assign = rng.permutation(np.arange(10) % 2)  # two clusters of five
+    marks = rng.integers(-1, 3, n)  # UNLABELED or a distractor class
+    cfg = LearnabilityConfig(hidden_dims=(4,), epochs=1)
+    with mock.patch.object(selection, "_MIN_SCORER_UPDATES", 40):  # the bits need no more
+        for given_labels in (None, marks):
+            got = [
+                learnability_scores(x, assign, cfg, seed=seed, labels=given_labels, rows=pool)
+                for x in (x64, x32)
+            ]
+            assert got[0].tobytes() == got[1].tobytes()

@@ -252,7 +252,8 @@ class TestTrainLabeled:
         cfg = world(seed=2, dim=128, per_class=150)
         data = make_split(load_data(cfg.data), cfg.split)
         labeled = data.labeled_indices()
-        model = init_model(NetworkConfig(input_dim=128, output_classes=3, hidden_dims=(8,)), 0)
+        net = NetworkConfig(input_dim=128, output_classes=3, hidden_dims=(8,))
+        model = init_model(net, 0, dtype=learner.TRAIN_DTYPE)  # as _prepare builds it
         x, y = data.features[labeled], data.labels[labeled]
         want = train_epochs(model, x, y, cfg.adam, 2)  # also the first-call imports
         tracemalloc.start()
@@ -329,7 +330,8 @@ class TestEvaluateRows:
         data = make_split(load_data(cfg.data), cfg.split)
         pool = data.unlabeled_indices()
         assert len(pool) == 2200 and len(data.labeled_indices()) == 2200
-        model = init_model(NetworkConfig(input_dim=784, output_classes=2, hidden_dims=(16,)), 4)
+        net = NetworkConfig(input_dim=784, output_classes=2, hidden_dims=(16,))
+        model = init_model(net, 4, dtype=learner.TRAIN_DTYPE)  # as _prepare builds it
         engine._evaluate(data, model, cfg, [], 0)  # also the first-call imports
         tracemalloc.start()
         try:

@@ -162,6 +162,53 @@ class TestDensity:
         expected[counts > 0] = totals[counts > 0] / counts[counts > 0]
         assert density_score(points, clustering).tobytes() == expected.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 90),
+        d=st.integers(1, 40),
+        k=st.integers(1, 8),
+        block=st.integers(1, 32),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_blocks_match_the_whole_matrix_form(self, n, d, k, block, dtype, seed):
+        """Blocks of any size, and float32 or float64 embeddings against the
+        float32 centroids k-means returns, give the whole-matrix bits."""
+        rng = np.random.default_rng(seed)
+        points = (rng.standard_normal((n, d)) * 10).astype(dtype)
+        assignments = rng.integers(0, k, n)
+        centroids = rng.standard_normal((k, d)).astype(np.float32)
+        clustering = Clustering(
+            centroids=centroids, assignments=assignments, inertia=0.0, iterations_run=1
+        )
+        dists = np.linalg.norm(points.astype(np.float64) - centroids[assignments], axis=1)
+        totals = np.bincount(assignments, weights=dists, minlength=k)
+        counts = np.bincount(assignments, minlength=k)
+        expected = np.zeros(k)
+        expected[counts > 0] = totals[counts > 0] / counts[counts > 0]
+        with mock.patch.object(selection, "_BLOCK_ROWS", block):
+            assert density_score(points, clustering).tobytes() == expected.tobytes()
+
+    def test_peaks_below_one_float64_copy_of_the_embeddings(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        embeddings = rng.standard_normal((5000, 128), dtype=np.float32)
+        clustering = Clustering(
+            centroids=rng.standard_normal((15, 128), dtype=np.float32),
+            assignments=rng.integers(0, 15, 5000),
+            inertia=0.0,
+            iterations_run=1,
+        )
+        density_score(embeddings, clustering)  # also the first-call imports
+        tracemalloc.start()
+        try:
+            density_score(embeddings, clustering)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < embeddings.size * np.dtype(np.float64).itemsize
+
 
 class TestSelect:
     def test_learnability_argmax(self):
