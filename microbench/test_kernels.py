@@ -8,8 +8,11 @@ collects them. Run them from the root of a checkout, one BLAS thread:
 Shapes: the stacked ``_sq_dists`` and ``_class_means`` kernels at 5000x128
 and 1000x128 points with k=15 (the pool sizes of the ``mnist784-dynamic``
 workload) for a stack of 5 restarts in lockstep (half the 10 that a default
-``fit_with_restarts`` stacks), a whole
-``lloyd_fit`` of 10 iterations of such a stack at 5000x128, a whole
+``fit_with_restarts`` stacks), and in float32 for the whole stack of 10
+(``test_*_fused10``); in float32 each of these products runs as one GEMM
+over the stacked restarts (``clustering._fused``), in float64 as one GEMM
+per restart. Then a whole
+``lloyd_fit`` of 10 iterations of a 5-restart stack at 5000x128, a whole
 ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
 5000x128 and 1000x128, each k-means case in float32, the dtype of the
 embeddings it clusters, and in float64; Adam at 16-128-15, 784-128-15 and the main
@@ -52,14 +55,14 @@ DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="f
 SHARED_ROWS = 10000  # the train step gathers its batch by row index from a matrix this tall
 
 
-def pool(n, d, dtype):
+def pool(n, d, dtype, restarts=GROUP):
     """Centered points (in ``center``'s layout) of ``dtype``, their norms, each
     restart's K centroids drawn from them, the nearest-centroid assignments and
-    the (GROUP, K, n) block."""
+    the (restarts, K, n) block."""
     rng = np.random.default_rng(0)
     _, points, norms = clustering.center(rng.standard_normal((n, d)).astype(dtype))
-    centroids = np.stack([points[rng.choice(n, K, replace=False)] for _ in range(GROUP)])
-    block = np.empty((GROUP, K, n), dtype)
+    centroids = np.stack([points[rng.choice(n, K, replace=False)] for _ in range(restarts)])
+    block = np.empty((restarts, K, n), dtype)
     assign = clustering._nearest(clustering._sq_dists(points, norms, centroids, block))
     return points, norms, centroids, assign, block
 
@@ -75,6 +78,20 @@ def test_sq_dists(benchmark, n, d, dtype):
 @pytest.mark.parametrize("n,d", POOLS)
 def test_class_means(benchmark, n, d, dtype):
     points, _, centroids, assign, block = pool(n, d, dtype)
+    benchmark(clustering._class_means, points, assign, centroids, block)
+
+
+@pytest.mark.parametrize("n,d", POOLS)
+def test_sq_dists_fused10(benchmark, n, d):
+    points, norms, centroids, _, block = pool(n, d, np.float32, restarts=10)
+    assert clustering._fused(points, K)
+    benchmark(clustering._sq_dists, points, norms, centroids, block)
+
+
+@pytest.mark.parametrize("n,d", POOLS)
+def test_class_means_fused10(benchmark, n, d):
+    points, _, centroids, assign, block = pool(n, d, np.float32, restarts=10)
+    assert clustering._fused(points, K)
     benchmark(clustering._class_means, points, assign, centroids, block)
 
 

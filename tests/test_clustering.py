@@ -682,3 +682,90 @@ class TestFloat32:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 0.6 * peaks[1]
+
+
+def float32_blobs(n, d, k, seed=0):
+    """n float32 points around k Gaussian centers in d dimensions."""
+    rng = np.random.default_rng(seed)
+    centers = 3.0 * rng.standard_normal((k, d))
+    return (centers[rng.integers(k, size=n)] + rng.standard_normal((n, d))).astype(np.float32)
+
+
+class TestRestartRecord:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=restart_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_each_restart_is_recorded_as_it_runs_alone(self, problem, seed):
+        points, k, restarts = problem
+        fit = fit_with_restarts(points, KMeansConfig(k=k, restarts=restarts, seed=seed))
+        trials = [lloyd_fit(points, kmeanspp_init(points, k, seed=seed + i)) for i in range(restarts)]
+        assert fit.restart_iterations.tolist() == [t.iterations_run for t in trials]
+        assert fit.restart_inertias.tobytes() == np.array([t.inertia for t in trials]).tobytes()
+        winner = int(np.argmin(fit.restart_inertias))  # ties go to the lowest sub-seed
+        assert fit.restart_iterations[winner] == fit.iterations_run
+        assert fit.restart_inertias[winner] == fit.inertia
+
+
+# (n, restarts) of the workloads' Lloyd stacks: k=15 on 128-d float32 embeddings
+WORKLOAD_STACKS = [(n, r) for n in (600, 1000, 5000) for r in (2, 5, 10)]
+
+
+class TestFusedRestarts:
+    """Where ``_fused`` holds, one GEMM over the stacked restarts gives each
+    restart the bits of its own GEMM, under the default BLAS thread count."""
+
+    @pytest.mark.parametrize("n,restarts", WORKLOAD_STACKS)
+    def test_fused_products_have_the_stacked_bits(self, n, restarts):
+        k, d = 15, 128
+        rng = np.random.default_rng(n + restarts)
+        _, ctr, norms = clustering.center(rng.standard_normal((n, d)).astype(np.float32))
+        assert clustering._fused(ctr, k)
+        cents = ctr[rng.integers(0, n, (restarts, k))]
+        cents += rng.standard_normal((restarts, k, d)).astype(np.float32)
+        doubled = -2.0 * cents
+        stacked = np.matmul(doubled, ctr.T)
+        fused = doubled.reshape(restarts * k, d) @ ctr.T
+        assert fused.tobytes() == stacked.tobytes()
+        expected = np.maximum((stacked + (cents * cents).sum(axis=2)[:, :, None]) + norms, 0.0)
+        block = np.empty((restarts, k, n), np.float32)
+        assert _sq_dists(ctr, norms, cents, block).tobytes() == expected.tobytes()
+
+        assign = rng.integers(0, k, (restarts, n))
+        onehot = np.zeros((restarts, k, n), np.float32)
+        np.put_along_axis(onehot, assign[:, None, :], 1.0, axis=1)
+        stacked = np.matmul(onehot, ctr)
+        assert (onehot.reshape(restarts * k, n) @ ctr).tobytes() == stacked.tobytes()
+        counts = np.stack([np.bincount(a, minlength=k) for a in assign])[:, :, None]
+        expected = stacked / counts.astype(np.float32)  # 15 of n >= 600: no cluster is empty
+        assert _class_means(ctr, assign, cents, block).tobytes() == expected.tobytes()
+
+    def test_only_products_measured_to_keep_their_bits_are_fused(self):
+        def fused(dtype, k, d, n):
+            return clustering._fused(np.empty((n, d), dtype), k)
+
+        assert fused(np.float32, 15, 128, 600)
+        assert fused(np.float32, 2, 32, 15626)
+        assert not fused(np.float64, 15, 128, 5000)  # float64 bits differ
+        assert not fused(np.float32, 1, 128, 8000)  # k-means++'s one-centroid gemv
+        assert not fused(np.float32, 15, 128, 520)  # 998,400 multiply-adds: the small kernel
+        assert not fused(np.float32, 10, 100, 1000)  # exactly 1e6
+        assert not fused(np.float32, 15, 31, 5000)
+        assert not fused(np.float32, 15, 16, 5000)
+
+    def test_fit_equals_best_single_restart(self):
+        points = float32_blobs(1000, 128, 15)
+        assert clustering._fused(points, 15)
+        fit = fit_with_restarts(points, KMeansConfig(k=15, restarts=10, seed=3))
+        trials = [lloyd_fit(points, kmeanspp_init(points, 15, seed=3 + r)) for r in range(10)]
+        assert_same_clustering(fit, best_single(trials))
+        for r, trial in enumerate(trials):  # every restart, not just the winner
+            assert fit.restart_iterations[r] == trial.iterations_run
+            assert np.float64(fit.restart_inertias[r]).tobytes() == np.float64(trial.inertia).tobytes()
+
+    def test_seeding_stack_equals_single_seeds_past_the_small_kernel(self):
+        # the one-centroid product (1 x 128 x 8000 multiply-adds) passes the
+        # small-matrix bound, and still runs restart by restart
+        points = float32_blobs(8000, 128, 15, seed=1)
+        stack = kmeanspp_init(points, 15, seed=range(7, 12))
+        assert stack.dtype == np.float32
+        for r, one in enumerate(stack):
+            assert one.tobytes() == kmeanspp_init(points, 15, seed=7 + r).tobytes()
