@@ -27,6 +27,7 @@ A whole ``learnability_scores`` call runs at the ``mnist784-dynamic`` round-0
 shape: 5000 pool rows of a shared, read-only 10000x784 matrix in 15 clusters,
 under the default ``LearnabilityConfig``. ``embed`` of the same 5000 pool rows
 by row index, through the ``TRAIN_DTYPE`` 784-128-5 network that shape embeds with.
+``dataset.load_csv`` of a 3000x100 CSV of ``repr`` floats, written once per session.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from classdisco import clustering, learner, selection  # noqa: E402
+from classdisco import clustering, dataset, learner, selection  # noqa: E402
 
 K = 15
 POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="1000x128")]
@@ -167,3 +168,19 @@ def test_embed_pool_rows(benchmark):
     net = learner.NetworkConfig(input_dim=784, output_classes=5, hidden_dims=(128,))
     model = learner.init_model(net, seed=0, dtype=learner.TRAIN_DTYPE)
     benchmark(learner.embed, model, shared, rows=pool)
+
+
+@pytest.fixture(scope="session")
+def repr_csv(tmp_path_factory):
+    """A 3000x100 CSV of ``repr`` floats and five classes."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    values = np.random.default_rng(0).standard_normal((3000, 100))
+    with open(path, "w") as f:
+        f.write(",".join(f"f{i}" for i in range(100)) + ",label\n")
+        for i, row in enumerate(values.tolist()):
+            f.write(",".join(map(repr, row)) + f",{i % 5}\n")
+    return str(path)
+
+
+def test_load_csv(benchmark, repr_csv):
+    benchmark.pedantic(dataset.load_csv, args=(repr_csv,), rounds=5)

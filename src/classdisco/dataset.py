@@ -289,44 +289,44 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 def load_csv(path: str) -> Dataset:
     """Load a CSV with a header row; last column is the integer class label.
 
-    The header and every data row must have the first data row's column
-    count, and every feature must be finite and within float32's range, which
-    the models compute in; every label an integer in [0, 2**63). The first row,
-    cell or label that is not (a short row; nan, inf, 1e308 or a non-numeric
-    cell; a label of 1.5, -1 or 1e20) is reported by line, a cell also by column.
-    Cells are parsed in float64 and stored as the nearest ``TRAIN_DTYPE``.
+    One pass reads the file as UTF-8 (U+FFFD for a bad byte) and each cell as
+    ``float`` reads it, nan if it cannot. It reports the first faulty line: a
+    column count, the header's too, not the first data row's; a feature, by
+    column, not a finite float32; or a label not an integer in [0, 2**63).
     """
-    with open(path) as f:
-        header, *lines = f.read().splitlines() or [""]
-    rows = [(n, line) for n, line in enumerate(lines, 2) if line.split("#", 1)[0].strip()]
+    rows, labels = [], []
+    with open(path, encoding="utf-8", errors="replace") as f:
+        names = f.readline().split(",")
+        for n, line in enumerate(f, 2):
+            if not (cells := line.split("#", 1)[0]).strip():
+                continue
+            row = np.array([_float_or_nan(cell) for cell in cells.split(",")])
+            if len(row) != len(names):  # the header is checked at the first data row
+                at = f"line {n} has {len(row)}" if rows else f"line 1 (the header) has {len(names)}"
+                raise ValueError(f"{path}: {at} columns, not {len(names) if rows else len(row)}")
+            if len(row) < 2:
+                raise ValueError(f"{path}: need at least one feature column plus a label column")
+            bad = np.flatnonzero(~(np.abs(row[:-1]) <= np.finfo(np.float32).max))
+            if len(bad):
+                column = names[bad[0]].strip()
+                raise ValueError(f"{path}: line {n}, column {column!r}: not a finite float32")
+            label = row[-1]
+            if not (label.is_integer() and 0 <= label < 2.0**63):
+                rule = "labels must be non-negative integers below 2**63"
+                rule = rule if label.is_integer() else "last column must contain integer labels"
+                raise ValueError(f"{path}: {rule}; line {n} has {label:g}")
+            rows.append(row[:-1].astype(TRAIN_DTYPE))  # in range: checked
+            labels.append(int(label))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    widths = [line.split("#", 1)[0].count(",") + 1 for _, line in rows]
-    for (n, _), width in zip(rows, widths):
-        if width != widths[0]:
-            raise ValueError(f"{path}: line {n} has {width} columns, not {widths[0]}")
-    names = header.split(",")
-    if len(names) != widths[0]:
-        raise ValueError(f"{path}: line 1 (the header) has {len(names)} columns, not {widths[0]}")
-    if widths[0] < 2:
-        raise ValueError(f"{path}: need at least one feature column plus a label column")
-    raw = np.genfromtxt([line for _, line in rows], delimiter=",", dtype=np.float64, ndmin=2)
-    bad = np.argwhere(~(np.abs(raw[:, :-1]) <= np.finfo(np.float32).max))
-    if len(bad):
-        row, col = bad[0]
-        raise ValueError(
-            f"{path}: line {rows[row][0]}, column {names[col].strip()!r}: not a finite float32"
-        )
-    labels = raw[:, -1]
-    integral = np.isfinite(labels) & (labels == np.floor(labels))
-    bad = np.flatnonzero(~(integral & (labels >= 0) & (labels < 2.0**63)))
-    if len(bad):
-        at = bad[0]
-        rule = "labels must be non-negative integers below 2**63"
-        rule = rule if integral[at] else "last column must contain integer labels"
-        raise ValueError(f"{path}: {rule}; line {rows[at][0]} has {labels[at]:g}")
-    features = _readonly(np.ascontiguousarray(raw[:, :-1], dtype=TRAIN_DTYPE))  # in range: checked
-    return _fully_labeled(features, labels.astype(np.int64))
+    return _fully_labeled(_readonly(np.stack(rows)), np.array(labels, dtype=np.int64))
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
 
 
 def _fully_labeled(features: np.ndarray, true_labels: np.ndarray) -> Dataset:

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -795,6 +797,18 @@ def _negative_label_csv(tmp_path):
     return _csv_config(tmp_path, "a,b,label\n1,2,0\n3,4,-1\n")
 
 
+def _non_utf8_csv(row):
+    """A CSV whose line 3 is ``row``, followed by a comment holding a byte that is not UTF-8."""
+
+    def make_doc(tmp_path):
+        doc = _csv_config(tmp_path, "")
+        text = b"f0,f1,label\n0.5,1.5,0\n" + row + b"\n# \xff\n3.0,4.0,1\n"
+        (tmp_path / "data.csv").write_bytes(text)
+        return doc
+
+    return make_doc
+
+
 def _missing_idx_pair(tmp_path):
     doc = base_config()
     images, labels = str(tmp_path / "absent-im.idx"), str(tmp_path / "absent-lb.idx")
@@ -838,6 +852,14 @@ class TestExitCodes:
                 (_report_without_config, "exp.json carries no embedded config"),
                 (_fractional_label_csv, "data.csv: last column must contain integer labels"),
                 (_negative_label_csv, "data.csv: labels must be non-negative"),
+                (
+                    _non_utf8_csv(b"1.0,2\xff,1"),
+                    "data.csv: line 3, column 'f1': not a finite float32",
+                ),
+                (
+                    _non_utf8_csv(b"1.0,2.0,\xff"),
+                    "data.csv: last column must contain integer labels; line 3 has nan",
+                ),
             ]
             + [
                 (
@@ -931,6 +953,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: cannot create output directory" in err
         assert str(blocker / "out") in err
+
+
+# six classes of four rows, a comment and a blank line: ``base_config``'s
+# split and k validate on it
+_FUZZ_CSV = b"f0,f1,label\n# tiny\n" + b"".join(
+    b"%d.5,0.%d,%d\n" % (i, c, c) + (b"\n" if i == c == 2 else b"")
+    for c in range(6)
+    for i in range(4)
+)
+_FUZZ_BYTES = [b"\xff", b"\x00", b",", b"#", b"\n", b"\r", b" ", b"7"]
+
+
+@st.composite
+def _mutated_csv(draw):
+    """``_FUZZ_CSV`` cut at a byte, with a byte inserted, or with a line dropped or doubled."""
+    kind = draw(st.sampled_from(["truncate", "insert", "drop", "duplicate"]))
+    if kind in ("drop", "duplicate"):
+        lines = _FUZZ_CSV.splitlines(keepends=True)
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at : at + 1] = [] if kind == "drop" else [lines[at]] * 2
+        return b"".join(lines)
+    at = draw(st.integers(0, len(_FUZZ_CSV)))
+    if kind == "truncate":
+        return _FUZZ_CSV[:at]
+    return _FUZZ_CSV[:at] + draw(st.sampled_from(_FUZZ_BYTES)) + _FUZZ_CSV[at:]
+
+
+class TestCsvFuzz:
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        return write_config(tmp, _csv_config(tmp, ""))
+
+    def test_the_unmutated_file_validates(self, config):
+        Path(config).with_name("data.csv").write_bytes(_FUZZ_CSV)
+        assert main(["validate", "--config", config]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_mutated_csv())
+    def test_validate_exits_one_naming_the_file_or_zero(self, config, text):
+        Path(config).with_name("data.csv").write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", "--config", config])
+        assert code in (0, 1)
+        lines = err.getvalue().splitlines()
+        assert bool(lines) == (code == 1)
+        assert all(line.startswith("config error: ") for line in lines)
+        if "cannot load data" in err.getvalue():
+            assert "data.csv: " in err.getvalue()
 
 
 class TestReportFormat:
