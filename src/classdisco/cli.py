@@ -212,7 +212,7 @@ def _parse_counts(raw: str) -> list[int]:
 
 
 def cmd_classcount(args, cfg: ExperimentConfig, data: Dataset | None = None) -> int:
-    counts = _parse_counts(args.counts)
+    counts = args.counts  # parsed and checked against the data by main
     _check_workers(args)
     out = _out_dir(args.out)
     start = time.perf_counter()
@@ -284,8 +284,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         data, (width, counts) = _read_data(cfg, args.command)
-        # classcount runs its own split, so that is the one to check
-        checked = engine.class_count_config(cfg, data) if args.command == "classcount" else cfg
+        checked = cfg
+        if args.command == "classcount":  # it runs its own split, so that is the one to check
+            args.counts = _parse_counts(args.counts)
+            checked = engine.class_count_config(cfg, data, args.counts)
         problems = validate_config(checked, width, counts)
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)

@@ -84,6 +84,8 @@ def _value(value, tp, path: str):
     what, accepts = _SCALARS[tp]
     if not accepts(value):
         raise ConfigError(f"'{path}' must be {what}, got {_show(value)}")
+    if tp is str and (not value or "\0" in value):  # open() would name neither key nor file
+        raise ConfigError(f"'{path}' must be a non-empty string without NUL, got {_show(value)}")
     return float(value) if tp is float else value
 
 
@@ -165,7 +167,7 @@ def validate_config(cfg: ExperimentConfig, width: int, counts: dict[int, int]) -
 
     missing = sorted(c for c in held_out if c not in counts)
     if missing:
-        problems.append(f"held-out classes not present in data: {missing}")
+        problems.append(f"split.held_out_classes names classes not present in data: {missing}")
     cap = cfg.split.per_class_cap
     pool = sum(
         min(counts[c], cap) if cap is not None else counts[c] for c in held_out if c in counts

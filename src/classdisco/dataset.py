@@ -295,7 +295,7 @@ def load_csv(path: str) -> Dataset:
     column, not a finite float32; or a label not an integer in [0, 2**63).
     """
     rows, labels = [], []
-    with open(path, encoding="utf-8", errors="replace") as f:
+    with open(path, encoding="utf-8-sig", errors="replace") as f:
         names = f.readline().split(",")
         for n, line in enumerate(f, 2):
             if not (cells := line.split("#", 1)[0]).strip():
@@ -391,7 +391,7 @@ def make_split(data: Dataset, spec: SplitSpec, rows=None) -> Dataset:
         in_run = np.zeros(n, dtype=bool)
         in_run[np.asarray(rows, dtype=np.int64)] = True
 
-    all_classes = [int(c) for c in np.unique(truth[in_run])]
+    all_classes = list(_class_counts(truth[in_run]))
     missing = spec.held_out_classes - set(all_classes)
     if missing:
         raise ValueError(f"held-out classes not present in data: {sorted(missing)}")
@@ -427,7 +427,7 @@ def add_class(data: Dataset, member_indices) -> Dataset:
     members = np.asarray(member_indices, dtype=np.int64)
     if members.size == 0:
         raise ValueError("cannot add an empty class")
-    if len(np.unique(members)) != len(members):
+    if (np.unique(members, return_counts=True)[1] > 1).any():
         raise ValueError("duplicate member indices")
     outside = data.labels[members] == EXCLUDED
     if outside.any():

@@ -308,7 +308,7 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
     dataset, model = state.dataset, state.model
 
     for r in range(1, rounds + 1):
-        if ev.clustering is None or len(np.unique(ev.clustering.assignments)) < 2:
+        if ev.clustering is None or np.ptp(ev.clustering.assignments) == 0:  # one cluster
             state.stopped_early = f"pool exhausted before round {r}"
             break
         try:
@@ -364,10 +364,11 @@ def evaluate_state(state: DiscoveryState) -> ReconstructionReport:
     return _evaluate(state.dataset, state.model, state.config, state.accepted, state.round).report
 
 
-def class_count_config(cfg: ExperimentConfig, data: Dataset) -> ExperimentConfig:
+def class_count_config(cfg: ExperimentConfig, data: Dataset, class_counts=()) -> ExperimentConfig:
     """The configuration each class count runs: the last five classes held out
     for evaluation, the pool routed by the oracle, and no discovery rounds.
-    The classes come from ``data``, ``cfg.data`` loaded."""
+    The classes come from ``data``, ``cfg.data`` loaded; each of ``class_counts``
+    must lie between 2 and the number of the other classes."""
     if cfg.net.output_classes is not None:
         raise ConfigError(
             f"net.output_classes ({cfg.net.output_classes}) must be unset: "
@@ -379,6 +380,12 @@ def class_count_config(cfg: ExperimentConfig, data: Dataset) -> ExperimentConfig
         raise ConfigError(
             f"need more than {N_EVAL_CLASSES} classes to hold {N_EVAL_CLASSES} out for evaluation"
         )
+    available = len(classes) - N_EVAL_CLASSES
+    for c in class_counts:
+        if c < 2:
+            raise ConfigError(f"class count {c} must be >= 2")
+        if c > available:
+            raise ConfigError(f"class count {c} exceeds the {available} available classes")
     split = replace(cfg.split, held_out_classes=frozenset(classes[-N_EVAL_CLASSES:]))
     return replace(cfg, split=split, ood_mode="oracle", rounds=None)
 
@@ -396,14 +403,9 @@ def run_class_count_experiment(
     mean cluster accuracy of the pool. ``data`` is as in ``run_static``.
     """
     raw = load_data(base_cfg.data) if data is None else data
-    cfg = class_count_config(base_cfg, raw)
+    cfg = class_count_config(base_cfg, raw, class_counts)
     eval_set = cfg.split.held_out_classes
-    non_eval = [int(c) for c in np.unique(raw.true_labels) if c not in eval_set]
-    for c in class_counts:
-        if c < 2:
-            raise ConfigError(f"class count {c} must be >= 2")
-        if c > len(non_eval):
-            raise ConfigError(f"class count {c} exceeds the {len(non_eval)} available classes")
+    non_eval = sorted(raw.shape()[1].keys() - eval_set)
 
     rows: list[tuple[int, float]] = []
     for count in class_counts:

@@ -87,13 +87,12 @@ def cluster_accuracy(assignments, true_labels) -> OverlapMapping:
         raise ValueError("empty input")
     n = assign.size
     rows = []
-    for cid in np.unique(assign):
-        members = truth[assign == cid]
-        label, overlap = plurality_label(members)
-        size = len(members)
+    ids, sizes = np.unique(assign, return_counts=True)
+    for cid, size in zip(ids.tolist(), sizes.tolist()):
+        label, overlap = plurality_label(truth[assign == cid])
         rows.append(
             ClusterOverlap(
-                cluster_id=int(cid),
+                cluster_id=cid,
                 mapped_label=label,
                 overlap=overlap,
                 size=size,
@@ -132,7 +131,7 @@ def dataset_reconstruction_accuracy(
     if ood_indices is not None:
         pool = np.asarray(ood_indices, dtype=np.int64)
         merged = np.concatenate([pool] + [fc.indices for fc in frozen if fc.indices is not None])
-        if len(np.unique(merged)) != len(merged):
+        if (np.unique(merged, return_counts=True)[1] > 1).any():
             raise ValueError("frozen cluster members overlap the current pool or each other")
 
     n_routed = 0

@@ -115,7 +115,7 @@ def learnability_scores(
         raise ValueError(
             f"fewer than two clusters reach the scoreable size of {MIN_SCOREABLE_SIZE}"
         )
-    if rows is not None and len(np.unique(pool_rows)) < len(pool_rows):
+    if rows is not None and (np.unique(pool_rows, return_counts=True)[1] > 1).any():
         raise ValueError("rows must name distinct rows of features")
 
     # Canonical class order: rank clusters by their first member index, which
@@ -125,10 +125,9 @@ def learnability_scores(
     classes = [pool_rows[dense == pos] for pos in canon_order]
     if labels is not None:
         y = np.asarray(labels, dtype=np.int64)
-        for label in np.unique(y[y >= 0]):
-            members = np.flatnonzero(y == label)
-            if len(members) >= 2:  # a singleton distractor class cannot be split
-                classes.append(members)
+        present, sizes = np.unique(y[y >= 0], return_counts=True)
+        # a singleton distractor class cannot be split
+        classes += [np.flatnonzero(y == label) for label in present[sizes >= 2]]
     n_classes = len(classes)
 
     # Each class's rows of x, permuted and split in class order.
@@ -174,9 +173,11 @@ def learnability_scores(
 def density_score(embeddings, clustering: Clustering) -> np.ndarray:
     """Mean Euclidean distance of members to their centroid, one value per cluster.
 
-    Each distance is taken in float64, in row blocks of ``_BLOCK_ROWS``: a
-    row's norm reduces over that row alone, so the blocks give the bits of
-    the whole-matrix form without a float64 copy of ``embeddings``.
+    Each distance is ``np.linalg.norm``'s for a real row, the square root of
+    the summed squares, taken in place in a C-ordered float64 copy of one
+    block of ``_BLOCK_ROWS`` rows: a row's norm reduces over that row alone,
+    so the blocks give the bits of the whole-matrix form, whatever the
+    layout of ``embeddings``, without a float64 copy of it.
     """
     pts = np.asarray(embeddings)
     assign = clustering.assignments
@@ -184,8 +185,10 @@ def density_score(embeddings, clustering: Clustering) -> np.ndarray:
     dists = np.empty(len(assign))
     for start in range(0, len(assign), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        diff = pts[block].astype(np.float64) - clustering.centroids[assign[block]]
-        dists[block] = np.linalg.norm(diff, axis=1)
+        diff = pts[block].astype(np.float64, order="C")
+        diff -= clustering.centroids[assign[block]]
+        dists[block] = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=1))
+        del diff  # before the next block's cast exists
     totals = np.bincount(assign, weights=dists, minlength=k)
     counts = np.bincount(assign, minlength=k)
     out = np.zeros(k)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import errno
 import io
 import json
@@ -122,7 +123,7 @@ class TestValidate:
         "held_out, message",
         [
             ([], "split.held_out_classes is empty: discovery has no OOD pool"),
-            ([3, 4, 9], "held-out classes not present in data: [9]"),
+            ([3, 4, 9], "split.held_out_classes names classes not present in data: [9]"),
         ],
         ids=["empty", "absent-class"],
     )
@@ -271,6 +272,7 @@ _SEEDS = st.integers(-(2**40), 2**40)
 _SIZES = st.integers(1, 10_000)
 _UNIT = st.floats(0.0, 1.0)
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_PATHS = st.text(st.characters(exclude_characters="\0"), min_size=1)  # a name a file can have
 
 # Valid `data` documents, one strategy per data kind.
 DATA_DOCS = {
@@ -284,8 +286,8 @@ DATA_DOCS = {
         },
         seed=_SEEDS,
     ),
-    "idx": _section({"kind": st.just("idx"), "images": st.text(), "labels": st.text()}),
-    "csv": _section({"kind": st.just("csv"), "path": st.text()}),
+    "idx": _section({"kind": st.just("idx"), "images": _PATHS, "labels": _PATHS}),
+    "csv": _section({"kind": st.just("csv"), "path": _PATHS}),
 }
 
 # Valid documents covering every section, kind and optional key.
@@ -662,11 +664,13 @@ class TestDataLoadedOnce:
 
 
 def _argv(command, path, out):
+    """The argv of ``command``; a ``classcount --counts ...`` command replaces its counts of 2."""
+    command, *counts = command.split()
     if command == "validate":
         return ["validate", "--config", path]
     if command == "discover":
         return ["discover", "--config", path, "--mode", "static", "--out", out]
-    return ["classcount", "--config", path, "--counts", "2", "--out", out]
+    return ["classcount", "--config", path, *(counts or ["--counts", "2"]), "--out", out]
 
 
 def _csv_config(tmp_path, text):
@@ -809,6 +813,16 @@ def _non_utf8_csv(row):
     return make_doc
 
 
+def _nul_in_path(tmp_path):
+    doc = base_config()
+    doc["data"] = {"kind": "csv", "path": str(tmp_path / "da\0ta.csv")}
+    return doc
+
+
+def _classcount_doc(tmp_path):
+    return classcount_config()
+
+
 def _missing_idx_pair(tmp_path):
     doc = base_config()
     images, labels = str(tmp_path / "absent-im.idx"), str(tmp_path / "absent-lb.idx")
@@ -876,6 +890,17 @@ class TestExitCodes:
                 ]
             ]
         ]
+        + [
+            (command, _nul_in_path, 1, "config error: 'data.path' must be a non-empty string")
+            for command in ("validate", "discover", "classcount")
+        ]
+        + [
+            (f"classcount --counts {counts}", _classcount_doc, 1, f"config error: {message}")
+            for counts, message in [
+                ("2,99", "class count 99 exceeds the 5 available classes"),
+                ("1", "class count 1 must be >= 2"),
+            ]
+        ]
         + [(command, _poisoned_csv, 2, "runtime failure") for command in ("discover", "classcount")],
     )
     def test_every_subcommand_maps_failures_alike(
@@ -884,6 +909,8 @@ class TestExitCodes:
         path = write_config(tmp_path, make_doc(tmp_path))
         assert main(_argv(command, path, str(tmp_path / "out"))) == code
         assert message in capsys.readouterr().err
+        if code == 1:  # a config error is found before the output directory is made
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "label, message",
@@ -1003,6 +1030,176 @@ class TestCsvFuzz:
         assert all(line.startswith("config error: ") for line in lines)
         if "cannot load data" in err.getvalue():
             assert "data.csv: " in err.getvalue()
+
+
+def _validate(config):
+    """``validate``'s exit code and the messages it printed; an exception
+    escaping ``main`` fails the test. A message may span lines, when a file
+    name holds a newline."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["validate", "--config", config])
+    before, *messages = err.getvalue().split("config error: ")
+    assert code in (0, 1)
+    assert before == ""
+    assert bool(messages) == (code == 1)
+    return code, messages
+
+
+# a key path in quotes ('kmeans.k', '<root>'), a dotted key (split.held_out_classes)
+# or a key before its value (rounds (7)), a line, or a byte offset
+_PLACE = re.compile(
+    r"'[\w<][\w.<>\[\]]*'|\b[a-z_]+\.[a-z_]+\b|\b[a-z_]+ \(\d|\bline \d|byte offset \d"
+)
+_ODD_VALUES = [
+    None, True, 0, -1, 2**63, -(2**64), 10**30, 0.5, -0.0, 1e308, 5e-324,
+    float("nan"), float("inf"), float("-inf"), "", "x", [], [[]], {}, {"kind": "csv"},
+]  # fmt: skip
+
+
+def _locations(doc, at=()):
+    """The path of every section, key and list item in ``doc``."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    return [loc for key, value in items for loc in [at + (key,), *_locations(value, at + (key,))]]
+
+
+@st.composite
+def _mutated_config(draw, bases, odd_paths):
+    """One of ``bases`` with one key dropped, retyped, nested one level deeper,
+    or given an unknown sibling, or with a data file path made odd."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    path = draw(st.sampled_from(_locations(doc)))
+    parent, key = doc, path[-1]
+    for step in path[:-1]:
+        parent = parent[step]
+    files = [k for k in ("path", "images", "labels") if k in doc["data"]]
+    kind = draw(st.sampled_from(["drop", "retype", "nest", "unknown", "path" if files else "drop"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif kind == "nest":
+        parent[key] = draw(st.sampled_from([[parent[key]], {"x": parent[key]}]))
+    elif kind == "unknown":
+        (parent if isinstance(parent, dict) else doc)["zzz"] = 1
+    else:
+        doc["data"][draw(st.sampled_from(files))] = draw(st.sampled_from(odd_paths))
+    return doc
+
+
+class TestConfigFuzz:
+    """``validate`` on tiny sound configs of every data source, each mutated once."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("config-fuzz")
+        full = config_to_dict(parse_config(base_config()))  # every default as a key
+        data = [_csv_config(tmp, _FUZZ_CSV.decode())["data"], _idx_config(tmp)["data"]]
+        odd_paths = [
+            "", "/", str(tmp), str(tmp / "absent.csv"), str(tmp / "im.idx"), str(tmp / "exp.json"),
+            "da\0ta.csv", "x" * 5000, str(tmp / "data.csv") + "\n", "~",
+        ]  # fmt: skip
+        return tmp / "exp.json", [full] + [{**full, "data": d} for d in data], odd_paths
+
+    def test_every_base_validates(self, sources):
+        config, bases, _ = sources
+        for doc in bases:
+            config.write_text(json.dumps(doc))
+            assert _validate(str(config)) == (0, [])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_validate_exits_one_naming_a_key_file_line_or_offset(self, sources, data):
+        config, bases, odd_paths = sources
+        doc = data.draw(_mutated_config(bases, odd_paths))
+        config.write_text(json.dumps(doc))
+        _, messages = _validate(str(config))
+        source = doc.get("data") if isinstance(doc.get("data"), dict) else {}
+        files = [str(config), *(v for v in source.values() if isinstance(v, str) and v)]
+        for message in messages:
+            assert any(f in message for f in files) or _PLACE.search(message), message
+
+
+@st.composite
+def _mutated_idx(draw, images, labels):
+    """The pair swapped, or one file cut at a byte or with one header byte flipped."""
+    kind = draw(st.sampled_from(["swap", "truncate", "flip"]))
+    if kind == "swap":
+        return labels, images
+    pair = [images, labels]
+    which = draw(st.integers(0, 1))
+    data = pair[which]
+    if kind == "truncate":
+        pair[which] = data[: draw(st.integers(0, len(data) - 1))]
+    else:  # the images header is 16 bytes, the labels header 8
+        at = draw(st.integers(0, 15 - 8 * which))
+        pair[which] = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    return tuple(pair)
+
+
+class TestIdxFuzz:
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("idx-fuzz")
+        doc = _idx_config(tmp)
+        files = [Path(doc["data"][key]) for key in ("images", "labels")]
+        return write_config(tmp, doc), files, [f.read_bytes() for f in files]
+
+    def test_the_unmutated_pair_validates(self, pair):
+        config, _, _ = pair
+        assert _validate(config) == (0, [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_format_fault_names_its_file_and_byte_offset(self, pair, data):
+        config, files, sound = pair
+        for path, content in zip(files, data.draw(_mutated_idx(*sound))):
+            path.write_bytes(content)
+        _, messages = _validate(config)
+        for message in messages:
+            assert "im.idx" in message or "lb.idx" in message, message
+            assert re.search(r"byte offset \d", message), message
+
+
+def _detector_round():
+    """``configs/synthetic.json`` routed by the detector for one round, which it
+    reaches: on ``base_config`` the detector leaves too little pool for round 1."""
+    doc = json.loads(SYNTHETIC_CONFIG.read_text())
+    doc.update(ood_mode="detector", epochs_initial=10, epochs_per_round=2, rounds=1)
+    return doc
+
+
+class TestImportsOnlyWhatARunUses:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["discover", "--mode", "dynamic"], base_config()),
+            (["discover", "--mode", "dynamic"], _detector_round()),
+            (["classcount", "--counts", "2,3"], classcount_config()),
+        ],
+        ids=["dynamic", "detector", "classcount"],
+    )
+    def test_a_run_never_imports_numpy_ma(self, tmp_path, command, doc):
+        # a plain np.unique reaches np.ma.is_masked, which imports numpy.ma
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys; from classdisco.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+        )
+        argv = [*command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
 
 
 class TestReportFormat:

@@ -183,6 +183,28 @@ def test_a_byte_that_is_not_utf8_in_a_comment_is_ignored(tmp_path):
     assert data.true_labels.tolist() == [0, 1]
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as spreadsheet programs often write it
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(BOM + b"f0,f1,label\n1,2,0\nx,3,1\n")
+    with pytest.raises(ValueError) as caught:
+        load_csv(str(path))
+    assert str(caught.value) == f"{path}: line 3, column 'f0': not a finite float32"
+
+
+def test_a_file_with_a_byte_order_mark_loads_as_the_file_without_it(tmp_path):
+    text = b"f0,f1,label\r\n# note\n0.5,1.5,0\n1.0,2.0,1 # \xff\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(BOM + text)
+    a, b = load_csv(str(plain)), load_csv(str(marked))
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.true_labels.tolist() == b.true_labels.tolist() == [0, 1]
+    assert a.label_map == b.label_map
+
+
 def _write_repr_csv(path, rows, columns=100):
     """A ``rows`` x ``columns`` CSV of ``repr`` floats and five classes; returns the floats."""
     values = np.random.default_rng(0).standard_normal((rows, columns))

@@ -209,6 +209,73 @@ class TestDensity:
             tracemalloc.stop()
         assert peak < embeddings.size * np.dtype(np.float64).itemsize
 
+    @staticmethod
+    def _norm_density(embeddings, clustering, block_rows):
+        """The earlier ``density_score``: ``np.linalg.norm`` over each block's
+        float64 difference, which also holds its ``conj`` and product."""
+        pts = np.asarray(embeddings)
+        assign, k = clustering.assignments, clustering.k
+        dists = np.empty(len(assign))
+        for start in range(0, len(assign), block_rows):
+            block = slice(start, start + block_rows)
+            diff = pts[block].astype(np.float64) - clustering.centroids[assign[block]]
+            dists[block] = np.linalg.norm(diff, axis=1)
+        totals = np.bincount(assign, weights=dists, minlength=k)
+        counts = np.bincount(assign, minlength=k)
+        out = np.zeros(k)
+        out[counts > 0] = totals[counts > 0] / counts[counts > 0]
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2100),
+        d=st.integers(1, 300),
+        k=st.integers(1, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        centroid_dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_linalg_norm_form(self, n, d, k, dtype, centroid_dtype, seed):
+        """Bit for bit, in blocks of the real size, and for a Fortran-ordered
+        copy of the same points too."""
+        rng = np.random.default_rng(seed)
+        points = (rng.standard_normal((n, d)) * 10).astype(dtype)
+        clustering = Clustering(
+            centroids=rng.standard_normal((k, d)).astype(centroid_dtype),
+            assignments=rng.integers(0, k, n),
+            inertia=0.0,
+            iterations_run=1,
+        )
+        expected = self._norm_density(points, clustering, selection._BLOCK_ROWS).tobytes()
+        assert density_score(points, clustering).tobytes() == expected
+        assert density_score(np.asfortranarray(points), clustering).tobytes() == expected
+
+    @pytest.mark.parametrize("centroid_dtype", [np.float32, np.float64])
+    def test_peaks_at_one_block_and_its_centroids(self, centroid_dtype):
+        # one block's float64 cast, which becomes its difference, and its
+        # gathered centroids; the earlier form also held norm's conj copy
+        # and the previous block's difference while casting the next
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        embeddings = rng.standard_normal((5000, 128), dtype=np.float32)
+        clustering = Clustering(
+            centroids=rng.standard_normal((15, 128)).astype(centroid_dtype),
+            assignments=rng.integers(0, 15, len(embeddings)),
+            inertia=0.0,
+            iterations_run=1,
+        )
+        density_score(embeddings, clustering)  # also the first-call imports
+        tracemalloc.start()
+        try:
+            density_score(embeddings, clustering)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = selection._BLOCK_ROWS * 128
+        gathered = block * np.dtype(centroid_dtype).itemsize
+        assert peak <= block * np.dtype(np.float64).itemsize + gathered + 2**18
+
 
 class TestSelect:
     def test_learnability_argmax(self):
