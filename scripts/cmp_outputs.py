@@ -1,0 +1,124 @@
+"""Run the same seed-0 invocations on two source trees and compare their outputs.
+
+    python3 scripts/cmp_outputs.py PARENT_TREE [TREE]
+
+``TREE`` defaults to the tree holding this script. Each invocation runs
+``python -m classdisco.cli`` with the tree's ``src`` first on ``PYTHONPATH``,
+``OPENBLAS_NUM_THREADS=1`` and ``PYTHONHASHSEED=0``, one at a time. Every
+``curves.csv``, ``clusters.csv`` and ``classcount.csv`` must be byte-equal,
+and ``report.json`` equal once ``wall_clock_seconds`` is dropped. Each file
+that differs is printed, and the exit status is 1 if any file differs.
+
+The 12 invocations are the seed-0 configs of the benchmark's three workloads
+(read from ``TREE/bench/workloads.py``), and ``configs/synthetic.json`` at 10
+initial and 2 per-round epochs: run static; dynamic; dynamic with the
+detector; under the threshold, random and density policies; and under the
+other three ``learnability`` settings of ``use_embeddings`` and
+``include_existing``. Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import copy
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUTPUTS = ("curves.csv", "clusters.csv", "classcount.csv", "report.json")
+BENCH_WORKLOADS = ("synth-dynamic", "mnist784-dynamic", "mnist784-classcount")
+
+
+def _discover(mode: str):
+    return lambda config, out: ["discover", "--mode", mode, "--config", config, "--out", out]
+
+
+def invocations(tree: Path) -> list[tuple[str, dict, object]]:
+    """``(name, config, argv(config_path, out_dir))`` of each invocation."""
+    spec = importlib.util.spec_from_file_location("cmp_workloads", tree / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve annotations through it
+    spec.loader.exec_module(workloads)
+    runs = []
+    for name in BENCH_WORKLOADS:
+        first = workloads.WORKLOADS[name].invocations(0)[0]
+        runs.append((name, first.config, first.argv))
+
+    base = json.loads((tree / "configs" / "synthetic.json").read_text())
+    base.update(epochs_initial=10, epochs_per_round=2)
+    variants = [("static", {}), ("dynamic", {}), ("detector", {"ood_mode": "detector"})]
+    variants += [(kind, {"policy": {"kind": kind}}) for kind in ("threshold", "random", "density")]
+    for emb, ext in ((False, True), (True, False), (True, True)):
+        learn = {"use_embeddings": emb, "include_existing": ext}
+        variants.append((f"embeddings-{emb}-existing-{ext}", {"learnability": learn}))
+    for name, update in variants:
+        config = copy.deepcopy(base)
+        config.update(update)
+        mode = "static" if name == "static" else "dynamic"
+        runs.append((f"synthetic-{name}", config, _discover(mode)))
+    return runs
+
+
+def _run(tree: Path, config: dict, argv, work: Path) -> tuple[Path, subprocess.CompletedProcess]:
+    work.mkdir(parents=True)
+    config_path, out = work / "config.json", work / "out"
+    config_path.write_text(json.dumps(config))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "classdisco.cli", *argv(str(config_path), str(out))],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return out, proc
+
+
+def _content(path: Path):
+    """The bytes compared for ``path``; None if it was not written."""
+    if not path.exists():
+        return None
+    if path.name != "report.json":
+        return path.read_bytes()
+    report = json.loads(path.read_text())
+    report.pop("wall_clock_seconds", None)
+    return json.dumps(report, indent=2)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) not in (1, 2):
+        print("usage: python3 scripts/cmp_outputs.py PARENT_TREE [TREE]", file=sys.stderr)
+        return 2
+    parent = Path(args[0]).resolve()
+    tree = Path(args[1]).resolve() if len(args) == 2 else Path(__file__).resolve().parents[1]
+    differ = compared = 0
+    with tempfile.TemporaryDirectory(prefix="cmp-outputs-") as tmp:
+        for name, config, command in invocations(tree):
+            old_out, old = _run(parent, config, command, Path(tmp) / name / "parent")
+            new_out, new = _run(tree, config, command, Path(tmp) / name / "tree")
+            for side, proc in (("parent", old), ("tree", new)):
+                if proc.returncode != 0:
+                    print(f"{name}: {side} exited {proc.returncode}: {proc.stderr.strip()}")
+            if old.returncode != new.returncode:
+                differ += 1
+                print(f"DIFF {name}: exit {old.returncode} vs {new.returncode}")
+            for file in OUTPUTS:
+                before, after = _content(old_out / file), _content(new_out / file)
+                if before is None and after is None:
+                    continue
+                compared += 1
+                if before != after:
+                    differ += 1
+                    print(f"DIFF {name}/{file}")
+            print(f"done {name}", flush=True)
+    print(f"{differ} of {compared} files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -278,6 +278,11 @@ def _read_data(cfg: ExperimentConfig, command: str):
         raise ConfigError(f"cannot load data: {exc}") from exc
 
 
+def _error(prefix: str, message) -> None:
+    """Print a failure as one stderr line, with ``\\r`` and ``\\n`` (as in file names) escaped."""
+    print(f"{prefix}: " + str(message).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Load and validate the config, run the subcommand, and map failures to exit codes."""
     args = build_parser().parse_args(argv)
@@ -290,16 +295,16 @@ def main(argv=None) -> int:
             checked = engine.class_count_config(cfg, data, args.counts)
         problems = validate_config(checked, width, counts)
         for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+            _error("config error", p)
         if problems:
             return EXIT_CONFIG
         return args.run(args, cfg, data)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _error("config error", exc)
         return EXIT_CONFIG
     except (RuntimeError, ValueError, FloatingPointError, MemoryError) as exc:
         # RuntimeError covers learner.TrainingDivergedError
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        _error("runtime failure", exc)
         return EXIT_RUNTIME
 
 

@@ -51,8 +51,8 @@ class KMeansConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= self.tol <= 1:  # a relative improvement: any tol above 1 acts as 1
+            raise ValueError("tol must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,13 @@ def center(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if points.shape[0] == 0:
         raise ValueError("cannot cluster zero points")
-    mu = points.mean(axis=0)
-    ctr = np.subtract(points.T, mu[:, None], out=np.empty(points.shape[::-1], points.dtype)).T
-    norms = np.einsum("ij,ij->i", ctr, ctr)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms are reported below
+        mu = points.mean(axis=0)
+        ctr = np.subtract(points.T, mu[:, None], out=np.empty(points.shape[::-1], points.dtype)).T
+        norms = np.einsum("ij,ij->i", ctr, ctr)
+    # no centroid lies farther out than a point, so 4x the largest norm bounds every distance
+    if not norms.max() <= np.finfo(norms.dtype).max / 4:
+        raise ValueError(f"non-finite squared distances: points too far apart for {norms.dtype}")
     ctr.flags.writeable = norms.flags.writeable = False
     return mu, ctr, norms
 

@@ -119,14 +119,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return _parse(ExperimentConfig, doc, "")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated name is an error, never a silent last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        names = [name for name, _ in pairs]
+        raise ValueError(f"duplicate key {next(n for n in doc if names.count(n) > 1)!r}")
+    return doc
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read a config file; a run report is accepted too (its embedded config is used)."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+    except ValueError as exc:  # a JSONDecodeError, a repeated key, or an int past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and str(doc.get("schema", "")).startswith("classdisco-report"):
         doc = doc.get("config")

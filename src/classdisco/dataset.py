@@ -157,8 +157,9 @@ class GaussianMixtureSpec:
             raise ValueError("n_classes must be >= 2")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
+        # float32 features at 1e6 resolve the unit noise to 1/16; far beyond, k-means overflows
+        if not 0 <= self.separation <= 1e6:
+            raise ValueError("separation must lie in [0, 1e6]")
         if self.per_class_n < 1:
             raise ValueError("per_class_n must be >= 1")
         limit = np.iinfo(np.intp).max  # the largest array numpy can address

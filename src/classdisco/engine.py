@@ -15,7 +15,7 @@ onward, output expansion uses ``seed + 100003*r``, learnability scoring uses
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,14 +112,19 @@ class RoundRecord:
 
 @dataclass
 class DiscoveryState:
+    """A run, updated in place by its loop; ``round`` counts the accepted clusters."""
+
     dataset: Dataset
     model: Model
-    round: int
-    accepted: list[AcceptedCluster]
-    history: list[RoundRecord]
     config: ExperimentConfig
+    accepted: list[AcceptedCluster] = field(default_factory=list)
+    history: list[RoundRecord] = field(default_factory=list)
     detector: OodDetector | None = None
     stopped_early: str | None = None
+
+    @property
+    def round(self) -> int:
+        return len(self.accepted)
 
 
 @dataclass
@@ -137,15 +142,9 @@ def _mean_recent_losses(model: Model, epochs: int) -> float:
     return float(np.mean(model.loss_log[-epochs:]))
 
 
-def _evaluate(
-    dataset: Dataset,
-    model: Model,
-    cfg: ExperimentConfig,
-    accepted: list[AcceptedCluster],
-    round_idx: int,
-) -> _RoundEval:
+def _evaluate(state: DiscoveryState) -> _RoundEval:
+    dataset, model, cfg, accepted = state.dataset, state.model, state.config, state.accepted
     pool_idx = dataset.unlabeled_indices()
-    ell = dataset.human_labeled_count()
 
     detector = None
     routed_pred = routed_true = None
@@ -154,12 +153,11 @@ def _evaluate(
         labeled = dataset.labeled_indices()
         detector = ood.calibrate(model, dataset.features, cfg.detector_quantile, rows=labeled)
         part = ood.partition(detector, model, dataset.features, rows=pool_idx)
-        routed_global = pool_idx[part.in_dist_indices]
         # a discovered class predicts its accepted cluster's plurality label (same order)
         label_map = np.asarray(dataset.label_map, dtype=np.int64)
         label_map[label_map == DISCOVERED_CLASS] = [a.plurality_label for a in accepted]
         routed_pred = label_map[part.in_dist_labels]
-        routed_true = dataset.true_labels[routed_global]
+        routed_true = dataset.true_labels[pool_idx[part.in_dist_indices]]
         cluster_idx = pool_idx[part.ood_indices]
 
     clustering = None
@@ -170,14 +168,14 @@ def _evaluate(
         embeddings = embed(model, dataset.features, rows=cluster_idx)
         k_eff = min(cfg.kmeans.k, len(cluster_idx))
         kmeans = replace(
-            cfg.kmeans, k=k_eff, seed=cfg.kmeans.seed + round_idx * cfg.kmeans.restarts
+            cfg.kmeans, k=k_eff, seed=cfg.kmeans.seed + state.round * cfg.kmeans.restarts
         )
         clustering = fit_with_restarts(embeddings, kmeans)
         assign = clustering.assignments
         truth = dataset.true_labels[cluster_idx]
 
     report = metrics.dataset_reconstruction_accuracy(
-        ell,
+        dataset.human_labeled_count(),
         assign,
         truth,
         frozen=tuple(accepted),
@@ -196,15 +194,30 @@ def _evaluate(
 
 def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: int) -> Model:
     """Train on the labeled rows, read by row index from the shared feature matrix."""
-    if epochs == 0:
-        return model
     rows = data.labeled_indices()
     return train_epochs(model, data.features, data.labels[rows], cfg.adam, epochs, rows=rows)
 
 
+def _close_round(state: DiscoveryState, epochs: int, features=(), selected=None) -> _RoundEval:
+    """Evaluate ``state`` after ``epochs`` of training, record the round, return its evaluation."""
+    ev = _evaluate(state)
+    state.detector = ev.detector
+    state.history.append(
+        RoundRecord(
+            round=state.round,
+            ood_pool_size=len(state.dataset.unlabeled_indices()),
+            train_loss=_mean_recent_losses(state.model, epochs),
+            report=ev.report,
+            cluster_features=tuple(features),
+            accepted_cluster=selected,
+        )
+    )
+    return ev
+
+
 def _prepare(cfg: ExperimentConfig, raw: Dataset, rows=None) -> tuple[DiscoveryState, _RoundEval]:
     """Split ``raw`` over ``rows`` (all rows by default), train the initial
-    model, and run the round-0 evaluation."""
+    model, and close round 0."""
     data = make_split(raw, cfg.split, rows)
     if len(data.unlabeled_indices()) == 0:
         raise ValueError("empty OOD pool: no held-out classes were stripped")
@@ -213,25 +226,9 @@ def _prepare(cfg: ExperimentConfig, raw: Dataset, rows=None) -> tuple[DiscoveryS
         net = replace(net, input_dim=data.n_features)
     if net.output_classes is None:
         net = replace(net, output_classes=data.n_classes_visible)
-    model = init_model(net, seed=cfg.seed, dtype=TRAIN_DTYPE)
-    model = _train_labeled(model, data, cfg, cfg.epochs_initial)
-    ev = _evaluate(data, model, cfg, [], 0)
-    record = RoundRecord(
-        round=0,
-        ood_pool_size=len(data.unlabeled_indices()),
-        train_loss=_mean_recent_losses(model, cfg.epochs_initial),
-        report=ev.report,
-    )
-    state = DiscoveryState(
-        dataset=data,
-        model=model,
-        round=0,
-        accepted=[],
-        history=[record],
-        config=cfg,
-        detector=ev.detector,
-    )
-    return state, ev
+    state = DiscoveryState(data, init_model(net, seed=cfg.seed, dtype=TRAIN_DTYPE), cfg)
+    state.model = _train_labeled(state.model, data, cfg, cfg.epochs_initial)
+    return state, _close_round(state, cfg.epochs_initial)
 
 
 def run_static(cfg: ExperimentConfig, data: Dataset | None = None):
@@ -255,9 +252,8 @@ def _score_clusters(
     clustering = ev.clustering
     sizes = clustering.cluster_sizes()
     present = np.flatnonzero(sizes > 0)
-    need_learnability = cfg.policy.kind in ("learnability", "threshold")
     learn = np.full(clustering.k, math.nan)
-    if need_learnability:
+    if cfg.policy.kind in ("learnability", "threshold"):
         # Raw features are read by row index from the shared matrix, uncopied.
         # Embedded distractors are the labeled rows' embeddings, stacked under
         # the pool's, whose rows are marked UNLABELED.
@@ -270,7 +266,7 @@ def _score_clusters(
             labeled = dataset.labeled_indices()
             score_input = np.concatenate([ev.embeddings, embed(model, dataset.features, labeled)])
             labels = np.concatenate([np.full(len(ev.embeddings), UNLABELED), labels[labeled]])
-        raw = selection.learnability_scores(
+        learn[present] = selection.learnability_scores(
             score_input,
             clustering.assignments,
             lcfg,
@@ -278,7 +274,6 @@ def _score_clusters(
             labels=labels,
             rows=rows,
         )
-        learn[present] = raw
     density = selection.density_score(ev.embeddings, clustering)
     return [
         ClusterFeatures(
@@ -305,14 +300,12 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
         raise ValueError(f"rounds={rounds} exceeds the {n_held_out} held-out classes")
 
     state, ev = _prepare(cfg, load_data(cfg.data) if data is None else data)
-    dataset, model = state.dataset, state.model
-
     for r in range(1, rounds + 1):
         if ev.clustering is None or np.ptp(ev.clustering.assignments) == 0:  # one cluster
             state.stopped_early = f"pool exhausted before round {r}"
             break
         try:
-            features = _score_clusters(ev, dataset, model, cfg, r)
+            features = _score_clusters(ev, state.dataset, state.model, cfg, r)
         except ValueError as exc:
             state.stopped_early = f"round {r}: {exc}"
             break
@@ -322,46 +315,32 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
             state.stopped_early = f"round {r}: no cluster above the acceptance threshold"
             break
 
-        members_local = np.flatnonzero(ev.clustering.assignments == selected)
-        members = ev.cluster_indices[members_local]
-        plurality, _ = metrics.plurality_label(dataset.true_labels[members])
-        sel_features = next(f for f in features if f.cluster_id == selected)
+        members = ev.cluster_indices[ev.clustering.assignments == selected]
+        plurality, _ = metrics.plurality_label(state.dataset.true_labels[members])
         state.accepted.append(
             AcceptedCluster(
                 round=r,
-                new_label=dataset.n_classes_visible,
+                new_label=state.dataset.n_classes_visible,
                 plurality_label=plurality,
-                true_labels=dataset.true_labels[members],
+                true_labels=state.dataset.true_labels[members],
                 indices=members,
-                learnability=sel_features.learnability,
+                learnability=next(f.learnability for f in features if f.cluster_id == selected),
             )
         )
         del ev  # this round's embeddings and clustering, freed before retraining
-        dataset = add_class(dataset, members)
-        model = expand_outputs(
-            model, dataset.n_classes_visible, seed=cfg.seed + _EXPAND_SEED_STRIDE * r
+        state.dataset = add_class(state.dataset, members)
+        widened = expand_outputs(
+            state.model, state.dataset.n_classes_visible, seed=cfg.seed + _EXPAND_SEED_STRIDE * r
         )
-        model = _train_labeled(model, dataset, cfg, cfg.epochs_per_round)
-
-        state.dataset, state.model, state.round = dataset, model, r
-        ev = _evaluate(dataset, model, cfg, state.accepted, r)
-        state.detector = ev.detector
-        state.history.append(
-            RoundRecord(
-                round=r,
-                ood_pool_size=len(dataset.unlabeled_indices()),
-                train_loss=_mean_recent_losses(model, cfg.epochs_per_round),
-                report=ev.report,
-                cluster_features=tuple(features),
-                accepted_cluster=selected,
-            )
-        )
+        state.model = _train_labeled(widened, state.dataset, cfg, cfg.epochs_per_round)
+        del widened  # else it lives on through the evaluation
+        ev = _close_round(state, cfg.epochs_per_round, features, selected)
     return state, [rec.report for rec in state.history]
 
 
 def evaluate_state(state: DiscoveryState) -> ReconstructionReport:
     """Re-evaluate a state from scratch; pure, and equal to its last history record."""
-    return _evaluate(state.dataset, state.model, state.config, state.accepted, state.round).report
+    return _evaluate(state).report
 
 
 def class_count_config(cfg: ExperimentConfig, data: Dataset, class_counts=()) -> ExperimentConfig:

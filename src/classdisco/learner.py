@@ -30,7 +30,7 @@ def as_float(x) -> np.ndarray:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """Training produced a non-finite loss, weight or held-out prediction."""
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,10 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
 
 
 def cross_entropy(model: Model, features, labels) -> float:
-    """Mean cross-entropy of the model on a labeled batch."""
+    """Mean cross-entropy of the model on a labeled batch: the loss that training
+    minimizes, computed by ``loss_and_gradients`` in the dtype ``_forward`` promotes to."""
     x = _check_width(model, features)
-    y = np.asarray(labels, dtype=np.int64)
-    _, logits = _forward(model, x)
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(len(y)), y]))
+    return loss_and_gradients(model, x, np.asarray(labels, dtype=np.int64))[0]
 
 
 def loss_and_gradients(model: Model, x: np.ndarray, y: np.ndarray, grads=None):
@@ -361,6 +358,9 @@ def train_epochs(
         _flush_subnormals(out.flat_m)
         out.epochs_trained += 1
         out.loss_log = out.loss_log + (total / n,)
+    # a later loss reports a step that left a weight non-finite; nothing follows the last
+    if not np.isfinite(out.flat_params).all():
+        raise TrainingDivergedError(f"non-finite weight after epoch {out.epochs_trained - 1}")
     return out
 
 

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from classdisco import cli, dataset, engine
 from classdisco.cli import main
+from classdisco.clustering import KMeansConfig
 from classdisco.config import ConfigError, config_to_dict, parse_config
 from classdisco.dataset import DataSource
 from classdisco.engine import OOD_MODES
-from classdisco.selection import POLICY_KINDS
+from classdisco.selection import POLICY_KINDS, LearnabilityConfig
 from conftest import write_idx_pair
 
 SYNTHETIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
@@ -819,6 +820,20 @@ def _nul_in_path(tmp_path):
     return doc
 
 
+def _repeated_key(tmp_path):
+    """``kmeans.k`` written twice: keeping the last value would run k=4."""
+    return json.dumps(base_config()).replace('"k": 6', '"k": 15, "k": 4')
+
+
+def _repeated_top_level_key(tmp_path):
+    return json.dumps(base_config())[:-1] + ', "seed": 7}'
+
+
+def _repeated_key_in_report(tmp_path):
+    report = {"schema": cli.REPORT_SCHEMA, "config": base_config()}
+    return json.dumps(report).replace('"k": 6', '"k": 15, "k": 4')
+
+
 def _classcount_doc(tmp_path):
     return classcount_config()
 
@@ -864,6 +879,9 @@ class TestExitCodes:
                 ),
                 (_scalar_section, "config error: 'kmeans' must be an object, got 3"),
                 (_report_without_config, "exp.json carries no embedded config"),
+                (_repeated_key, "exp.json is not valid JSON: duplicate key 'k'"),
+                (_repeated_top_level_key, "exp.json is not valid JSON: duplicate key 'seed'"),
+                (_repeated_key_in_report, "exp.json is not valid JSON: duplicate key 'k'"),
                 (_fractional_label_csv, "data.csv: last column must contain integer labels"),
                 (_negative_label_csv, "data.csv: labels must be non-negative"),
                 (
@@ -970,6 +988,22 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("runtime failure: non-finite loss")
 
+    def test_a_data_file_name_with_a_newline_is_one_line(self, tmp_path, capsys):
+        doc = base_config()
+        doc["data"] = {"kind": "idx", "images": "/nonexistent/imgs\nsecond", "labels": "/x"}
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: data file missing: /nonexistent/imgs\\nsecond\n"
+
+    def test_a_config_file_name_with_a_newline_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "exp\r\n.json"
+        assert main(["validate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: cannot read config file {tmp_path}/exp\\r\\n.json: "
+            f"[Errno 2] No such file or directory: {str(config)!r}\n"
+        )
+
     @pytest.mark.parametrize("command", ["discover", "classcount"])
     def test_uncreatable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, command):
         blocker = tmp_path / "blocker"
@@ -1033,17 +1067,16 @@ class TestCsvFuzz:
 
 
 def _validate(config):
-    """``validate``'s exit code and the messages it printed; an exception
-    escaping ``main`` fails the test. A message may span lines, when a file
-    name holds a newline."""
+    """``validate``'s exit code and the messages it printed, one line each; an
+    exception escaping ``main`` fails the test."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["validate", "--config", config])
-    before, *messages = err.getvalue().split("config error: ")
+    lines = err.getvalue().splitlines()
     assert code in (0, 1)
-    assert before == ""
-    assert bool(messages) == (code == 1)
-    return code, messages
+    assert all(line.startswith("config error: ") for line in lines), lines
+    assert bool(lines) == (code == 1)
+    return code, [line.removeprefix("config error: ") for line in lines]
 
 
 # a key path in quotes ('kmeans.k', '<root>'), a dotted key (split.held_out_classes)
@@ -1055,6 +1088,11 @@ _ODD_VALUES = [
     None, True, 0, -1, 2**63, -(2**64), 10**30, 0.5, -0.0, 1e308, 5e-324,
     float("nan"), float("inf"), float("-inf"), "", "x", [], [[]], {}, {"kind": "csv"},
 ]  # fmt: skip
+
+
+def _one_line(text):
+    """``text`` as ``main`` prints it in a message: ``\\r`` and ``\\n`` escaped."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _locations(doc, at=()):
@@ -1119,8 +1157,57 @@ class TestConfigFuzz:
         _, messages = _validate(str(config))
         source = doc.get("data") if isinstance(doc.get("data"), dict) else {}
         files = [str(config), *(v for v in source.values() if isinstance(v, str) and v)]
+        files = [_one_line(f) for f in files]
         for message in messages:
             assert any(f in message for f in files) or _PLACE.search(message), message
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_discover_on_a_tiny_valid_config_exits_zero_or_diverges(self, sources, data):
+        """When ``validate`` says ok and the config is within ``_within_budget``,
+        a one-epoch, one-round ``discover`` exits 0, or 2 only from divergence."""
+        config, bases, odd_paths = sources
+        doc = data.draw(_mutated_config([_tiny(base) for base in bases], odd_paths))
+        config.write_text(json.dumps(doc))
+        if _validate(str(config))[0] != 0:
+            return
+        doc.update(epochs_initial=1, epochs_per_round=1, rounds=1)
+        if not _within_budget(parse_config(doc)):
+            return
+        config.write_text(json.dumps(doc))
+        out, err = config.with_name("out"), io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            argv = ["discover", "--mode", "dynamic", "--config", str(config), "--out", str(out)]
+            code = main(argv)
+        assert code in (0, 2), err.getvalue()
+        if code == 2:  # divergence: a non-finite loss, weight, prediction or k-means distance
+            assert err.getvalue().startswith("runtime failure: non-finite "), err.getvalue()
+
+
+def _tiny(doc):
+    """``doc`` shrunk to the discover budget: 30 rows a synthetic class, k=4."""
+    doc = copy.deepcopy(doc)
+    if doc["data"]["kind"] == "synthetic":
+        doc["data"]["per_class_n"] = 30
+    doc["net"]["hidden_dims"] = [8]
+    doc["learnability"]["hidden_dims"] = [4]
+    doc["kmeans"].update(k=4, restarts=2)
+    return doc
+
+
+def _within_budget(cfg):
+    """Small enough to run ``discover`` on: at most 200 rows, width and hidden
+    widths of at most 16, k <= 5, 2 restarts, and default iteration counts."""
+    width, counts = cfg.data.shape()
+    hidden = max(cfg.net.hidden_dims + cfg.learnability.hidden_dims)
+    return (
+        sum(counts.values()) <= 200
+        and max(width, hidden) <= 16
+        and cfg.kmeans.k <= 5
+        and cfg.kmeans.restarts <= 2
+        and cfg.kmeans.max_iters <= KMeansConfig.max_iters
+        and cfg.learnability.epochs <= LearnabilityConfig.epochs
+    )
 
 
 @st.composite

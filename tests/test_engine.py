@@ -332,10 +332,11 @@ class TestEvaluateRows:
         assert len(pool) == 2200 and len(data.labeled_indices()) == 2200
         net = NetworkConfig(input_dim=784, output_classes=2, hidden_dims=(16,))
         model = init_model(net, 4, dtype=learner.TRAIN_DTYPE)  # as _prepare builds it
-        engine._evaluate(data, model, cfg, [], 0)  # also the first-call imports
+        state = engine.DiscoveryState(data, model, cfg)
+        engine._evaluate(state)  # also the first-call imports
         tracemalloc.start()
         try:
-            ev = engine._evaluate(data, model, cfg, [], 0)
+            ev = engine._evaluate(state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,6 +408,10 @@ class TestWholeRunInvariants:
         with mock.patch.object(engine, "add_class", wraps=engine.add_class) as spy:
             state, reports = run_dynamic(cfg)
         assert evaluate_state(state) == reports[-1]
+        static, _ = run_static(cfg)
+        for run in (state, static):  # the round is derived, and the detector the last round's
+            assert run.round == len(run.accepted) == run.history[-1].round
+            assert run.detector == engine._evaluate(run).detector
 
         accepted = [a.indices for a in state.accepted]
         for call, members in zip(spy.call_args_list, accepted, strict=True):
@@ -451,7 +456,7 @@ class TestDetectorMode:
         data = make_split(load_data(cfg.data), cfg.split)
         net = NetworkConfig(input_dim=8, output_classes=3, hidden_dims=(64,))
         model = engine._train_labeled(init_model(net, seed=14), data, cfg, cfg.epochs_initial)
-        ev = engine._evaluate(data, model, cfg, [], 0)
+        ev = engine._evaluate(engine.DiscoveryState(data, model, cfg))
         pool = data.unlabeled_indices()
         want = ood.calibrate(model, data.features[data.labeled_indices()], cfg.detector_quantile)
         part = ood.partition(want, model, data.features[pool])

@@ -106,6 +106,32 @@ class TestGradients:
                 failures += 1
         assert failures <= 1
 
+    @pytest.mark.parametrize(
+        "model_dtype, x_dtype",
+        [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)],
+    )
+    def test_cross_entropy_is_the_separate_formula_bit_for_bit(self, model_dtype, x_dtype):
+        """``cross_entropy`` is the training loss; it equals, to the bit, the
+        forward pass plus log-sum-exp it used to compute on its own."""
+
+        def reference(model, x, y):
+            _, logits = learner._forward(model, x)
+            z = logits - logits.max(axis=1, keepdims=True)
+            lse = np.log(np.exp(z).sum(axis=1))
+            return float(np.mean(lse - z[np.arange(len(y)), y]))
+
+        net = NetworkConfig(input_dim=8, output_classes=5, hidden_dims=(16, 6))
+        adam = AdamConfig(learning_rate=0.05, batch_size=16, seed=1)
+        for seed in range(10):
+            x, _ = toy_batch(seed=seed, n=37)
+            x = (x * 3).astype(x_dtype)
+            y = np.random.default_rng(seed).integers(0, 5, size=len(x))
+            model = init_model(net, seed=seed, dtype=model_dtype)
+            for trained in (model, train_epochs(model, x, y, adam, epochs=3)):
+                got = cross_entropy(trained, x, y)
+                assert got.hex() == reference(trained, x, y).hex()
+                assert got == loss_and_gradients(trained, x, y)[0]
+
 
 class TestTraining:
     def test_separable_blob_reaches_high_accuracy(self):
