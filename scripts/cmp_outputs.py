@@ -9,12 +9,13 @@
 and ``report.json`` equal once ``wall_clock_seconds`` is dropped. Each file
 that differs is printed, and the exit status is 1 if any file differs.
 
-The 12 invocations are the seed-0 configs of the benchmark's three workloads
+The 13 invocations are the seed-0 configs of the benchmark's three workloads
 (read from ``TREE/bench/workloads.py``), and ``configs/synthetic.json`` at 10
 initial and 2 per-round epochs: run static; dynamic; dynamic with the
-detector; under the threshold, random and density policies; and under the
-other three ``learnability`` settings of ``use_embeddings`` and
-``include_existing``. Only the standard library is used.
+detector; under the threshold, random and density policies; with a
+``split.per_class_cap`` of 150; and under the other three ``learnability``
+settings of ``use_embeddings`` and ``include_existing``. Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ def invocations(tree: Path) -> list[tuple[str, dict, object]]:
     base.update(epochs_initial=10, epochs_per_round=2)
     variants = [("static", {}), ("dynamic", {}), ("detector", {"ood_mode": "detector"})]
     variants += [(kind, {"policy": {"kind": kind}}) for kind in ("threshold", "random", "density")]
+    variants.append(("capped", {"split": {**base["split"], "per_class_cap": 150}}))
     for emb, ext in ((False, True), (True, False), (True, True)):
         learn = {"use_embeddings": emb, "include_existing": ext}
         variants.append((f"embeddings-{emb}-existing-{ext}", {"learnability": learn}))

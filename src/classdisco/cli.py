@@ -143,12 +143,12 @@ def _cluster_rows(state: DiscoveryState):
 def _rounds(state: DiscoveryState) -> list[dict]:
     return [
         {
-            **{c: _none_if_nan(v) for c, v in zip(CURVES_COLUMNS, values)},
+            **{c: _none_if_nan(getattr(rec, c)) for c in CURVES_COLUMNS},
             "report": _scalars(rec.report),
             "scored_clusters": [_scalars(f) for f in rec.cluster_features],
             "accepted_cluster": rec.accepted_cluster,
         }
-        for rec, values in zip(state.history, _curve_rows(state))
+        for rec in state.history
     ]
 
 

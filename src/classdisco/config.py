@@ -144,14 +144,11 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
-    """Exact JSON echo of a configuration, all defaults materialized."""
-    return _echo(cfg)
-
-
-def _echo(value):
+def config_to_dict(value: Any) -> Any:
+    """Exact JSON echo of a configuration, or of any section or value in it, all defaults
+    materialized."""
     if dataclasses.is_dataclass(value):
-        doc = {f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        doc = {f.name: config_to_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
         if "kind" not in doc and hasattr(value, "kind"):  # a data source's ClassVar tag
             return {"kind": value.kind, **doc}
         return doc

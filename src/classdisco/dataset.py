@@ -3,8 +3,9 @@
 A label is a dense class index (``>= 0``) or one of two sentinels:
 ``UNLABELED`` marks a row of the unlabeled pool, and ``EXCLUDED`` a row that
 takes no part in the run (a ``per_class_cap`` drop, or a class the
-class-count experiment leaves out). Every split shares the loaded feature
-matrix and ground truth; it marks rows rather than copying them.
+class-count experiment leaves out). A split, and each class added to it, is
+its parent with new labels, so every one shares the loaded feature matrix
+and ground truth; it marks rows rather than copying them.
 ``label_map`` says where each visible class came from: the original class id
 for a human class, ``DISCOVERED_CLASS`` for one added by discovery.
 Ground-truth labels are carried separately in ``true_labels`` and are never
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -79,9 +80,6 @@ class Dataset:
         object.__setattr__(self, "features", _frozen(self.features, TRAIN_DTYPE))
         for name in ("labels", "true_labels"):
             object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
-        self.validate()
-
-    def validate(self) -> None:
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
@@ -415,12 +413,7 @@ def make_split(data: Dataset, spec: SplitSpec, rows=None) -> Dataset:
     labels[in_run] = UNLABELED
     for dense, orig in enumerate(retained):
         labels[in_run & (truth == orig)] = dense
-    return Dataset(
-        features=data.features,
-        labels=_readonly(labels),
-        true_labels=truth,
-        label_map=tuple(retained),
-    )
+    return replace(data, labels=_readonly(labels), label_map=tuple(retained))
 
 
 def add_class(data: Dataset, member_indices) -> Dataset:
@@ -430,23 +423,13 @@ def add_class(data: Dataset, member_indices) -> Dataset:
         raise ValueError("cannot add an empty class")
     if (np.unique(members, return_counts=True)[1] > 1).any():
         raise ValueError("duplicate member indices")
-    outside = data.labels[members] == EXCLUDED
-    if outside.any():
-        raise ValueError(
-            f"samples outside this run (EXCLUDED): {members[outside][:5].tolist()}"
-            f"{'...' if outside.sum() > 5 else ''}"
-        )
-    already = data.labels[members] >= 0
-    if already.any():
-        raise ValueError(
-            f"samples already labeled: {members[already][:5].tolist()}"
-            f"{'...' if already.sum() > 5 else ''}"
-        )
+    for what, bad in (
+        ("outside this run (EXCLUDED)", data.labels[members] == EXCLUDED),
+        ("already labeled", data.labels[members] >= 0),
+    ):
+        if bad.any():
+            more = "..." if bad.sum() > 5 else ""
+            raise ValueError(f"samples {what}: {members[bad][:5].tolist()}{more}")
     labels = data.labels.copy()
     labels[members] = data.n_classes_visible
-    return Dataset(
-        features=data.features,
-        labels=_readonly(labels),
-        true_labels=data.true_labels,
-        label_map=data.label_map + (DISCOVERED_CLASS,),
-    )
+    return replace(data, labels=_readonly(labels), label_map=data.label_map + (DISCOVERED_CLASS,))

@@ -147,7 +147,7 @@ def _evaluate(state: DiscoveryState) -> _RoundEval:
     pool_idx = dataset.unlabeled_indices()
 
     detector = None
-    routed_pred = routed_true = None
+    routed_pred = routed_true = ()
     cluster_idx = pool_idx
     if cfg.ood_mode == "detector" and len(pool_idx):
         labeled = dataset.labeled_indices()
@@ -163,7 +163,6 @@ def _evaluate(state: DiscoveryState) -> _RoundEval:
     clustering = None
     embeddings = None
     assign = np.empty(0, dtype=np.int64)
-    truth = np.empty(0, dtype=np.int64)
     if len(cluster_idx):
         embeddings = embed(model, dataset.features, rows=cluster_idx)
         k_eff = min(cfg.kmeans.k, len(cluster_idx))
@@ -172,12 +171,11 @@ def _evaluate(state: DiscoveryState) -> _RoundEval:
         )
         clustering = fit_with_restarts(embeddings, kmeans)
         assign = clustering.assignments
-        truth = dataset.true_labels[cluster_idx]
 
     report = metrics.dataset_reconstruction_accuracy(
         dataset.human_labeled_count(),
         assign,
-        truth,
+        dataset.true_labels[cluster_idx],
         frozen=tuple(accepted),
         ood_indices=pool_idx,
         routed_predicted=routed_pred,

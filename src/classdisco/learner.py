@@ -30,7 +30,7 @@ def as_float(x) -> np.ndarray:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss, weight or held-out prediction."""
+    """Training produced a non-finite loss, weight or prediction."""
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class AdamConfig:
             raise ValueError("learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon < float(np.finfo(TRAIN_DTYPE).smallest_subnormal):  # else 0 in float32
+            raise ValueError("epsilon must be at least float32's smallest subnormal, 1.4e-45")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -198,10 +198,17 @@ def predict_proba(model: Model, features, rows=None, dtype=None) -> np.ndarray:
     ``rows`` is as in ``embed``; the softmax runs in ``dtype`` (default: the
     model's). Entries are strictly inside (0, 1) except under extreme logit
     gaps, where the losing entries saturate to 0: beyond ~745 in float64, and
-    already beyond ~88 in float32.
+    already beyond ~88 in float32. A row whose probabilities are not finite
+    (its logits overflow) raises TrainingDivergedError naming that row.
     """
-    logits = _logits(model, embed(model, features, rows))
-    return _softmax(logits.astype(dtype or logits.dtype, copy=False))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are reported below
+        logits = _logits(model, embed(model, features, rows))
+        proba = _softmax(logits.astype(dtype or logits.dtype, copy=False))
+    bad = np.flatnonzero(~np.isfinite(proba).all(axis=1))
+    if len(bad):
+        row = bad[0] if rows is None else np.asarray(rows)[bad[0]]
+        raise TrainingDivergedError(f"non-finite prediction for row {row} of features")
+    return proba
 
 
 _BLOCK_ROWS = 1024  # inference runs the first layer over at most this many rows at once

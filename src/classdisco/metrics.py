@@ -110,8 +110,8 @@ def dataset_reconstruction_accuracy(
     frozen=(),
     *,
     ood_indices=None,
-    routed_predicted=None,
-    routed_true=None,
+    routed_predicted=(),
+    routed_true=(),
 ) -> ReconstructionReport:
     """DRA over human-labeled points, current pool clusters, and frozen clusters.
 
@@ -119,7 +119,8 @@ def dataset_reconstruction_accuracy(
     correct iff its ground-truth label equals its cluster's plurality label;
     frozen clusters keep the plurality label fixed at acceptance time.
     ``routed_predicted``/``routed_true`` cover pool points a detector slotted
-    into existing classes: they count correct iff the prediction matches.
+    into existing classes (none by default): they count correct iff the
+    prediction matches.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
@@ -134,20 +135,14 @@ def dataset_reconstruction_accuracy(
         if (np.unique(merged, return_counts=True)[1] > 1).any():
             raise ValueError("frozen cluster members overlap the current pool or each other")
 
-    n_routed = 0
-    routed_correct = 0
-    if (routed_predicted is None) != (routed_true is None):
-        raise ValueError("routed_predicted and routed_true must be given together")
-    if routed_predicted is not None:
-        pred = np.asarray(routed_predicted, dtype=np.int64)
-        rt = np.asarray(routed_true, dtype=np.int64)
-        if pred.shape != rt.shape:
-            raise ValueError("routed predictions and true labels must have equal length")
-        n_routed = pred.size
-        routed_correct = int(np.count_nonzero(pred == rt))
+    pred = np.asarray(routed_predicted, dtype=np.int64)
+    rt = np.asarray(routed_true, dtype=np.int64)
+    if pred.shape != rt.shape:
+        raise ValueError("routed predictions and true labels must have equal length")
+    routed_correct = int(np.count_nonzero(pred == rt))
 
     n_frozen = sum(fc.size for fc in frozen)
-    o = assign.size + n_frozen + n_routed
+    o = assign.size + n_frozen + pred.size
     n_total = ell + o
     if n_total == 0:
         raise ValueError("nothing to score: no labeled points and no pool")
@@ -181,7 +176,7 @@ def dataset_reconstruction_accuracy(
         dra=(ell + correct) / n_total,
         clusters=current_rows,
         frozen=frozen_rows,
-        routed_total=n_routed,
+        routed_total=pred.size,
         routed_correct=routed_correct,
     )
 

@@ -694,6 +694,13 @@ def _poisoned_csv(tmp_path):
     return doc
 
 
+def _overflowing_detector(tmp_path):
+    """One step that leaves the weights finite but so large that the detector's logits overflow."""
+    doc = base_config(ood_mode="detector", epochs_initial=1)
+    doc["adam"].update(learning_rate=1e30, batch_size=256)  # one batch: no second loss to fail
+    return doc
+
+
 def _float32_overflow_csv(tmp_path):
     return _csv_config(tmp_path, "f0,f1,label\n1e308,0.3,0\n0.1,0.2,1\n")
 
@@ -720,11 +727,11 @@ def _narrow_header_csv(tmp_path):
     return _csv_config(tmp_path, "a,b\n1,2,0\n3,4,1\n")
 
 
-def _idx_config(tmp_path, cut_images=0, cut_labels=0):
-    """A sound IDX pair for ``base_config``, each file cut ``cut_*`` bytes short."""
+def _idx_config(tmp_path, cut_images=0, cut_labels=0, n_classes=6):
+    """A sound IDX pair of ``n_classes`` for ``base_config``, each file cut ``cut_*`` bytes short."""
     images, labels = tmp_path / "im.idx", tmp_path / "lb.idx"
-    truth = np.repeat(np.arange(6), 10)
-    pixels = np.random.default_rng(0).integers(0, 256, size=(60, 2, 4)).astype(np.uint8)
+    truth = np.repeat(np.arange(n_classes), 10)
+    pixels = np.random.default_rng(0).integers(0, 256, size=(len(truth), 2, 4)).astype(np.uint8)
     write_idx_pair(pixels, truth, str(images), str(labels))
     for path, cut in ((images, cut_images), (labels, cut_labels)):
         with open(path, "r+b") as f:
@@ -870,6 +877,8 @@ class TestExitCodes:
                 (_number_literal("kmeans", "seed", "9" * 5000), "is not valid JSON"),
                 (_huge_data_key("per_class_n"), "invalid 'data': n_classes x per_class_n x dim"),
                 (_huge_data_key("dim"), "invalid 'data': n_classes x per_class_n x dim"),
+                # 0 in float32: every update of a dead unit would be 0/0
+                (_number_literal("adam", "epsilon", "5e-324"), "invalid 'adam': epsilon must be"),
                 # 6 x 10**17 rows of 8 floats: beyond what numpy can address
                 (_huge_data_key("per_class_n", 10**17), "invalid 'data': n_classes x per_class_n"),
                 (_without("data"), "config error: missing required key 'data'"),
@@ -919,7 +928,8 @@ class TestExitCodes:
                 ("1", "class count 1 must be >= 2"),
             ]
         ]
-        + [(command, _poisoned_csv, 2, "runtime failure") for command in ("discover", "classcount")],
+        + [(command, _poisoned_csv, 2, "runtime failure") for command in ("discover", "classcount")]
+        + [("discover", _overflowing_detector, 2, "runtime failure: non-finite prediction for row")],
     )
     def test_every_subcommand_maps_failures_alike(
         self, tmp_path, capsys, command, make_doc, code, message
@@ -1129,13 +1139,16 @@ def _mutated_config(draw, bases, odd_paths):
 
 
 class TestConfigFuzz:
-    """``validate`` on tiny sound configs of every data source, each mutated once."""
+    """Runs on tiny sound configs of every data source, each mutated once. Each
+    source has 7 classes, so ``classcount --counts 2`` has 2 besides the 5 it holds out."""
 
     @pytest.fixture(scope="class")
     def sources(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("config-fuzz")
         full = config_to_dict(parse_config(base_config()))  # every default as a key
-        data = [_csv_config(tmp, _FUZZ_CSV.decode())["data"], _idx_config(tmp)["data"]]
+        full["data"]["n_classes"] = 7
+        csv = _FUZZ_CSV.decode() + "".join(f"{i}.5,0.6,6\n" for i in range(4))
+        data = [_csv_config(tmp, csv)["data"], _idx_config(tmp, n_classes=7)["data"]]
         odd_paths = [
             "", "/", str(tmp), str(tmp / "absent.csv"), str(tmp / "im.idx"), str(tmp / "exp.json"),
             "da\0ta.csv", "x" * 5000, str(tmp / "data.csv") + "\n", "~",
@@ -1163,11 +1176,15 @@ class TestConfigFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_discover_on_a_tiny_valid_config_exits_zero_or_diverges(self, sources, data):
-        """When ``validate`` says ok and the config is within ``_within_budget``,
-        a one-epoch, one-round ``discover`` exits 0, or 2 only from divergence."""
+    def test_a_run_on_a_tiny_valid_config_exits_cleanly(self, sources, data):
+        """When ``validate`` says ok and the config is within ``_within_budget``, a
+        one-epoch, one-round dynamic ``discover`` (oracle or detector) or a
+        ``classcount --counts 2`` exits 0, 1 from a config error naming a key, or 2
+        only from divergence."""
         config, bases, odd_paths = sources
-        doc = data.draw(_mutated_config([_tiny(base) for base in bases], odd_paths))
+        run = data.draw(st.sampled_from(["oracle", "detector", "classcount"]))
+        mode = {"ood_mode": "detector"} if run == "detector" else {}
+        doc = data.draw(_mutated_config([{**_tiny(base), **mode} for base in bases], odd_paths))
         config.write_text(json.dumps(doc))
         if _validate(str(config))[0] != 0:
             return
@@ -1175,20 +1192,25 @@ class TestConfigFuzz:
         if not _within_budget(parse_config(doc)):
             return
         config.write_text(json.dumps(doc))
+        command = ["discover", "--mode", "dynamic"]
+        command = ["classcount", "--counts", "2"] if run == "classcount" else command
         out, err = config.with_name("out"), io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            argv = ["discover", "--mode", "dynamic", "--config", str(config), "--out", str(out)]
-            code = main(argv)
-        assert code in (0, 2), err.getvalue()
+            code = main([*command, "--config", str(config), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:  # a config error found by the run's own checks
+            assert lines and all(line.startswith("config error: ") for line in lines), lines
+            assert all(_PLACE.search(line) for line in lines), lines
         if code == 2:  # divergence: a non-finite loss, weight, prediction or k-means distance
             assert err.getvalue().startswith("runtime failure: non-finite "), err.getvalue()
 
 
 def _tiny(doc):
-    """``doc`` shrunk to the discover budget: 30 rows a synthetic class, k=4."""
+    """``doc`` shrunk to the run budget: 28 rows a synthetic class, k=4."""
     doc = copy.deepcopy(doc)
     if doc["data"]["kind"] == "synthetic":
-        doc["data"]["per_class_n"] = 30
+        doc["data"]["per_class_n"] = 28
     doc["net"]["hidden_dims"] = [8]
     doc["learnability"]["hidden_dims"] = [4]
     doc["kmeans"].update(k=4, restarts=2)

@@ -351,6 +351,22 @@ class TestAddClass:
         with pytest.raises(ValueError, match=re.escape(message)):
             add_class(split, members)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0], "samples outside this run (EXCLUDED): [0]"),
+            (range(7), "samples outside this run (EXCLUDED): [0, 1, 2, 3, 4]..."),
+            ([7], "samples already labeled: [7]"),
+            (range(7, 14), "samples already labeled: [7, 8, 9, 10, 11]..."),
+            ([7, 0], "samples outside this run (EXCLUDED): [0]"),  # EXCLUDED is checked first
+        ],
+    )
+    def test_membership_messages_are_pinned(self, bad, message):
+        labels = [EXCLUDED] * 7 + [0] * 7 + [UNLABELED] * 6
+        data = Dataset(np.zeros((20, 2)), labels, np.zeros(20, dtype=np.int64), (0,))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            add_class(data, [14, *bad])
+
     def test_readd_errors(self):
         members = self.split.unlabeled_indices()[:5]
         out = add_class(self.split, members)
@@ -515,6 +531,9 @@ class TestZeroCopy:
         added = add_class(split, split.unlabeled_indices()[:5])
         assert added.features is data.features
         assert not np.shares_memory(added.labels, split.labels)
+        resplit = make_split(added, SplitSpec(held_out_classes={3}, per_class_cap=4))
+        assert resplit.features is data.features
+        assert resplit.true_labels is data.true_labels
 
     def test_capped_split_copies_only_the_kept_rows(self):
         """The kept rows are marked, not copied: the split shares the features."""

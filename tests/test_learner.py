@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,23 @@ class TestGradients:
                 got = cross_entropy(trained, x, y)
                 assert got.hex() == reference(trained, x, y).hex()
                 assert got == loss_and_gradients(trained, x, y)[0]
+
+
+class TestAdamConfig:
+    TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+    def test_epsilon_at_float32s_smallest_subnormal_is_accepted(self):
+        assert AdamConfig(epsilon=self.TINY).epsilon == self.TINY
+
+    @pytest.mark.parametrize("below", [np.nextafter(TINY, 0), 5e-324, 0.0])
+    def test_epsilon_below_it_is_rejected(self, below):
+        with pytest.raises(ValueError, match="epsilon must be at least float32's smallest"):
+            AdamConfig(epsilon=float(below))
+
+    def test_a_huge_epsilon_is_compared_without_a_cast(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.float32(1e300) warns of an overflow
+            assert AdamConfig(epsilon=1e300).epsilon == 1e300
 
 
 class TestTraining:

@@ -179,6 +179,16 @@ class TestDatasetReconstructionAccuracy:
         assert report.routed_correct == 1
         assert report.dra == pytest.approx(6 / 8)
 
+    def test_absent_routed_arrays_are_empty(self):
+        frozen = (FrozenCluster(plurality_label=2, true_labels=np.array([2, 2, 3])),)
+        args = (4, np.array([0, 0, 1]), np.array([1, 1, 2]), frozen)
+        absent = dataset_reconstruction_accuracy(*args)
+        empty = np.empty(0, dtype=np.int64)
+        assert absent == dataset_reconstruction_accuracy(
+            *args, routed_predicted=empty, routed_true=empty
+        )
+        assert absent.routed_total == absent.routed_correct == 0
+
     def test_cluster_renaming_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
