@@ -2,7 +2,11 @@
 
     python3 scripts/cmp_outputs.py PARENT_TREE [TREE]
 
-``TREE`` defaults to the tree holding this script. Each invocation runs
+``TREE`` defaults to the tree holding this script. ``PARENT_TREE`` is a
+directory, or else a git revision of ``TREE``'s repository (``HEAD``,
+``main~1``), which ``git archive`` exports into the temporary directory the
+runs use. Note that ``HEAD`` is the last commit: uncommitted edits count only
+on the ``TREE`` side. Each invocation runs
 ``python -m classdisco.cli`` with the tree's ``src`` first on ``PYTHONPATH``,
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONHASHSEED=0``, one at a time. Every
 ``curves.csv``, ``clusters.csv`` and ``classcount.csv`` must be byte-equal,
@@ -15,18 +19,20 @@ initial and 2 per-round epochs: run static; dynamic; dynamic with the
 detector; under the threshold, random and density policies; with a
 ``split.per_class_cap`` of 150; and under the other three ``learnability``
 settings of ``use_embeddings`` and ``include_existing``. Only the standard
-library is used.
+library and the ``git`` binary are used.
 """
 
 from __future__ import annotations
 
 import copy
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 OUTPUTS = ("curves.csv", "clusters.csv", "classcount.csv", "report.json")
@@ -62,6 +68,18 @@ def invocations(tree: Path) -> list[tuple[str, dict, object]]:
         mode = "static" if name == "static" else "dynamic"
         runs.append((f"synthetic-{name}", config, _discover(mode)))
     return runs
+
+
+def export(revision: str, repo: Path, dest: Path) -> Path:
+    """Write the files of git ``revision`` of the repository at ``repo`` into ``dest``."""
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=zip", revision],
+        capture_output=True,
+        check=True,
+    ).stdout
+    with zipfile.ZipFile(io.BytesIO(archive)) as files:
+        files.extractall(dest)
+    return dest
 
 
 def _run(tree: Path, config: dict, argv, work: Path) -> tuple[Path, subprocess.CompletedProcess]:
@@ -100,6 +118,12 @@ def main(argv=None) -> int:
     tree = Path(args[1]).resolve() if len(args) == 2 else Path(__file__).resolve().parents[1]
     differ = compared = 0
     with tempfile.TemporaryDirectory(prefix="cmp-outputs-") as tmp:
+        if not parent.is_dir():
+            try:
+                parent = export(args[0], tree, Path(tmp) / "parent-tree")
+            except subprocess.CalledProcessError as exc:
+                print(f"cannot export {args[0]!r}: {exc.stderr.decode().strip()}", file=sys.stderr)
+                return 2
         for name, config, command in invocations(tree):
             old_out, old = _run(parent, config, command, Path(tmp) / name / "parent")
             new_out, new = _run(tree, config, command, Path(tmp) / name / "tree")

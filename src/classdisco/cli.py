@@ -46,19 +46,13 @@ WORKERS_HELP = "accepted and ignored: k-means restarts run in lockstep in one th
 WORKERS_NOTE = "note: --workers is ignored: the thread pool is retired, restarts run in lockstep"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _none_if_nan(x):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def _csv(columns, rows) -> str:
     lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -124,9 +118,7 @@ def _cluster_rows(state: DiscoveryState):
     """One row per evaluated cluster; learnability/density/accepted are filled
     from the following round's acceptance pass when one happened."""
     rows = []
-    history = state.history
-    for i, rec in enumerate(history):
-        nxt = history[i + 1] if i + 1 < len(history) else None
+    for rec, nxt in zip(state.history, [*state.history[1:], None]):
         scores = {f.cluster_id: f for f in nxt.cluster_features} if nxt else {}
         accepted_id = nxt.accepted_cluster if nxt else None
         for row in rec.report.clusters:

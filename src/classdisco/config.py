@@ -58,13 +58,6 @@ def _check_keys(doc, path: str, allowed, required=()) -> None:
             raise ConfigError(f"missing required key '{_key(path, name)}'")
 
 
-def _build(path: str, factory, kwargs: dict):
-    try:
-        return factory(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{path or '<root>'}': {exc}") from exc
-
-
 def _value(value, tp, path: str):
     """Check one JSON value against a field annotation and convert it."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -100,7 +93,10 @@ def _parse(cls, doc, path: str):
     _check_keys(doc, path, [f.name for f in fields], required)
     hints = typing.get_type_hints(cls)
     kwargs = {name: _value(v, hints[name], _key(path, name)) for name, v in doc.items()}
-    return _build(path, cls, kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid '{path or '<root>'}': {exc}") from exc
 
 
 def _parse_tagged(members, doc, path: str):

@@ -78,15 +78,14 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "features", _frozen(self.features, TRAIN_DTYPE))
-        for name in ("labels", "true_labels"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
-        n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
+        n = self.features.shape[0]
         for name in ("labels", "true_labels"):
-            arr = getattr(self, name)
+            arr = _frozen(getattr(self, name), np.int64)
             if arr.shape != (n,):
                 raise ValueError(f"{name} length {arr.shape} does not match {n} samples")
+            object.__setattr__(self, name, arr)
         if self.labels.max(initial=-1) >= self.n_classes_visible:
             raise ValueError("a present label is >= n_classes_visible")
         lowest = int(self.labels.min(initial=0))

@@ -136,12 +136,6 @@ class _RoundEval:
     detector: OodDetector | None
 
 
-def _mean_recent_losses(model: Model, epochs: int) -> float:
-    if epochs == 0 or not model.loss_log:
-        return math.nan
-    return float(np.mean(model.loss_log[-epochs:]))
-
-
 def _evaluate(state: DiscoveryState) -> _RoundEval:
     dataset, model, cfg, accepted = state.dataset, state.model, state.config, state.accepted
     pool_idx = dataset.unlabeled_indices()
@@ -204,7 +198,8 @@ def _close_round(state: DiscoveryState, epochs: int, features=(), selected=None)
         RoundRecord(
             round=state.round,
             ood_pool_size=len(state.dataset.unlabeled_indices()),
-            train_loss=_mean_recent_losses(state.model, epochs),
+            # train_epochs logs one loss per epoch
+            train_loss=float(np.mean(state.model.loss_log[-epochs:])) if epochs else math.nan,
             report=ev.report,
             cluster_features=tuple(features),
             accepted_cluster=selected,

@@ -214,6 +214,7 @@ def predict_proba(model: Model, features, rows=None, dtype=None) -> np.ndarray:
 _BLOCK_ROWS = 1024  # inference runs the first layer over at most this many rows at once
 
 
+@np.errstate(over="ignore", invalid="ignore")  # k-means and the scorer report non-finite rows
 def embed(model: Model, features, rows=None) -> np.ndarray:
     """Last hidden layer's activations: the embedding space used for clustering.
 

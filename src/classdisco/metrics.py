@@ -15,7 +15,7 @@ integer count divided by N, so they agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class FrozenCluster:
 
     def __post_init__(self):
         object.__setattr__(self, "true_labels", np.asarray(self.true_labels, dtype=np.int64))
+        if self.size == 0:  # its row's accuracy would be 0/0
+            raise ValueError("a frozen cluster needs at least one member")
         if self.indices is not None:
             object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
 
@@ -77,6 +79,11 @@ def plurality_label(true_labels) -> tuple[int, int]:
     return int(vals[best]), int(counts[best])
 
 
+def _row(cluster_id: int, label: int, overlap: int, size: int, total: int) -> ClusterOverlap:
+    """A cluster's row: its accuracy over its ``size`` members, its weight over ``total``."""
+    return ClusterOverlap(cluster_id, label, overlap, size, overlap / size, size / total)
+
+
 def cluster_accuracy(assignments, true_labels) -> OverlapMapping:
     """Map each cluster to its plurality ground-truth label."""
     assign = np.asarray(assignments, dtype=np.int64)
@@ -85,21 +92,10 @@ def cluster_accuracy(assignments, true_labels) -> OverlapMapping:
         raise ValueError("assignments and true_labels must have equal length")
     if assign.size == 0:
         raise ValueError("empty input")
-    n = assign.size
     rows = []
     ids, sizes = np.unique(assign, return_counts=True)
     for cid, size in zip(ids.tolist(), sizes.tolist()):
-        label, overlap = plurality_label(truth[assign == cid])
-        rows.append(
-            ClusterOverlap(
-                cluster_id=cid,
-                mapped_label=label,
-                overlap=overlap,
-                size=size,
-                accuracy=overlap / size,
-                weight=size / n,
-            )
-        )
+        rows.append(_row(cid, *plurality_label(truth[assign == cid]), size, assign.size))
     return OverlapMapping(clusters=tuple(rows))
 
 
@@ -147,20 +143,10 @@ def dataset_reconstruction_accuracy(
     if n_total == 0:
         raise ValueError("nothing to score: no labeled points and no pool")
 
-    current_rows: tuple[ClusterOverlap, ...] = ()
-    if assign.size:
-        mapping = cluster_accuracy(assign, truth)
-        current_rows = tuple(replace(c, weight=c.size / o) for c in mapping.clusters)
+    mapped = cluster_accuracy(assign, truth).clusters if assign.size else ()
+    current_rows = tuple(_row(c.cluster_id, c.mapped_label, c.overlap, c.size, o) for c in mapped)
     frozen_rows = tuple(
-        ClusterOverlap(
-            cluster_id=i,
-            mapped_label=int(fc.plurality_label),
-            overlap=fc.overlap,
-            size=fc.size,
-            accuracy=fc.overlap / fc.size if fc.size else 0.0,
-            weight=fc.size / o if o else 0.0,
-        )
-        for i, fc in enumerate(frozen)
+        _row(i, int(fc.plurality_label), fc.overlap, fc.size, o) for i, fc in enumerate(frozen)
     )
 
     correct = (

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classdisco import cli, dataset, engine
@@ -1034,21 +1034,58 @@ _FUZZ_CSV = b"f0,f1,label\n# tiny\n" + b"".join(
     for i in range(4)
 )
 _FUZZ_BYTES = [b"\xff", b"\x00", b",", b"#", b"\n", b"\r", b" ", b"7"]
+# huge, around float32's limit, below its subnormals, a signed zero, and 60 digits
+_FUZZ_VALUES = [
+    "1e19", "1e20", "-1.5e20", "3.4e38", "-3.4e38", "3.5e38", "1e-45", "-1e-45", "1e-320",
+    "-0", "1" * 60, "-" + "9" * 60, "0." + "0" * 58 + "1",
+]  # fmt: skip
+_VALUE_KINDS = ("cell", "column", "scale")
+# six classes of 12 rows in 4 columns, so k-means' clusters of the pool can be scored
+_FUZZ_RUN_CSV = b"f0,f1,f2,f3,label\n" + b"".join(
+    b",".join(b"%g" % (3 * (c * (j + 1) % 6) + (i * 7 + j * 3) % 10 / 10) for j in range(4))
+    + b",%d\n" % c
+    for c in range(6)
+    for i in range(12)
+)
+
+
+def _revalue(text: bytes, kind: str, at: int, value: str) -> bytes:
+    """``text``, a CSV, with one data cell (the ``at``-th, row by row), every cell of
+    one column (the ``at``-th), or every feature scaled by ``value``."""
+    lines = text.decode().split("\n")
+    data = [n for n, line in enumerate(lines[1:], 1) if line.split("#", 1)[0].strip()]
+    rows = [lines[n].split(",") for n in data]
+    width = len(rows[0])
+    if kind == "cell":
+        row, column = divmod(at % (len(rows) * width), width)
+        rows[row][column] = value
+    for cells in rows:
+        if kind == "column":
+            cells[at % width] = value
+        if kind == "scale":
+            cells[:-1] = [repr(float(cell) * float(value)) for cell in cells[:-1]]
+    for n, cells in zip(data, rows):
+        lines[n] = ",".join(cells)
+    return "\n".join(lines).encode()
 
 
 @st.composite
-def _mutated_csv(draw):
-    """``_FUZZ_CSV`` cut at a byte, with a byte inserted, or with a line dropped or doubled."""
-    kind = draw(st.sampled_from(["truncate", "insert", "drop", "duplicate"]))
+def _mutated_csv(draw, base=_FUZZ_CSV, kinds=("truncate", "insert", "drop", "duplicate")):
+    """``base`` cut at a byte, with a byte inserted, with a line dropped or doubled, or
+    with a value of ``_FUZZ_VALUES`` put in by ``_revalue``."""
+    kind = draw(st.sampled_from(kinds + _VALUE_KINDS))
+    if kind in _VALUE_KINDS:
+        at, value = draw(st.integers(0, 10**4)), draw(st.sampled_from(_FUZZ_VALUES))
+        return _revalue(base, kind, at, value)
     if kind in ("drop", "duplicate"):
-        lines = _FUZZ_CSV.splitlines(keepends=True)
+        lines = base.splitlines(keepends=True)
         at = draw(st.integers(0, len(lines) - 1))
         lines[at : at + 1] = [] if kind == "drop" else [lines[at]] * 2
         return b"".join(lines)
-    at = draw(st.integers(0, len(_FUZZ_CSV)))
+    at = draw(st.integers(0, len(base)))
     if kind == "truncate":
-        return _FUZZ_CSV[:at]
-    return _FUZZ_CSV[:at] + draw(st.sampled_from(_FUZZ_BYTES)) + _FUZZ_CSV[at:]
+        return base[:at]
+    return base[:at] + draw(st.sampled_from(_FUZZ_BYTES)) + base[at:]
 
 
 class TestCsvFuzz:
@@ -1074,6 +1111,44 @@ class TestCsvFuzz:
         assert all(line.startswith("config error: ") for line in lines)
         if "cannot load data" in err.getvalue():
             assert "data.csv: " in err.getvalue()
+
+    @pytest.fixture(scope="class")
+    def run_config(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("run-fuzz")
+        doc = _tiny(config_to_dict(parse_config(_csv_config(tmp, ""))))
+        doc.update(epochs_initial=1, epochs_per_round=1, rounds=1)
+        return write_config(tmp, doc)
+
+    def test_the_unmutated_file_runs(self, run_config):
+        Path(run_config).with_name("data.csv").write_bytes(_FUZZ_RUN_CSV)
+        assert _run_fuzzed(run_config) == (0, [])
+
+    # at most about 0.3 s a run: 72 rows, a width-8 network and a width-4 scorer
+    @settings(max_examples=60, deadline=None)
+    @given(text=_mutated_csv(_FUZZ_RUN_CSV, kinds=()))
+    @example(text=_revalue(_FUZZ_RUN_CSV, "cell", 180, "3.4e38"))  # a pool row overflows embed
+    def test_discover_exits_zero_names_the_cell_or_fails_non_finite(self, run_config, text):
+        """Exit 0; 1 naming a key, or the file and line (and column, for a feature);
+        or 2 from one non-finite value, which no bound on the features rules out:
+        any ``adam.learning_rate`` is accepted, so training can scale the embeddings."""
+        Path(run_config).with_name("data.csv").write_bytes(text)
+        code, lines = _run_fuzzed(run_config)
+        assert code in (0, 1, 2) and bool(lines) == (code != 0), lines
+        if code == 1:
+            assert all(line.startswith("config error: ") for line in lines), lines
+            assert all(_PLACE.search(line) for line in lines), lines
+        if any("not a finite float32" in line for line in lines):
+            assert re.search(r"data\.csv: line \d+, column 'f\d'", lines[0]), lines
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("runtime failure: non-finite "), lines
+
+
+def _run_fuzzed(config):
+    """A one-round dynamic ``discover`` of ``config``: its exit code and stderr lines."""
+    out, err = Path(config).with_name("out"), io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["discover", "--mode", "dynamic", "--config", config, "--out", str(out)])
+    return code, err.getvalue().splitlines()
 
 
 def _validate(config):
@@ -1309,6 +1384,13 @@ class TestImportsOnlyWhatARunUses:
             timeout=120,
         )
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+
+
+class TestCsvCells:
+    def test_a_cell_is_written_as_str_writes_it(self):
+        row = (1, np.int64(3), 0.1, np.float64(0.5), np.float32(0.25), float("nan"), -0.0)
+        text = cli._csv("abcdefg", [row])
+        assert text == "a,b,c,d,e,f,g\n1,3,0.1,0.5,0.25,nan,-0.0\n"
 
 
 class TestReportFormat:

@@ -1,7 +1,12 @@
+import argparse
 import contextlib
+import io
 import math
+import os
+import tempfile
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classdisco import clustering, engine, learner, ood, selection
+from classdisco import cli, clustering, engine, learner, ood, selection
 from classdisco.clustering import KMeansConfig
 from classdisco.dataset import (
     DISCOVERED_CLASS,
@@ -360,6 +365,16 @@ class TestEvaluateState:
         assert evaluate_state(state).dra == report.dra
 
 
+def discover_outputs(cfg, mode, result) -> dict[str, str]:
+    """The files ``discover --mode mode`` writes for a run that returned ``result``."""
+    args = argparse.Namespace(mode=mode, workers=None)
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        args.out = out
+        with mock.patch.object(engine, f"run_{mode}", return_value=result):
+            assert cli.cmd_discover(args, cfg) == 0
+        return {name: Path(out, name).read_text() for name in sorted(os.listdir(out))}
+
+
 class TestWholeRunInvariants:
     # Each learnability or threshold round trains a scorer for about 2,000
     # Adam steps, so a three-round example of those policies, run twice,
@@ -408,10 +423,15 @@ class TestWholeRunInvariants:
         with mock.patch.object(engine, "add_class", wraps=engine.add_class) as spy:
             state, reports = run_dynamic(cfg)
         assert evaluate_state(state) == reports[-1]
-        static, _ = run_static(cfg)
+        static, static_report = run_static(cfg)
         for run in (state, static):  # the round is derived, and the detector the last round's
             assert run.round == len(run.accepted) == run.history[-1].round
             assert run.detector == engine._evaluate(run).detector
+        for mode, result in (("dynamic", (state, reports)), ("static", (static, static_report))):
+            outputs = discover_outputs(cfg, mode, result)
+            assert sorted(outputs) == ["clusters.csv", "curves.csv", "report.json"]
+            for name, text in outputs.items():
+                assert "np." not in text, f"{name} holds a numpy repr"
 
         accepted = [a.indices for a in state.accepted]
         for call, members in zip(spy.call_args_list, accepted, strict=True):

@@ -167,6 +167,10 @@ class TestDatasetReconstructionAccuracy:
                 1, np.array([0]), np.array([1]), frozen=frozen, ood_indices=np.array([5])
             )
 
+    def test_an_empty_frozen_cluster_rejected(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            FrozenCluster(plurality_label=1, true_labels=[])
+
     def test_routed_points_scored_by_prediction(self):
         report = dataset_reconstruction_accuracy(
             5,
