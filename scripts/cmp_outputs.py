@@ -13,12 +13,15 @@ on the ``TREE`` side. Each invocation runs
 and ``report.json`` equal once ``wall_clock_seconds`` is dropped. Each file
 that differs is printed, and the exit status is 1 if any file differs.
 
-The 13 invocations are the seed-0 configs of the benchmark's three workloads
+The 15 invocations are the seed-0 configs of the benchmark's three workloads
 (read from ``TREE/bench/workloads.py``), and ``configs/synthetic.json`` at 10
 initial and 2 per-round epochs: run static; dynamic; dynamic with the
 detector; under the threshold, random and density policies; with a
 ``split.per_class_cap`` of 150; and under the other three ``learnability``
-settings of ``use_embeddings`` and ``include_existing``. Only the standard
+settings of ``use_embeddings`` and ``include_existing``. The last two run
+dynamic on a CSV file and on an IDX pair, 6 classes of 60 rows each, which
+``write_inputs`` draws from ``random.Random(0)`` into the temporary
+directory, so the loaders' hand-over is compared too. Only the standard
 library and the ``git`` binary are used.
 """
 
@@ -29,6 +32,8 @@ import importlib.util
 import io
 import json
 import os
+import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -43,8 +48,41 @@ def _discover(mode: str):
     return lambda config, out: ["discover", "--mode", mode, "--config", config, "--out", out]
 
 
-def invocations(tree: Path) -> list[tuple[str, dict, object]]:
-    """``(name, config, argv(config_path, out_dir))`` of each invocation."""
+def write_inputs(dest: Path) -> dict[str, dict]:
+    """Write a CSV file and an IDX pair into ``dest``; return the ``data`` config of each.
+
+    Each has 6 classes of 60 rows, row ``i`` in class ``i % 6``: 8 Gaussian
+    features around its class's center per CSV row, and per image 8x8
+    pixels, each its class's prototype byte plus Gaussian noise.
+    """
+    rng = random.Random(0)
+    n_classes, n_rows, side = 6, 360, 8
+    centers = [[rng.gauss(0, 3) for _ in range(side)] for _ in range(n_classes)]
+    lines = [",".join([*(f"f{i}" for i in range(side)), "label"])]
+    for row in range(n_rows):
+        c = row % n_classes
+        lines.append(",".join([*(repr(m + rng.gauss(0, 1)) for m in centers[c]), str(c)]))
+    csv = dest / "data.csv"
+    csv.write_text("\n".join(lines) + "\n")
+
+    protos = [[rng.randrange(256) for _ in range(side * side)] for _ in range(n_classes)]
+    pixels = bytearray()
+    for row in range(n_rows):
+        proto = protos[row % n_classes]
+        pixels += bytes(min(255, max(0, round(p + rng.gauss(0, 40)))) for p in proto)
+    images, labels = dest / "images.idx", dest / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 2051, n_rows, side, side) + pixels)
+    classes = bytes(row % n_classes for row in range(n_rows))
+    labels.write_bytes(struct.pack(">II", 2049, n_rows) + classes)
+    return {
+        "csv": {"kind": "csv", "path": str(csv)},
+        "idx": {"kind": "idx", "images": str(images), "labels": str(labels)},
+    }
+
+
+def invocations(tree: Path, data_dir: Path) -> list[tuple[str, dict, object]]:
+    """``(name, config, argv(config_path, out_dir))`` of each invocation; the
+    CSV and IDX inputs are written into ``data_dir``."""
     spec = importlib.util.spec_from_file_location("cmp_workloads", tree / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses resolve annotations through it
@@ -67,6 +105,13 @@ def invocations(tree: Path) -> list[tuple[str, dict, object]]:
         config.update(update)
         mode = "static" if name == "static" else "dynamic"
         runs.append((f"synthetic-{name}", config, _discover(mode)))
+
+    for kind, data in write_inputs(data_dir).items():
+        config = copy.deepcopy(base)
+        config.update(data=data, epochs_initial=5, epochs_per_round=2, net={"hidden_dims": [16]})
+        config["split"]["held_out_classes"] = [4, 5]
+        config["kmeans"].update(k=6, restarts=3)
+        runs.append((kind, config, _discover("dynamic")))
     return runs
 
 
@@ -124,7 +169,7 @@ def main(argv=None) -> int:
             except subprocess.CalledProcessError as exc:
                 print(f"cannot export {args[0]!r}: {exc.stderr.decode().strip()}", file=sys.stderr)
                 return 2
-        for name, config, command in invocations(tree):
+        for name, config, command in invocations(tree, Path(tmp)):
             old_out, old = _run(parent, config, command, Path(tmp) / name / "parent")
             new_out, new = _run(tree, config, command, Path(tmp) / name / "tree")
             for side, proc in (("parent", old), ("tree", new)):

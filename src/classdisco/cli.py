@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _error("config error", exc)
         return EXIT_CONFIG
-    except (RuntimeError, ValueError, FloatingPointError, MemoryError) as exc:
+    except (RuntimeError, ValueError, MemoryError) as exc:
         # RuntimeError covers learner.TrainingDivergedError
         _error("runtime failure", exc)
         return EXIT_RUNTIME

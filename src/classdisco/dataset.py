@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import seeds
-from .learner import TRAIN_DTYPE
+from .learner import TRAIN_DTYPE, check_rows
 
 UNLABELED = -1  # in the unlabeled pool
 EXCLUDED = -2  # outside the run: neither labeled nor in the pool
@@ -44,16 +44,11 @@ class IdxFormatError(ValueError):
 
 def _frozen(arr, dtype) -> np.ndarray:
     """``arr`` as a read-only ``dtype`` array, adopted without a copy when it
-    has ``dtype`` already and neither it nor any array on its ``.base`` chain,
-    down to the memory's owner, is writeable. Anything else is copied, so a
-    caller's later write can never reach a Dataset.
+    is a read-only ``dtype`` array that owns its memory. Anything else,
+    a view included, is copied, so no writeable array reaches a Dataset.
     """
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable and arr.dtype == dtype:
-        if base.base is None:
-            return arr
-        base = base.base
-    return _readonly(np.array(arr, dtype=dtype))
+    owned = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
+    return arr if owned and arr.dtype == dtype else _readonly(np.array(arr, dtype=dtype))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -383,11 +378,8 @@ def make_split(data: Dataset, spec: SplitSpec, rows=None) -> Dataset:
     """
     n = data.n_samples
     truth = data.true_labels
-    if rows is None:
-        in_run = np.ones(n, dtype=bool)
-    else:
-        in_run = np.zeros(n, dtype=bool)
-        in_run[np.asarray(rows, dtype=np.int64)] = True
+    in_run = np.zeros(n, dtype=bool)
+    in_run[check_rows(rows, n)] = True
 
     all_classes = list(_class_counts(truth[in_run]))
     missing = spec.held_out_classes - set(all_classes)
@@ -417,11 +409,9 @@ def make_split(data: Dataset, spec: SplitSpec, rows=None) -> Dataset:
 
 def add_class(data: Dataset, member_indices) -> Dataset:
     """Label the given unlabeled samples as one new, discovered class."""
-    members = np.asarray(member_indices, dtype=np.int64)
+    members = check_rows(member_indices, data.n_samples, distinct=True)
     if members.size == 0:
         raise ValueError("cannot add an empty class")
-    if (np.unique(members, return_counts=True)[1] > 1).any():
-        raise ValueError("duplicate member indices")
     for what, bad in (
         ("outside this run (EXCLUDED)", data.labels[members] == EXCLUDED),
         ("already labeled", data.labels[members] >= 0),

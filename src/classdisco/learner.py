@@ -155,12 +155,15 @@ def _check_width(model: Model, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_rows(rows, n: int) -> np.ndarray:
-    """``rows`` as int64 row indices, each in ``[0, n)``; None means every row."""
+def check_rows(rows, n: int, distinct: bool = False) -> np.ndarray:
+    """``rows`` as int64 row indices, each in ``[0, n)`` and, if ``distinct``,
+    none repeated; None means every row. Every row-index argument passes here."""
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     bad = rows[(rows < 0) | (rows >= n)]
     if len(bad):
         raise ValueError(f"row {bad[0]} is outside the {n} rows of features")
+    if distinct and (np.unique(rows, return_counts=True)[1] > 1).any():
+        raise ValueError("rows must name distinct rows of features")
     return rows
 
 
@@ -201,13 +204,13 @@ def predict_proba(model: Model, features, rows=None, dtype=None) -> np.ndarray:
     already beyond ~88 in float32. A row whose probabilities are not finite
     (its logits overflow) raises TrainingDivergedError naming that row.
     """
+    rows = check_rows(rows, len(features))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are reported below
         logits = _logits(model, embed(model, features, rows))
         proba = _softmax(logits.astype(dtype or logits.dtype, copy=False))
     bad = np.flatnonzero(~np.isfinite(proba).all(axis=1))
     if len(bad):
-        row = bad[0] if rows is None else np.asarray(rows)[bad[0]]
-        raise TrainingDivergedError(f"non-finite prediction for row {row} of features")
+        raise TrainingDivergedError(f"non-finite prediction for row {rows[bad[0]]} of features")
     return proba
 
 
@@ -228,7 +231,7 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
     one block's gather and its cast are the most it holds beside ``h``.
     """
     x = _check_width(model, features)
-    rows = _check_rows(rows, len(x))
+    rows = check_rows(rows, len(x))
     W, b = model.weights[0], model.biases[0]
     h = np.empty((len(rows), W.shape[1]), W.dtype)
     blocks = max(1, -(-len(rows) // _BLOCK_ROWS))
@@ -328,7 +331,7 @@ def train_epochs(
         return model
     x = _check_width(model, features)
     y = np.asarray(labels, dtype=np.int64)
-    rows = _check_rows(rows, len(x))
+    rows = check_rows(rows, len(x))
     n = len(rows)
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for {n} training rows")

@@ -15,7 +15,7 @@ import numpy as np
 from . import seeds
 from .clustering import Clustering
 from .learner import _BLOCK_ROWS, TRAIN_DTYPE, AdamConfig, NetworkConfig
-from .learner import as_float, init_model, predict_proba, train_epochs
+from .learner import as_float, check_rows, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
 
@@ -85,13 +85,13 @@ def learnability_scores(
     classification problem and score 0. The computation is canonicalized on
     the partition itself, so relabeling clusters permutes the scores exactly.
 
-    ``rows``, when given, maps each assignment to its row of ``features``;
-    the rows must be distinct. ``labels``, when given, holds one label per
-    row of ``features`` and adds the already-established classes to the
-    problem as distractors: each label ``>= 0`` with at least two rows is one
-    class, and rows with a negative label (``UNLABELED`` or ``EXCLUDED``) are
-    left out. A row may be both a pool row and a distractor row. Scores are
-    still reported for the clusters only.
+    ``rows``, when given, maps each assignment to its row of ``features``:
+    distinct rows, each checked whatever its cluster's size. ``labels``, when
+    given, holds one label per row of ``features`` and adds the established
+    classes to the problem as distractors: each label ``>= 0`` with at least
+    two rows is one class, and rows with a negative label (``UNLABELED`` or
+    ``EXCLUDED``) are left out. A row may be both a pool row and a distractor
+    row. Scores are still reported for the clusters only.
 
     Every class is read from ``features`` by row index: the scorer trains on
     its rows and predicts its holdout rows without gathering either side.
@@ -100,7 +100,7 @@ def learnability_scores(
     """
     x = as_float(features)
     assign = np.asarray(assignments, dtype=np.int64)
-    pool_rows = np.arange(len(assign)) if rows is None else np.asarray(rows, dtype=np.int64)
+    pool_rows = np.arange(len(assign)) if rows is None else check_rows(rows, len(x), distinct=True)
     if len(pool_rows) != len(assign):
         raise ValueError(f"{len(pool_rows)} rows for {len(assign)} assignments")
     if labels is not None and len(labels) != len(x):
@@ -112,8 +112,6 @@ def learnability_scores(
         raise ValueError(
             f"fewer than two clusters reach the scoreable size of {MIN_SCOREABLE_SIZE}"
         )
-    if rows is not None and (np.unique(pool_rows, return_counts=True)[1] > 1).any():
-        raise ValueError("rows must name distinct rows of features")
 
     # Canonical class order: rank clusters by their first member index, which
     # depends only on the partition, never on the id values. The distractor
@@ -182,11 +180,7 @@ def density_score(embeddings, clustering: Clustering) -> np.ndarray:
         dists[block] = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=1))
         del diff  # before the next block's cast exists
     totals = np.bincount(assign, weights=dists, minlength=k)
-    counts = np.bincount(assign, minlength=k)
-    out = np.zeros(k)
-    nonempty = counts > 0
-    out[nonempty] = totals[nonempty] / counts[nonempty]
-    return out
+    return totals / np.maximum(np.bincount(assign, minlength=k), 1)  # an empty cluster: 0.0
 
 
 def select(features: list[ClusterFeatures], policy: SelectionPolicy) -> int | None:

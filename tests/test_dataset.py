@@ -359,6 +359,10 @@ class TestAddClass:
             ([7], "samples already labeled: [7]"),
             (range(7, 14), "samples already labeled: [7, 8, 9, 10, 11]..."),
             ([7, 0], "samples outside this run (EXCLUDED): [0]"),  # EXCLUDED is checked first
+            ([-1], "row -1 is outside the 20 rows of features"),
+            ([20], "row 20 is outside the 20 rows of features"),
+            ([19, -1], "row -1 is outside the 20 rows of features"),  # not a second row 19
+            ([14], "rows must name distinct rows of features"),
         ],
     )
     def test_membership_messages_are_pinned(self, bad, message):
@@ -515,6 +519,13 @@ class TestZeroCopy:
         data = unlabeled_dataset(x)
         assert np.shares_memory(data.features, x)
         assert data.features is x
+
+    def test_read_only_view_of_a_read_only_owner_is_copied(self):
+        owner = np.ones((4, 3), dtype=TRAIN_DTYPE)
+        owner.flags.writeable = False
+        data = unlabeled_dataset(owner[:])
+        assert not np.shares_memory(data.features, owner)
+        assert data.features.base is None and not data.features.flags.writeable
 
     def test_read_only_array_of_another_dtype_is_converted(self):
         x = np.ones((4, 3), dtype=np.float64)

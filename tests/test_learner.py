@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from classdisco import learner, seeds
-from classdisco.dataset import UNLABELED
+from classdisco.dataset import UNLABELED, Dataset, SplitSpec, add_class, make_split
 from classdisco.learner import (
     AdamConfig,
     NetworkConfig,
@@ -600,16 +600,23 @@ class TestInferenceRows:
 
     @pytest.mark.parametrize("rows,bad", [([0, 1, 999], 999), ([2, -1, 12], -1), ([12], 12)])
     def test_out_of_range_row_is_named_before_any_work(self, rows, bad):
+        """Every function that takes rows names the first one outside the matrix."""
         x, y = toy_batch(n=12)
         model = init_model(TOY_NET, seed=0)
+        match = f"row {bad} is outside the 12 rows"
         with mock.patch.object(learner, "_dense_relu", wraps=learner._dense_relu) as spy:
             for call in (embed, predict_proba):
-                with pytest.raises(ValueError, match=f"row {bad} is outside the 12 rows"):
+                with pytest.raises(ValueError, match=match):
                     call(model, x, rows=rows)
             labels = np.zeros(len(rows), dtype=np.int64)
-            with pytest.raises(ValueError, match=f"row {bad} is outside the 12 rows"):
+            with pytest.raises(ValueError, match=match):
                 train_epochs(model, x, labels, AdamConfig(batch_size=2), 1, rows=rows)
         assert spy.call_count == 0
+        data = Dataset(x, np.full(12, UNLABELED), np.arange(12) % 2, ())
+        with pytest.raises(ValueError, match=match):
+            make_split(data, SplitSpec(held_out_classes={1}), rows=rows)
+        with pytest.raises(ValueError, match=match):
+            add_class(data, rows)
 
     def test_empty_rows_give_empty_outputs(self):
         x, _ = toy_batch()

@@ -564,6 +564,8 @@ class TestLearnabilityGather:
         x = np.random.default_rng(0).standard_normal((20, 2))
         with pytest.raises(ValueError, match="distinct"):
             learnability_scores(x, np.repeat([0, 1], 6), rows=[*range(11), 3])
+        with pytest.raises(ValueError, match="distinct"):  # checked before the cluster count
+            learnability_scores(x, np.zeros(6, dtype=int), rows=[*range(5), 3])
 
     def test_trains_without_copying_its_rows(self):
         import tracemalloc
@@ -720,3 +722,10 @@ class TestLearnabilityInputs:
         x = np.random.default_rng(0).standard_normal((300, 2))
         with pytest.raises(ValueError, match="29 rows for 30 assignments"):
             learnability_scores(x, np.repeat([0, 1, 2], 10), rows=range(29))
+
+    @pytest.mark.parametrize("bad", [-1, 300])
+    def test_a_row_of_an_unscoreable_cluster_is_checked(self, bad):
+        x = np.random.default_rng(0).standard_normal((300, 2))
+        assignments = np.repeat([0, 1, 2], [10, 10, 2])  # cluster 2 is below the scoreable size
+        with pytest.raises(ValueError, match=f"^row {bad} is outside the 300 rows of features$"):
+            learnability_scores(x, assignments, rows=[*range(21), bad])
