@@ -15,8 +15,10 @@ per restart. Then a whole
 ``lloyd_fit`` of 10 iterations of a 5-restart stack at 5000x128, a whole
 ``fit_with_restarts`` (10 restarts, k=15) on 15 Gaussian blobs at
 5000x128 and 1000x128, each k-means case in float32, the dtype of the
-embeddings it clusters, and in float64; Adam at 16-128-15, 784-128-15 and the main
-classifier's 784-128-10, and one whole training step (gradients plus Adam)
+embeddings it clusters, and in float64; Adam at 16-128-15, 784-128-15, the
+learnability scorer's 784-32-15 (its 25,615 parameters on ``mnist784-dynamic``)
+and the main classifier's 784-128-10, on the model block's and ``_workspace``'s
+rows as training allocates them; and one whole training step (gradients plus Adam)
 at batch 32 on the learnability scorer's 16-32-15 and 784-32-6 networks and
 at batch 128 on the main classifier's 784-128-10. Adam and the step run in
 float32, the ``TRAIN_DTYPE`` of both models, and in float64 for comparison.
@@ -39,10 +41,12 @@ from classdisco import clustering, dataset, learner, selection  # noqa: E402
 
 K = 15
 POOLS = [pytest.param(5000, 128, id="5000x128"), pytest.param(1000, 128, id="1000x128")]
+# input width, hidden width and classes of an Adam step's model
 NETS = [
-    pytest.param(16, K, id="16-128-15"),
-    pytest.param(784, K, id="784-128-15"),
-    pytest.param(784, 10, id="784-128-10"),
+    pytest.param(16, 128, K, id="16-128-15"),
+    pytest.param(784, 128, K, id="784-128-15"),
+    pytest.param(784, 32, K, id="784-32-15"),
+    pytest.param(784, 128, 10, id="784-128-10"),
 ]
 # input width, hidden width, classes and batch size of one training step
 STEP_NETS = [
@@ -114,9 +118,11 @@ def test_fit_with_restarts(benchmark, n, d, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("input_dim,classes", NETS)
-def test_adam_update(benchmark, input_dim, classes, dtype):
-    net = learner.NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=(128,))
+@pytest.mark.parametrize("input_dim,hidden,classes", NETS)
+def test_adam_update(benchmark, input_dim, hidden, classes, dtype):
+    net = learner.NetworkConfig(
+        input_dim=input_dim, output_classes=classes, hidden_dims=(hidden,)
+    )
     model = learner.init_model(net, seed=0, dtype=dtype)
     work, _ = learner._workspace(model)
     work[0] = 1e-3

@@ -209,6 +209,17 @@ class TestTraining:
         with pytest.raises(ValueError, match="out of range"):
             train_epochs(model, x, y, AdamConfig(), epochs=1)
 
+    @pytest.mark.parametrize(
+        "labels,match",
+        [([0, -1], "label -1 is no class"), ([0, 2], "label 2 out"), ([1], "1 labels for 2")],
+    )
+    def test_cross_entropy_checks_its_labels(self, labels, match):
+        """Each would make the flat label index read a logit of another column or row."""
+        x, _ = toy_batch(n=2)
+        model = init_model(TOY_NET, seed=0)
+        with pytest.raises(ValueError, match=match):
+            cross_entropy(model, x, labels)
+
     def test_divergence_reported_with_batch(self):
         x, y = toy_batch()
         x[0, 0] = np.nan  # poisoned input surfaces as a non-finite loss
@@ -452,15 +463,18 @@ class TestFlatTraining:
         model = init_model(NetworkConfig(input_dim=8, output_classes=2, hidden_dims=(5, 3)), seed=0)
         assert views_share_flat(model)
 
+        workspace, made = learner._workspace, []
         with mock.patch.object(
             learner, "loss_and_gradients", wraps=learner.loss_and_gradients
-        ) as spy:
+        ) as spy, mock.patch.object(
+            learner, "_workspace", lambda m: made.append(workspace(m)) or made[-1]
+        ):
             trained = train_epochs(model, x, y, adam, epochs=3)
         assert spy.call_count == trained.step == 3 * 6  # ceil(45 / 8) steps per epoch
         assert views_share_flat(trained)
-        grads = spy.call_args.args[3]  # views of row 0 of one training workspace
-        work = grads[0].base
-        assert all(g.base is work and np.shares_memory(g, work[0]) for g in grads)
+        [(work, _)] = made  # one training workspace; every step's gradients are views of its row 0
+        grads = spy.call_args.args[3]
+        assert all(np.shares_memory(g, work[0]) for g in grads)
 
         widened = expand_outputs(trained, 4, seed=1)
         assert views_share_flat(widened)
@@ -471,6 +485,77 @@ class TestFlatTraining:
         theirs = [copied.flat_params, copied.flat_m, copied.flat_v]
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
         assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
+
+
+def line_offsets(block):
+    """Each row's start address modulo 64 bytes."""
+    return [row.__array_interface__["data"][0] % 64 for row in block]
+
+
+def off_line_zeros(rows, size, dtype):
+    """As ``learner._line_zeros``, but every row starts one element (4 bytes
+    in float32, 8 in float64) past a 64-byte line."""
+    dtype = np.dtype(dtype)
+    stride = -(-size * dtype.itemsize // 64) * 64 + 64
+    raw = np.zeros(rows * stride + 64, np.uint8)
+    start = -raw.__array_interface__["data"][0] % 64 + dtype.itemsize
+    return np.ndarray((rows, size), dtype, raw, start, (stride, dtype.itemsize))
+
+
+class TestLineAlignedRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_block_and_workspace_row_starts_on_a_line(self, dtype):
+        """The scorer's 784-32-15 network: 25,615 parameters, so a packed row
+        is no whole number of lines in either dtype."""
+        size = 784 * 32 + 32 + 32 * 15 + 15
+        net = NetworkConfig(input_dim=784, output_classes=15, hidden_dims=(32,))
+        model = init_model(net, seed=0, dtype=dtype)
+        wider = expand_outputs(model, 16, seed=1)
+        work, grads = learner._workspace(model)
+        blocks = [model.block, model.copy().block, wider.block, work]
+        for block, width in zip(blocks, [size, size, size + 33, size]):
+            assert block.dtype == dtype and block.shape == (3, width)
+            assert line_offsets(block) == [0, 0, 0]
+        assert [g.shape for g in grads] == [p.shape for p in model.params]
+        assert model.flat_params.shape == model.flat_m.shape == (size,)
+        assert model.copy().block.tobytes() == model.block.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        hidden=st.sampled_from([(5,), (12,), (7, 3)]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n_rows=st.integers(2, 60),
+        batch_size=st.integers(2, 32),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(hidden=(7, 3), dtype=np.float32, n_rows=45, batch_size=8, epochs=2, seed=0)
+    def test_rows_off_a_line_train_to_the_same_bits(
+        self, hidden, dtype, n_rows, batch_size, epochs, seed
+    ):
+        """Alignment changes speed only: train on ``rows``, widen the softmax
+        and train again, with every block and workspace row on a line and
+        then one element past it; every float and loss is the same."""
+        assume(n_rows % batch_size)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((80, 20)).astype(learner.TRAIN_DTYPE)
+        rows = rng.permutation(len(x))[:n_rows]
+        y, y2 = rng.integers(0, 3, n_rows), rng.integers(0, 5, n_rows)
+        adam = AdamConfig(batch_size=batch_size, seed=seed % 1000)
+        net = NetworkConfig(input_dim=20, output_classes=3, hidden_dims=hidden)
+
+        def run():
+            model = train_epochs(init_model(net, seed, dtype), x, y, adam, epochs, rows=rows)
+            model = expand_outputs(model, 5, seed=seed + 1)
+            return train_epochs(model, x, y2, adam, epochs, rows=rows)
+
+        on_line = run()
+        with mock.patch.object(learner, "_line_zeros", off_line_zeros):
+            off_line = run()
+        assert line_offsets(on_line.block) == [0, 0, 0]
+        assert line_offsets(off_line.block) == [np.dtype(dtype).itemsize] * 3
+        assert off_line.block.tobytes() == on_line.block.tobytes()
+        assert off_line.loss_log == on_line.loss_log
 
 
 class TestTrainRows:
@@ -617,6 +702,28 @@ class TestInferenceRows:
             make_split(data, SplitSpec(held_out_classes={1}), rows=rows)
         with pytest.raises(ValueError, match=match):
             add_class(data, rows)
+
+    def test_a_row_argument_of_non_integer_dtype_is_rejected_and_an_empty_one_passes(self):
+        """Fractional rows are named, not truncated; ``[]``, though float64,
+        reaches each function's own checks."""
+        x, _ = toy_batch(n=12)
+        model = init_model(TOY_NET, seed=0)
+        data = Dataset(x, np.full(12, UNLABELED), np.arange(12) % 2, ())
+        spec = SplitSpec(held_out_classes={1})
+        for rows, kind in (([1.5, 2.9], "float64"), (np.array([True, False]), "bool")):
+            match = f"rows must be integer row indices, not {kind}"
+            for call in (
+                lambda: embed(model, x, rows=rows),
+                lambda: make_split(data, spec, rows=rows),
+                lambda: add_class(data, rows),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    call()
+        assert embed(model, x, rows=[]).shape == (0, 4)
+        with pytest.raises(ValueError, match="held-out classes not present"):
+            make_split(data, spec, rows=[])
+        with pytest.raises(ValueError, match="cannot add an empty class"):
+            add_class(data, [])
 
     def test_empty_rows_give_empty_outputs(self):
         x, _ = toy_batch()
