@@ -8,7 +8,8 @@ Only the names of the README's library example are exported here; import
 every other name from its module (``classdisco.learner`` and so on).
 """
 
+from .config import ExperimentConfig
 from .dataset import GaussianMixtureSpec, SplitSpec
-from .engine import ExperimentConfig, run_dynamic
+from .engine import run_dynamic
 
 __version__ = "0.1.0"

@@ -17,9 +17,10 @@ import sys
 import time
 
 from . import engine
-from .config import ConfigError, config_to_dict, load_config, validate_config
+from .config import ConfigError, ExperimentConfig, class_count_config, config_to_dict
+from .config import load_config, validate_config
 from .dataset import Dataset
-from .engine import DiscoveryState, ExperimentConfig
+from .engine import DiscoveryState
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
         checked = cfg
         if args.command == "classcount":  # it runs its own split, so that is the one to check
             args.counts = _parse_counts(args.counts)
-            checked = engine.class_count_config(cfg, data, args.counts)
+            checked = class_count_config(cfg, data, args.counts)
         problems = validate_config(checked, width, counts)
         for p in problems:
             _error("config error", p)

@@ -10,6 +10,9 @@ for flags, lists for the tuple and set fields; nothing is coerced. Every
 error names the dotted key path. ``config_to_dict`` materializes every
 default, which is what run reports echo; parsing that echo reproduces the
 exact same configuration.
+
+``ExperimentConfig``, ``ConfigError`` and the class-count experiment's config
+live here too, so the configuration never imports the engine that runs it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,44 @@ import types
 import typing
 from typing import Any
 
-from .engine import ConfigError, ExperimentConfig
+from .clustering import KMeansConfig
+from .dataset import DataSource, Dataset, SplitSpec
+from .learner import AdamConfig, NetworkConfig
+from .selection import LearnabilityConfig, SelectionPolicy
+
+OOD_MODES = ("oracle", "detector")
+N_EVAL_CLASSES = 5  # the class-count experiment holds out the last five classes
+
+
+class ConfigError(ValueError):
+    """A configuration document is malformed; the message names the field."""
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentConfig:
+    data: DataSource
+    split: SplitSpec
+    net: NetworkConfig = NetworkConfig()
+    adam: AdamConfig = AdamConfig()
+    kmeans: KMeansConfig = KMeansConfig()
+    policy: SelectionPolicy = SelectionPolicy()
+    learnability: LearnabilityConfig = LearnabilityConfig()
+    epochs_initial: int = 1
+    epochs_per_round: int = 1
+    rounds: int | None = None
+    ood_mode: str = "oracle"
+    detector_quantile: float = 0.95
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.ood_mode not in OOD_MODES:
+            raise ValueError(f"ood_mode must be one of {OOD_MODES}")
+        if not 0.0 < self.detector_quantile < 1.0:
+            raise ValueError("detector_quantile must lie strictly between 0 and 1")
+        if self.epochs_initial < 0 or self.epochs_per_round < 0:
+            raise ValueError("epoch counts must be >= 0")
+        if self.rounds is not None and self.rounds < 0:
+            raise ValueError("rounds must be >= 0")
 
 # JSON type a scalar annotation accepts: (description, check). The float bound
 # rejects NaN, Infinity and 1e400 (read as inf), and compares a huge int exactly.
@@ -187,3 +227,29 @@ def validate_config(cfg: ExperimentConfig, width: int, counts: dict[int, int]) -
         if value is not None and value != resolved:
             problems.append(f"net.{key} ({value}) differs from the data's value ({resolved})")
     return problems
+
+
+def class_count_config(cfg: ExperimentConfig, data: Dataset, class_counts=()) -> ExperimentConfig:
+    """The configuration each class count runs: the last five classes held out
+    for evaluation, the pool routed by the oracle, and no discovery rounds.
+    The classes come from ``data``, ``cfg.data`` loaded; each of ``class_counts``
+    must lie between 2 and the number of the other classes."""
+    if cfg.net.output_classes is not None:
+        raise ConfigError(
+            f"net.output_classes ({cfg.net.output_classes}) must be unset: "
+            "each class count derives its own output width"
+        )
+    _, counts = data.shape()
+    classes = sorted(counts)
+    if len(classes) <= N_EVAL_CLASSES:
+        raise ConfigError(
+            f"need more than {N_EVAL_CLASSES} classes to hold {N_EVAL_CLASSES} out for evaluation"
+        )
+    available = len(classes) - N_EVAL_CLASSES
+    for c in class_counts:
+        if c < 2:
+            raise ConfigError(f"class count {c} must be >= 2")
+        if c > available:
+            raise ConfigError(f"class count {c} exceeds the {available} available classes")
+    split = dataclasses.replace(cfg.split, held_out_classes=frozenset(classes[-N_EVAL_CLASSES:]))
+    return dataclasses.replace(cfg, split=split, ood_mode="oracle", rounds=None)

@@ -20,67 +20,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics, ood, selection
-from .clustering import Clustering, KMeansConfig, fit_with_restarts
-from .dataset import (
-    DISCOVERED_CLASS,
-    UNLABELED,
-    DataSource,
-    Dataset,
-    SplitSpec,
-    add_class,
-    load_data,
-    make_split,
-)
-from .learner import (
-    TRAIN_DTYPE,
-    AdamConfig,
-    Model,
-    NetworkConfig,
-    embed,
-    expand_outputs,
-    init_model,
-    train_epochs,
-)
+from .clustering import Clustering, fit_with_restarts
+from .config import ExperimentConfig, class_count_config
+from .dataset import DISCOVERED_CLASS, UNLABELED, Dataset, add_class, load_data, make_split
+from .learner import TRAIN_DTYPE, Model, embed, expand_outputs, init_model, train_epochs
 from .metrics import ReconstructionReport
 from .ood import OodDetector
-from .selection import ClusterFeatures, LearnabilityConfig, SelectionPolicy
+from .selection import ClusterFeatures
 
 _EXPAND_SEED_STRIDE = 100003
 _LEARNABILITY_SEED_STRIDE = 200003
-
-OOD_MODES = ("oracle", "detector")
-N_EVAL_CLASSES = 5  # the class-count experiment holds out the last five classes
-
-
-class ConfigError(ValueError):
-    """A configuration document is malformed; the message names the field."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    data: DataSource
-    split: SplitSpec
-    net: NetworkConfig = NetworkConfig()
-    adam: AdamConfig = AdamConfig()
-    kmeans: KMeansConfig = KMeansConfig()
-    policy: SelectionPolicy = SelectionPolicy()
-    learnability: LearnabilityConfig = LearnabilityConfig()
-    epochs_initial: int = 1
-    epochs_per_round: int = 1
-    rounds: int | None = None
-    ood_mode: str = "oracle"
-    detector_quantile: float = 0.95
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.ood_mode not in OOD_MODES:
-            raise ValueError(f"ood_mode must be one of {OOD_MODES}")
-        if not 0.0 < self.detector_quantile < 1.0:
-            raise ValueError("detector_quantile must lie strictly between 0 and 1")
-        if self.epochs_initial < 0 or self.epochs_per_round < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if self.rounds is not None and self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -299,7 +248,7 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
             break
         try:
             features = _score_clusters(ev, state.dataset, state.model, cfg, r)
-        except ValueError as exc:
+        except selection.UnscoreablePoolError as exc:  # any other error fails the run
             state.stopped_early = f"round {r}: {exc}"
             break
         policy = replace(cfg.policy, seed=cfg.policy.seed + r)
@@ -334,32 +283,6 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
 def evaluate_state(state: DiscoveryState) -> ReconstructionReport:
     """Re-evaluate a state from scratch; pure, and equal to its last history record."""
     return _evaluate(state).report
-
-
-def class_count_config(cfg: ExperimentConfig, data: Dataset, class_counts=()) -> ExperimentConfig:
-    """The configuration each class count runs: the last five classes held out
-    for evaluation, the pool routed by the oracle, and no discovery rounds.
-    The classes come from ``data``, ``cfg.data`` loaded; each of ``class_counts``
-    must lie between 2 and the number of the other classes."""
-    if cfg.net.output_classes is not None:
-        raise ConfigError(
-            f"net.output_classes ({cfg.net.output_classes}) must be unset: "
-            "each class count derives its own output width"
-        )
-    _, counts = data.shape()
-    classes = sorted(counts)
-    if len(classes) <= N_EVAL_CLASSES:
-        raise ConfigError(
-            f"need more than {N_EVAL_CLASSES} classes to hold {N_EVAL_CLASSES} out for evaluation"
-        )
-    available = len(classes) - N_EVAL_CLASSES
-    for c in class_counts:
-        if c < 2:
-            raise ConfigError(f"class count {c} must be >= 2")
-        if c > available:
-            raise ConfigError(f"class count {c} exceeds the {available} available classes")
-    split = replace(cfg.split, held_out_classes=frozenset(classes[-N_EVAL_CLASSES:]))
-    return replace(cfg, split=split, ood_mode="oracle", rounds=None)
 
 
 def run_class_count_experiment(

@@ -158,14 +158,29 @@ def init_model(cfg: NetworkConfig, seed: int, dtype=np.float64) -> Model:
     return model
 
 
-def _check_width(model: Model, features: np.ndarray) -> np.ndarray:
+def _checked(model: Model, features, rows=None, labels=None):
+    """The learner's one input check, run once a call: ``features`` as by ``as_float``,
+    of the model's width; ``rows`` as by ``check_rows``; and, unless None, ``labels``
+    as int64, one a row, at least one row, each in ``[0, output_classes)``."""
     x = as_float(features)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise ValueError(
             f"feature width {x.shape[1] if x.ndim == 2 else x.shape} "
             f"does not match input_dim {model.config.input_dim}"
         )
-    return x
+    rows = check_rows(rows, len(x))
+    if labels is None:
+        return x, rows, None
+    y, n, classes = np.asarray(labels, dtype=np.int64), len(rows), model.config.output_classes
+    if len(y) != n:
+        raise ValueError(f"{len(y)} labels for {n} training rows")
+    if n == 0:
+        raise ValueError("no training rows: cannot train on an empty set")
+    if y.min() < 0:
+        raise ValueError(f"label {y.min()} is no class: training data must be fully labeled")
+    if y.max() >= classes:
+        raise ValueError(f"label {y.max()} out of range for {classes} output classes")
+    return x, rows, y
 
 
 def check_rows(rows, n: int, distinct: bool = False) -> np.ndarray:
@@ -219,13 +234,13 @@ def predict_proba(model: Model, features, rows=None, dtype=None) -> np.ndarray:
     already beyond ~88 in float32. A row whose probabilities are not finite
     (its logits overflow) raises TrainingDivergedError naming that row.
     """
-    rows = check_rows(rows, len(features))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are reported below
         logits = _logits(model, embed(model, features, rows))
         proba = _softmax(logits.astype(dtype or logits.dtype, copy=False))
     bad = np.flatnonzero(~np.isfinite(proba).all(axis=1))
     if len(bad):
-        raise TrainingDivergedError(f"non-finite prediction for row {rows[bad[0]]} of features")
+        row = bad[0] if rows is None else np.asarray(rows)[bad[0]]  # embed checked rows
+        raise TrainingDivergedError(f"non-finite prediction for row {row} of features")
     return proba
 
 
@@ -245,8 +260,7 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
     another dtype than ``features`` gathers each block and then casts it, so
     one block's gather and its cast are the most it holds beside ``h``.
     """
-    x = _check_width(model, features)
-    rows = check_rows(rows, len(x))
+    x, rows, _ = _checked(model, features, rows)
     W, b = model.weights[0], model.biases[0]
     h = np.empty((len(rows), W.shape[1]), W.dtype)
     blocks = max(1, -(-len(rows) // _BLOCK_ROWS))
@@ -260,21 +274,8 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
 def cross_entropy(model: Model, features, labels) -> float:
     """Mean cross-entropy of the model on a labeled batch: the loss that training
     minimizes, computed by ``loss_and_gradients`` in the dtype ``_forward`` promotes to."""
-    x = _check_width(model, features)
-    y = _check_labels(labels, len(x), model.config.output_classes)
+    x, _, y = _checked(model, features, labels=labels)
     return loss_and_gradients(model, x, y)[0]
-
-
-def _check_labels(labels, n: int, classes: int) -> np.ndarray:
-    """``labels`` as int64: ``n`` of them, one a training row, each in ``[0, classes)``."""
-    y = np.asarray(labels, dtype=np.int64)
-    if len(y) != n:
-        raise ValueError(f"{len(y)} labels for {n} training rows")
-    if (y < 0).any():
-        raise ValueError(f"label {y.min()} is no class: training data must be fully labeled")
-    if y.max(initial=0) >= classes:
-        raise ValueError(f"label {y.max()} out of range for {classes} output classes")
-    return y
 
 
 def loss_and_gradients(model: Model, x: np.ndarray, y: np.ndarray, grads=None):
@@ -360,12 +361,8 @@ def train_epochs(
         raise ValueError("epochs must be >= 0")
     if epochs == 0:
         return model
-    x = _check_width(model, features)
-    rows = check_rows(rows, len(x))
+    x, rows, y = _checked(model, features, rows, labels)
     n = len(rows)
-    y = _check_labels(labels, n, model.config.output_classes)
-    if n == 0:
-        raise ValueError("no training rows: cannot train on an empty set")
 
     out = model.copy()
     work, grads = _workspace(out)

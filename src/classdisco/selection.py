@@ -27,6 +27,10 @@ _MIN_SCORER_UPDATES = 2000
 POLICY_KINDS = ("learnability", "random", "density", "threshold")
 
 
+class UnscoreablePoolError(ValueError):
+    """Fewer than two clusters reach MIN_SCOREABLE_SIZE, so none can be scored."""
+
+
 @dataclass(frozen=True)
 class ClusterFeatures:
     cluster_id: int
@@ -109,7 +113,7 @@ def learnability_scores(
     sizes = np.bincount(dense)
     scoreable = np.flatnonzero(sizes >= MIN_SCOREABLE_SIZE)
     if len(scoreable) < 2:
-        raise ValueError(
+        raise UnscoreablePoolError(
             f"fewer than two clusters reach the scoreable size of {MIN_SCOREABLE_SIZE}"
         )
 

@@ -18,12 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classdisco import cli, dataset, engine
+from classdisco import cli, dataset, engine, selection
 from classdisco.cli import main
 from classdisco.clustering import KMeansConfig
-from classdisco.config import ConfigError, config_to_dict, parse_config
+from classdisco.config import OOD_MODES, ConfigError, config_to_dict, parse_config
 from classdisco.dataset import DataSource
-from classdisco.engine import OOD_MODES
 from classdisco.selection import POLICY_KINDS, LearnabilityConfig
 from conftest import write_idx_pair
 
@@ -512,6 +511,16 @@ class TestDiscover:
         path = write_config(tmp_path, _poisoned_csv(tmp_path))
         assert main(["discover", "--config", path, "--mode", "static", "--out", str(tmp_path / "x")]) == 2
         assert "runtime failure: non-finite loss" in capsys.readouterr().err
+
+    def test_a_stray_value_error_in_scoring_fails_the_run(self, tmp_path, capsys):
+        # only an unscoreable pool stops a run cleanly; any other error is a failure
+        stray = ValueError("operands could not be broadcast together")
+        out = tmp_path / "run"
+        with mock.patch.object(selection, "density_score", side_effect=stray):
+            code = main(["discover", "--config", str(SYNTHETIC_CONFIG), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"runtime failure: {stray}\n"
+        assert not (out / "report.json").exists()
 
 
 class TestWorkers:
@@ -1384,6 +1393,22 @@ class TestImportsOnlyWhatARunUses:
             timeout=120,
         )
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+
+    def test_the_config_loads_without_the_engine_or_the_cli(self):
+        # the package's __init__ exports the engine's run_dynamic, so the package
+        # is registered bare: what loads is the config module's own imports
+        package = os.path.dirname(cli.__file__)
+        script = (
+            "import sys, types; package = types.ModuleType('classdisco'); "
+            f"package.__path__ = [{package!r}]; sys.modules['classdisco'] = package; "
+            "import classdisco.config; print(*sorted(m for m in sys.modules if 'classdisco' in m))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        loaded = proc.stdout.split()
+        assert "classdisco.config" in loaded, proc.stderr
+        assert not {"classdisco.engine", "classdisco.cli"} & set(loaded), loaded
 
 
 class TestCsvCells:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from classdisco import cli, clustering, engine, learner, ood, selection
 from classdisco.clustering import KMeansConfig
+from classdisco.config import OOD_MODES
 from classdisco.dataset import (
     DISCOVERED_CLASS,
     EXCLUDED,
@@ -24,7 +25,6 @@ from classdisco.dataset import (
     make_split,
 )
 from classdisco.engine import (
-    OOD_MODES,
     ExperimentConfig,
     evaluate_state,
     load_data,
@@ -156,6 +156,15 @@ class TestRunDynamic:
         state, reports = run_dynamic(cfg)
         assert len(reports) == 1
         assert not state.accepted
+
+    def test_an_unscoreable_pool_stops_with_its_message(self):
+        # 8 pool rows in 3 clusters: at most one reaches the scoreable size of 5
+        cfg = world(n_classes=4, per_class=8, held_out=(3,), k=3, rounds=1)
+        state, reports = run_dynamic(cfg)
+        assert state.stopped_early == (
+            "round 1: fewer than two clusters reach the scoreable size of 5"
+        )
+        assert len(reports) == 1 and not state.accepted
 
     def test_early_stop_when_pool_exhausted(self):
         # one tiny held-out class: after the first acceptance the residual pool

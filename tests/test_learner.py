@@ -618,6 +618,14 @@ class TestTrainRows:
         with pytest.raises(ValueError, match="no training rows"):
             train_epochs(model, x[:0], y[:0], AdamConfig(), 1)
 
+    def test_the_loss_of_an_empty_batch_is_an_error(self):
+        x, _ = toy_batch()
+        model = init_model(TOY_NET, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no nan from 0 / 0 on the way
+            with pytest.raises(ValueError, match="no training rows: cannot train on an empty set"):
+                cross_entropy(model, x[:0], [])
+
 
 def shared_matrix(width):
     """A read-only 600-row matrix, as the engine's Dataset holds its features."""
@@ -650,18 +658,30 @@ class TestInferenceRows:
         assert predict_proba(model, x, rows=rows).tobytes() == predict_proba(model, copy).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("blocks", [1, 3])
-    def test_deeper_layers_match_a_direct_forward_pass(self, dtype, blocks):
-        """Two hidden layers: ``embed`` and ``predict_proba`` on ``(X, rows)``
-        equal a forward pass on ``X[rows]`` in the model's dtype, byte for byte."""
-        x = shared_matrix(784)
+    @pytest.mark.parametrize(
+        "blocks, width, hidden",
+        [
+            (1, 784, (5, 3)),
+            (3, 784, (5, 3)),
+            # the benchmark workloads' first layers
+            (2, 784, (128,)),
+            (5, 784, (128,)),
+            (2, 16, (128,)),
+            (5, 16, (128,)),
+        ],
+        ids=["1", "3", "784x128-2", "784x128-5", "16x128-2", "16x128-5"],
+    )
+    def test_deeper_layers_match_a_direct_forward_pass(self, dtype, blocks, width, hidden):
+        """Two hidden layers, and the workloads' first layers: ``embed`` and ``predict_proba``
+        on ``(X, rows)`` equal a forward pass on ``X[rows]`` in the model's dtype, byte for byte."""
+        x = shared_matrix(width)
         n = blocks * learner._BLOCK_ROWS - 24
         rows = np.random.default_rng(blocks).integers(0, len(x), n)
-        net = NetworkConfig(input_dim=784, output_classes=6, hidden_dims=(5, 3))
+        net = NetworkConfig(input_dim=width, output_classes=6, hidden_dims=hidden)
         model = init_model(net, seed=1, dtype=dtype)
         acts, logits = learner._forward(model, x[rows].astype(dtype))
         got = embed(model, x, rows=rows)
-        assert got.dtype == dtype and got.shape == (n, 3) and got.any()
+        assert got.dtype == dtype and got.shape == (n, hidden[-1]) and got.any()
         assert got.tobytes() == acts[-1].tobytes()
         want = learner._softmax(logits).tobytes()
         assert predict_proba(model, x, rows=rows).tobytes() == want
