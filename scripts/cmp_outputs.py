@@ -10,15 +10,18 @@ on the ``TREE`` side. Each invocation runs
 ``python -m classdisco.cli`` with the tree's ``src`` first on ``PYTHONPATH``,
 ``OPENBLAS_NUM_THREADS=1`` and ``PYTHONHASHSEED=0``, one at a time. Every
 ``curves.csv``, ``clusters.csv`` and ``classcount.csv`` must be byte-equal,
-and ``report.json`` equal once ``wall_clock_seconds`` is dropped. Each file
-that differs is printed, and the exit status is 1 if any file differs.
+``report.json`` equal once ``wall_clock_seconds`` is dropped, and stdout
+equal once the output directory is replaced by ``<out>``. Each output that
+differs is printed, and the exit status is 1 if any output differs.
 
-The 15 invocations are the seed-0 configs of the benchmark's three workloads
+The 16 invocations are the seed-0 configs of the benchmark's three workloads
 (read from ``TREE/bench/workloads.py``), and ``configs/synthetic.json`` at 10
 initial and 2 per-round epochs: run static; dynamic; dynamic with the
 detector; under the threshold, random and density policies; with a
-``split.per_class_cap`` of 150; and under the other three ``learnability``
-settings of ``use_embeddings`` and ``include_existing``. The last two run
+``split.per_class_cap`` of 150; under the other three ``learnability``
+settings of ``use_embeddings`` and ``include_existing``; and dynamic at 0
+initial and 0 per-round epochs, an untrained model whose embeddings are its
+random first layer and whose ``train_loss`` is NaN. The last two run
 dynamic on a CSV file and on an IDX pair, 6 classes of 60 rows each, which
 ``write_inputs`` draws from ``random.Random(0)`` into the temporary
 directory, so the loaders' hand-over is compared too. Only the standard
@@ -100,6 +103,7 @@ def invocations(tree: Path, data_dir: Path) -> list[tuple[str, dict, object]]:
     for emb, ext in ((False, True), (True, False), (True, True)):
         learn = {"use_embeddings": emb, "include_existing": ext}
         variants.append((f"embeddings-{emb}-existing-{ext}", {"learnability": learn}))
+    variants.append(("untrained", {"epochs_initial": 0, "epochs_per_round": 0}))
     for name, update in variants:
         config = copy.deepcopy(base)
         config.update(update)
@@ -143,6 +147,11 @@ def _run(tree: Path, config: dict, argv, work: Path) -> tuple[Path, subprocess.C
     return out, proc
 
 
+def _stdout(proc: subprocess.CompletedProcess, out: Path) -> str:
+    """What ``proc`` printed, its output directory ``out`` replaced by ``<out>``."""
+    return proc.stdout.replace(str(out), "<out>")
+
+
 def _content(path: Path):
     """The bytes compared for ``path``; None if it was not written."""
     if not path.exists():
@@ -178,8 +187,9 @@ def main(argv=None) -> int:
             if old.returncode != new.returncode:
                 differ += 1
                 print(f"DIFF {name}: exit {old.returncode} vs {new.returncode}")
-            for file in OUTPUTS:
-                before, after = _content(old_out / file), _content(new_out / file)
+            outputs = {file: (_content(old_out / file), _content(new_out / file)) for file in OUTPUTS}
+            outputs["stdout"] = (_stdout(old, old_out), _stdout(new, new_out))
+            for file, (before, after) in outputs.items():
                 if before is None and after is None:
                     continue
                 compared += 1
@@ -187,7 +197,7 @@ def main(argv=None) -> int:
                     differ += 1
                     print(f"DIFF {name}/{file}")
             print(f"done {name}", flush=True)
-    print(f"{differ} of {compared} files differ")
+    print(f"{differ} of {compared} outputs differ (files and stdout)")
     return 1 if differ else 0
 
 

@@ -28,7 +28,7 @@ its rising-inertia check scale with the dtype's ``eps``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,10 +160,12 @@ def kmeanspp_init(points, k: int, seed, centered=None) -> np.ndarray:
     """
     pts = as_float(points)
     n = pts.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds the {n} available points")
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} is below 1 or exceeds the {n} available points")
     single = isinstance(seed, (int, np.integer))
     rngs = [seeds.spawn(s) for s in ([seed] if single else seed)]
+    if not rngs:
+        raise ValueError("seed must be one sub-seed or a non-empty sequence of them")
     _, ctr, norms = center(pts) if centered is None else centered
     chosen = np.empty((len(rngs), k), dtype=np.intp)
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
@@ -234,31 +236,33 @@ def lloyd_fit(
 ) -> Clustering:
     """Lloyd iterations from the given centroids until fixpoint, max_iters, or tol.
 
-    init_centroids is ``(k, d)`` for one restart or an ``(R, k, d)`` stack;
-    a stack runs in lockstep and returns the lowest-inertia restart (ties to
-    the lowest index), bit for bit what that restart gives alone. tol is
+    init_centroids is ``(k, d)`` for one restart or an ``(R, k, d)`` stack,
+    run in lockstep, each restart bit for bit as it runs alone. tol is
     relative inertia improvement. Distances are taken on the points centered
     at their mean, which keeps them precise far from the origin. Each
     iteration computes one distance block, for its new centroids: it gives
     this iteration's inertia and the next one's assignments, and the same
-    block holds the one-hot assignments for the class sums. A restart leaves
-    the block once it stops. The returned assignments point to the nearest
-    final centroid. An inertia summed from the expanded distances carries a
-    rounding error of up to ``4 (d + 2) eps sum|x|^2``, eps of the points'
-    dtype; below that floor it is noise that may rise, so a restart also
-    stops once its inertia reaches it. An inertia that rises by more than the
-    floor plus underflow's error on any iteration raises RuntimeError. The
-    centroids are cast to the points' dtype. ``centered`` is as in
-    ``kmeanspp_init``. The result also records every restart's iterations
-    and final inertia, in stack order.
+    block holds the one-hot assignments for the class sums. A restart that
+    stops leaves the block for a per-restart record: its final centroids,
+    assignments to them, inertia trace, iterations and inertia. The result is
+    the record at its lowest final inertia (ties to the lowest stack
+    position), with every restart's iterations and final inertia. An inertia
+    summed from the expanded distances carries a rounding error of up to
+    ``4 (d + 2) eps sum|x|^2``, eps of the points' dtype; below that floor it
+    is noise that may rise, so a restart also stops once its inertia reaches
+    it, and one that rises by more than the floor plus underflow's error
+    raises RuntimeError. ``centered`` is as in ``kmeanspp_init``.
     """
     pts = as_float(points)
     init = np.asarray(init_centroids, dtype=pts.dtype)
-    if init.shape[-1] != pts.shape[1]:
-        raise ValueError("centroid width does not match point width")
+    d = pts.shape[1]
+    if init.ndim not in (2, 3) or 0 in init.shape[:-1] or init.shape[-1] != d:
+        raise ValueError(f"init_centroids {init.shape} must be (k, {d}) or (R, k, {d}) with R, k >= 1")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     mu, ctr, norms = center(pts) if centered is None else centered
     cents = init.reshape(-1, *init.shape[-2:]) - mu
-    restarts, k, d = cents.shape
+    restarts, k = cents.shape[:2]
     fin = np.finfo(pts.dtype)
     floor = 4 * (d + 2) * float(fin.eps) * norms.sum(dtype=np.float64)
     # rounding may lift an inertia by up to the floor, and underflow by up to
@@ -268,8 +272,9 @@ def lloyd_fit(
     ids = np.arange(restarts)  # the stack positions of the restarts still running
     prev = np.full(restarts, np.nan)  # no inertia yet: neither check below can fire
     traces = [[] for _ in range(restarts)]  # each restart's inertia per iteration
+    # the rest of each restart's record, written when it stops
     iterations, finals = np.zeros(restarts, np.intp), np.zeros(restarts)
-    best, best_at = None, None  # the best stopped restart and its stack position
+    centroids, assignments = np.empty_like(cents), np.empty((restarts, ctr.shape[0]), np.intp)
     d2 = _sq_dists(ctr, norms, cents, block)
     assign = _nearest(d2)
     _repair_empty(ctr, norms, cents, d2, assign, np.ones(restarts, dtype=bool))
@@ -283,9 +288,7 @@ def lloyd_fit(
         rising = np.flatnonzero(inertia > prev + slack)
         if rising.size:
             r = rising[0]
-            raise RuntimeError(
-                f"inertia increased from {prev[r]} to {inertia[r]} at iteration {it}"
-            )
+            raise RuntimeError(f"inertia increased from {prev[r]} to {inertia[r]} at iteration {it}")
         done = (new == cents).all(axis=(1, 2)) | ((prev - inertia) < tol * prev) | (it == max_iters)
         done |= inertia <= floor  # its points sit on their centroids to within rounding
         cents, prev = new, inertia
@@ -297,23 +300,23 @@ def lloyd_fit(
         if done.any():
             last = np.where(moved, _inertia(d2, final), inertia)
             iterations[ids[done]], finals[ids[done]] = it, last[done]
-            for r in np.flatnonzero(done):
-                # ties go to the lowest stack position, whichever stops first
-                if best is None or (last[r], ids[r]) < (best.inertia, best_at):
-                    best_at = ids[r]
-                    best = Clustering(
-                        centroids=cents[r] + mu,
-                        assignments=final[r].copy(),  # not a view holding every restart's row
-                        inertia=float(last[r]),
-                        iterations_run=it,
-                        inertia_trace=tuple(traces[best_at] + [float(last[r])] * bool(moved[r])),
-                    )
-            keep = ~done
-            ids, cents, prev, final = ids[keep], cents[keep], prev[keep], final[keep]
+            centroids[ids[done]], assignments[ids[done]] = cents[done], final[done]
+            for r in np.flatnonzero(done & moved):  # the reconciled inertia ends its trace
+                traces[ids[r]].append(float(last[r]))
+            ids, cents, prev, final = ids[~done], cents[~done], prev[~done], final[~done]
             if not ids.size:
                 break
         assign = final
-    return replace(best, restart_iterations=iterations, restart_inertias=finals)
+    best = int(np.argmin(finals))  # the first minimum: ties go to the lowest stack position
+    return Clustering(
+        centroids=centroids[best] + mu,
+        assignments=assignments[best].copy(),  # not a view holding every restart's row
+        inertia=float(finals[best]),
+        iterations_run=int(iterations[best]),
+        inertia_trace=tuple(traces[best]),
+        restart_iterations=iterations,
+        restart_inertias=finals,
+    )
 
 
 def fit_with_restarts(points, cfg: KMeansConfig) -> Clustering:

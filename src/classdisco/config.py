@@ -184,10 +184,7 @@ def config_to_dict(value: Any) -> Any:
     """Exact JSON echo of a configuration, or of any section or value in it, all defaults
     materialized."""
     if dataclasses.is_dataclass(value):
-        doc = {f.name: config_to_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        if "kind" not in doc and hasattr(value, "kind"):  # a data source's ClassVar tag
-            return {"kind": value.kind, **doc}
-        return doc
+        return {f.name: config_to_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, tuple):

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
-from typing import ClassVar
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,7 +135,7 @@ class SplitSpec:
 class GaussianMixtureSpec:
     """Synthetic benchmark: isotropic unit-variance Gaussians around class centers."""
 
-    kind: ClassVar[str] = "synthetic"
+    kind: str = field(default="synthetic", init=False)
 
     n_classes: int
     dim: int
@@ -173,7 +172,7 @@ class GaussianMixtureSpec:
 class IdxData:
     """An IDX image/label file pair."""
 
-    kind: ClassVar[str] = "idx"
+    kind: str = field(default="idx", init=False)
 
     images: str
     labels: str
@@ -191,7 +190,7 @@ class IdxData:
 class CsvData:
     """A CSV file with a header row; the last column is the class label."""
 
-    kind: ClassVar[str] = "csv"
+    kind: str = field(default="csv", init=False)
 
     path: str
 
@@ -202,7 +201,7 @@ class CsvData:
         return self.load().shape()
 
 
-# The data sources a config can name, each tagged by its ``kind``.
+# The data sources a config can name, each tagged by its ``kind`` field.
 DataSource = GaussianMixtureSpec | IdxData | CsvData
 
 

@@ -90,6 +90,14 @@ class TestKmeansPlusPlus:
         centroids = kmeanspp_init(points, 3, seed=0)
         assert np.array_equal(centroids, np.zeros((3, 2)))
 
+    def test_k_below_one(self):
+        with pytest.raises(ValueError, match="k=0 is below 1"):
+            kmeanspp_init(np.zeros((3, 2)), 0, seed=0)
+
+    def test_empty_seed_sequence(self):
+        with pytest.raises(ValueError, match="seed must be"):
+            kmeanspp_init(np.zeros((3, 2)), 2, seed=[])
+
 
 class TestLloyd:
     def test_exact_centroids_converge_in_one_iteration(self):
@@ -220,6 +228,16 @@ class TestLloyd:
             assert result.inertia <= floor
             assert len(set(zip(result.assignments.tolist(), points[:, 0].tolist()))) == 3
         assert fit_with_restarts(points, KMeansConfig(k=3, restarts=10)).inertia <= floor
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2, 2), (0, 2, 2), (0, 2)])
+    def test_init_centroids_must_be_one_set_or_a_stack(self, shape):
+        # a 1-D row, a 4-D stack, an empty stack and k = 0 are each named up front
+        with pytest.raises(ValueError, match=r"init_centroids \(.*\) must be \(k, 2\) or \(R, k, 2\)"):
+            lloyd_fit(np.ones((5, 2)), np.zeros(shape))
+
+    def test_max_iters_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            lloyd_fit(np.ones((5, 2)), np.zeros((2, 2)), max_iters=0)
 
     def test_zero_points_rejected(self):
         with warnings.catch_warnings():
@@ -370,6 +388,17 @@ class TestLockstep:
         assert len({t.assignments.tobytes() for t in trials}) == 2
         result = fit_with_restarts(points, KMeansConfig(k=2, restarts=8, seed=0))
         assert_same_clustering(result, trials[0])
+
+    def test_equal_inertia_goes_to_the_lower_position_that_stops_later(self):
+        # restart 1 starts at restart 0's converged centroids, so it reaches
+        # the same inertia in fewer iterations; position 0 still wins
+        points, _ = blobs([[0, 0], [8, 0]], n_per=30, noise=1.0, seed=3)
+        start = np.array([[0.0, 0.0], [0.5, 0.5]])
+        first = lloyd_fit(points, start)
+        fit = lloyd_fit(points, np.stack([start, first.centroids]))
+        assert fit.restart_inertias[0].tobytes() == fit.restart_inertias[1].tobytes()
+        assert fit.restart_iterations.tolist() == [3, 1]
+        assert_same_clustering(fit, first)
 
     def test_peak_memory_is_the_points_and_one_block(self):
         # 10 restarts at k=15, d=128 run as one stack: the centered points,
