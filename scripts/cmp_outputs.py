@@ -14,14 +14,17 @@ on the ``TREE`` side. Each invocation runs
 equal once the output directory is replaced by ``<out>``. Each output that
 differs is printed, and the exit status is 1 if any output differs.
 
-The 16 invocations are the seed-0 configs of the benchmark's three workloads
+The 17 invocations are the seed-0 configs of the benchmark's three workloads
 (read from ``TREE/bench/workloads.py``), and ``configs/synthetic.json`` at 10
 initial and 2 per-round epochs: run static; dynamic; dynamic with the
 detector; under the threshold, random and density policies; with a
 ``split.per_class_cap`` of 150; under the other three ``learnability``
-settings of ``use_embeddings`` and ``include_existing``; and dynamic at 0
+settings of ``use_embeddings`` and ``include_existing``; dynamic at 0
 initial and 0 per-round epochs, an untrained model whose embeddings are its
-random first layer and whose ``train_loss`` is NaN. The last two run
+random first layer and whose ``train_loss`` is NaN; and dynamic with the
+detector on a two-layer net (``hidden_dims`` ``[32, 16]``), so the embedding
+passes through a hidden layer, scored by a two-layer scorer (``[16, 8]``) on
+embeddings with the labeled rows' embeddings as distractors. The last two run
 dynamic on a CSV file and on an IDX pair, 6 classes of 60 rows each, which
 ``write_inputs`` draws from ``random.Random(0)`` into the temporary
 directory, so the loaders' hand-over is compared too. Only the standard
@@ -104,6 +107,9 @@ def invocations(tree: Path, data_dir: Path) -> list[tuple[str, dict, object]]:
         learn = {"use_embeddings": emb, "include_existing": ext}
         variants.append((f"embeddings-{emb}-existing-{ext}", {"learnability": learn}))
     variants.append(("untrained", {"epochs_initial": 0, "epochs_per_round": 0}))
+    scorer = {"hidden_dims": [16, 8], "use_embeddings": True, "include_existing": True}
+    deep = {"net": {"hidden_dims": [32, 16]}, "learnability": scorer, "ood_mode": "detector"}
+    variants.append(("deep-detector", deep))
     for name, update in variants:
         config = copy.deepcopy(base)
         config.update(update)

@@ -164,6 +164,7 @@ def cmd_discover(args, cfg: ExperimentConfig, data: Dataset | None = None) -> in
     state, _ = run(cfg, data=data)
     wall = time.perf_counter() - start
 
+    last = state.history[-1]
     report = _report(
         args.mode,
         cfg,
@@ -174,8 +175,8 @@ def cmd_discover(args, cfg: ExperimentConfig, data: Dataset | None = None) -> in
         accepted=[
             {k: _none_if_nan(getattr(a, k)) for k in ACCEPTED_KEYS} for a in state.accepted
         ],
-        detector=_scalars(state.detector) if state.detector is not None else None,
-        final_dra=state.history[-1].dra,
+        detector=_scalars(last.detector) if last.detector is not None else None,
+        final_dra=last.dra,
         stopped_early=state.stopped_early,
         wall_clock_seconds=wall,
     )

@@ -49,6 +49,7 @@ class RoundRecord:
     report: ReconstructionReport
     cluster_features: tuple[ClusterFeatures, ...] = ()
     accepted_cluster: int | None = None
+    detector: OodDetector | None = None  # routed this round's pool; None if oracle or pool empty
 
     @property
     def dra(self) -> float:
@@ -68,7 +69,6 @@ class DiscoveryState:
     config: ExperimentConfig
     accepted: list[AcceptedCluster] = field(default_factory=list)
     history: list[RoundRecord] = field(default_factory=list)
-    detector: OodDetector | None = None
     stopped_early: str | None = None
 
     @property
@@ -140,9 +140,8 @@ def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: i
 
 
 def _close_round(state: DiscoveryState, epochs: int, features=(), selected=None) -> _RoundEval:
-    """Evaluate ``state`` after ``epochs`` of training, record the round, return its evaluation."""
+    """Evaluate ``state`` after ``epochs`` of training; record the round and its detector."""
     ev = _evaluate(state)
-    state.detector = ev.detector
     state.history.append(
         RoundRecord(
             round=state.round,
@@ -152,6 +151,7 @@ def _close_round(state: DiscoveryState, epochs: int, features=(), selected=None)
             report=ev.report,
             cluster_features=tuple(features),
             accepted_cluster=selected,
+            detector=ev.detector,
         )
     )
     return ev

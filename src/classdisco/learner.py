@@ -94,9 +94,8 @@ class Model:
 
     config: NetworkConfig
     block: np.ndarray
-    step: int = 0
-    epochs_trained: int = 0
-    loss_log: tuple[float, ...] = ()
+    step: int = 0  # Adam updates so far
+    loss_log: tuple[float, ...] = ()  # one mean loss per epoch; its length seeds the shuffle
 
     def __post_init__(self):
         self.flat_params, self.flat_m, self.flat_v = self.block
@@ -351,9 +350,9 @@ def train_epochs(
     from ``features`` and cast to the model's dtype, so training on ``rows``
     is bit-identical to training on ``features[rows]``, without copying them.
 
-    The shuffle for each epoch is derived from ``adam.seed`` and the model's
-    global epoch counter, so repeated calls continue the same deterministic
-    stream and identical runs produce bit-identical weights.
+    Each epoch's shuffle is seeded by ``adam.seed`` and the epochs trained so far
+    (``len(loss_log)``), so repeated calls continue one deterministic stream
+    and identical runs produce bit-identical weights.
     After each epoch, ``flat_m`` entries below the dtype's smallest normal are
     set to 0: ``m *= beta1`` cannot round a subnormal to 0, and subnormals slow every step.
     """
@@ -368,7 +367,7 @@ def train_epochs(
     work, grads = _workspace(out)
     dtype = out.flat_params.dtype
     for _ in range(epochs):
-        rng = seeds.spawn(adam.seed, out.epochs_trained)
+        rng = seeds.spawn(adam.seed, len(out.loss_log))
         order = rng.permutation(n)
         x_rows = rows[order]
         y_order = y[order]
@@ -381,17 +380,16 @@ def train_epochs(
             )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
-                    f"non-finite loss in epoch {out.epochs_trained}, "
+                    f"non-finite loss in epoch {len(out.loss_log)}, "
                     f"batch starting at sample {start}"
                 )
             _adam_update(out, work, adam)
             total += loss * len(y_batch)
         _flush_subnormals(out.flat_m)
-        out.epochs_trained += 1
         out.loss_log = out.loss_log + (total / n,)
     # a later loss reports a step that left a weight non-finite; nothing follows the last
     if not np.isfinite(out.flat_params).all():
-        raise TrainingDivergedError(f"non-finite weight after epoch {out.epochs_trained - 1}")
+        raise TrainingDivergedError(f"non-finite weight after epoch {len(out.loss_log) - 1}")
     return out
 
 

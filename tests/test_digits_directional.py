@@ -75,7 +75,7 @@ def test_detector_mode_runs_on_digits(digits_csv):
     cfg = replace(digits_cfg(digits_csv, 2, epochs_initial=15), ood_mode="detector")
     state, reports = run_dynamic(cfg)
     assert reports[-1].n_total == state.dataset.n_samples
-    assert state.detector is not None
+    assert state.history[-1].detector is not None
 
 
 def test_supervised_accuracy_sanity_on_digits(digits_csv):

@@ -1,11 +1,12 @@
 import argparse
 import contextlib
 import io
+import json
 import math
 import os
 import tempfile
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -63,7 +64,7 @@ class TestRunStatic:
     def test_untrained_model_is_a_valid_baseline(self):
         state, report = run_static(world(seed=1, epochs_initial=0))
         assert 0 < report.dra <= 1.0
-        assert state.model.epochs_trained == 0
+        assert state.model.loss_log == ()
         assert math.isnan(state.history[0].train_loss)
 
     def test_empty_pool_rejected(self):
@@ -433,12 +434,22 @@ class TestWholeRunInvariants:
             state, reports = run_dynamic(cfg)
         assert evaluate_state(state) == reports[-1]
         static, static_report = run_static(cfg)
-        for run in (state, static):  # the round is derived, and the detector the last round's
+        for run in (state, static):  # the round is derived; each record holds its detector
             assert run.round == len(run.accepted) == run.history[-1].round
-            assert run.detector == engine._evaluate(run).detector
+            assert run.history[-1].detector == engine._evaluate(run).detector
+            for rec in run.history:
+                if ood_mode == "oracle" or rec.ood_pool_size == 0:
+                    assert rec.detector is None
+                    continue
+                assert rec.detector.quantile == cfg.detector_quantile
+                labeled = rec.report.ell + sum(f.size for f in rec.report.frozen)
+                assert rec.detector.calibration_size == labeled
         for mode, result in (("dynamic", (state, reports)), ("static", (static, static_report))):
             outputs = discover_outputs(cfg, mode, result)
             assert sorted(outputs) == ["clusters.csv", "curves.csv", "report.json"]
+            last = result[0].history[-1].detector
+            want = None if last is None else asdict(last)
+            assert json.loads(outputs["report.json"])["detector"] == want
             for name, text in outputs.items():
                 assert "np." not in text, f"{name} holds a numpy repr"
 
@@ -494,17 +505,18 @@ class TestDetectorMode:
         assert ev.report.routed_total == len(part.in_dist_indices)
         assert np.array_equal(ev.cluster_indices, pool[part.ood_indices])
 
-    def test_detector_recorded_in_state(self):
+    def test_detector_recorded_on_the_round(self):
         state, _ = run_static(world(seed=15, ood_mode="detector"))
-        assert state.detector is not None
-        assert 0.0 <= state.detector.threshold <= 1.0
-        assert state.detector.quantile == 0.95
+        detector = state.history[-1].detector
+        assert detector is not None
+        assert 0.0 <= detector.threshold <= 1.0
+        assert detector.quantile == 0.95
 
     def test_rows_routed_to_a_discovered_class_score_its_plurality_label(self):
         state, _ = run_dynamic(world(seed=3, ood_mode="detector"))
         data = state.dataset
         pool = data.unlabeled_indices()
-        part = ood.partition(state.detector, state.model, data.features[pool])
+        part = ood.partition(state.history[-1].detector, state.model, data.features[pool])
         truth = data.true_labels[pool[part.in_dist_indices]]
         mapping = np.array([0, 1, 2] + [a.plurality_label for a in state.accepted])
         predicted = mapping[part.in_dist_labels]
