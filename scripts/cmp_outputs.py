@@ -14,7 +14,7 @@ on the ``TREE`` side. Each invocation runs
 equal once the output directory is replaced by ``<out>``. Each output that
 differs is printed, and the exit status is 1 if any output differs.
 
-The 17 invocations are the seed-0 configs of the benchmark's three workloads
+The 18 invocations are the seed-0 configs of the benchmark's three workloads
 (read from ``TREE/bench/workloads.py``), and ``configs/synthetic.json`` at 10
 initial and 2 per-round epochs: run static; dynamic; dynamic with the
 detector; under the threshold, random and density policies; with a
@@ -24,11 +24,13 @@ initial and 0 per-round epochs, an untrained model whose embeddings are its
 random first layer and whose ``train_loss`` is NaN; and dynamic with the
 detector on a two-layer net (``hidden_dims`` ``[32, 16]``), so the embedding
 passes through a hidden layer, scored by a two-layer scorer (``[16, 8]``) on
-embeddings with the labeled rows' embeddings as distractors. The last two run
-dynamic on a CSV file and on an IDX pair, 6 classes of 60 rows each, which
-``write_inputs`` draws from ``random.Random(0)`` into the temporary
-directory, so the loaders' hand-over is compared too. Only the standard
-library and the ``git`` binary are used.
+embeddings with the labeled rows' embeddings as distractors. Then the
+``mnist784-dynamic`` config under the threshold policy, which stops at round
+1 with no cluster above the threshold, so the early stop is compared too.
+The last two run dynamic on a CSV file and on an IDX pair, 6 classes of 60
+rows each, which ``write_inputs`` draws from ``random.Random(0)`` into the
+temporary directory, so the loaders' hand-over is compared too. Only the
+standard library and the ``git`` binary are used.
 """
 
 from __future__ import annotations
@@ -115,6 +117,11 @@ def invocations(tree: Path, data_dir: Path) -> list[tuple[str, dict, object]]:
         config.update(update)
         mode = "static" if name == "static" else "dynamic"
         runs.append((f"synthetic-{name}", config, _discover(mode)))
+
+    _, mnist, mnist_argv = runs[BENCH_WORKLOADS.index("mnist784-dynamic")]
+    threshold = copy.deepcopy(mnist)
+    threshold["policy"]["kind"] = "threshold"
+    runs.append(("mnist784-threshold", threshold, mnist_argv))
 
     for kind, data in write_inputs(data_dir).items():
         config = copy.deepcopy(base)

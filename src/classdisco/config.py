@@ -24,9 +24,11 @@ import types
 import typing
 from typing import Any
 
+import numpy as np
+
 from .clustering import KMeansConfig
 from .dataset import DataSource, Dataset, SplitSpec
-from .learner import AdamConfig, NetworkConfig
+from .learner import TRAIN_DTYPE, AdamConfig, NetworkConfig
 from .selection import LearnabilityConfig, SelectionPolicy
 
 OOD_MODES = ("oracle", "detector")
@@ -192,6 +194,12 @@ def config_to_dict(value: Any) -> Any:
     return value
 
 
+def _block_items(dims) -> int:
+    """Items in the parameter block of a network of layer widths ``dims``:
+    3 rows (parameters and the two Adam moments) of its parameter count."""
+    return 3 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
 def validate_config(cfg: ExperimentConfig, width: int, counts: dict[int, int]) -> list[str]:
     """Cross-field checks and checks against the data's ``shape()``; returns the problems."""
     problems: list[str] = []
@@ -223,6 +231,30 @@ def validate_config(cfg: ExperimentConfig, width: int, counts: dict[int, int]) -
         value = getattr(cfg.net, key)
         if value is not None and value != resolved:
             problems.append(f"net.{key} ({value}) differs from the data's value ({resolved})")
+
+    # Arrays the config alone sizes; past numpy's limit they would fail only after
+    # training. The classifier gains an output per accepted cluster, and the scorer
+    # has at most one per cluster and labeled class.
+    net, learn, k = cfg.net, cfg.learnability, cfg.kmeans.k
+    scorer_in = net.hidden_dims[-1] if learn.use_embeddings else width
+    sized = {
+        "kmeans.restarts": ("restarts x k x pool rows", cfg.kmeans.restarts * k * pool),
+        "net.hidden_dims": (
+            "a parameter block",
+            _block_items([width, *net.hidden_dims, trainable + len(held_out)]),
+        ),
+        "learnability.hidden_dims": (
+            "a parameter block",
+            _block_items([scorer_in, *learn.hidden_dims, k + len(counts)]),
+        ),
+    }
+    limit, itemsize = np.iinfo(np.intp).max, np.dtype(TRAIN_DTYPE).itemsize
+    for key, (what, items) in sized.items():
+        if items * itemsize > limit:
+            problems.append(
+                f"{key} sizes {what} of {items} items of {itemsize} bytes, "
+                f"beyond the {limit} bytes an array can hold"
+            )
     return problems
 
 

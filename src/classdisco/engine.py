@@ -43,10 +43,14 @@ class AcceptedCluster(metrics.FrozenCluster):
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One closed round: its evaluation, and the scores and acceptance that led to it."""
+
     round: int
     ood_pool_size: int
     train_loss: float
     report: ReconstructionReport
+    cluster_indices: np.ndarray = field(compare=False)  # the pool rows left to clustering
+    clustering: Clustering | None = field(compare=False)  # theirs; None if no row was clustered
     cluster_features: tuple[ClusterFeatures, ...] = ()
     accepted_cluster: int | None = None
     detector: OodDetector | None = None  # routed this round's pool; None if oracle or pool empty
@@ -76,16 +80,11 @@ class DiscoveryState:
         return len(self.accepted)
 
 
-@dataclass
-class _RoundEval:
-    report: ReconstructionReport
-    clustering: Clustering | None
-    cluster_indices: np.ndarray
-    embeddings: np.ndarray | None
-    detector: OodDetector | None
-
-
-def _evaluate(state: DiscoveryState) -> _RoundEval:
+def _evaluate(
+    state: DiscoveryState, epochs: int = 0, features=(), selected=None
+) -> tuple[RoundRecord, np.ndarray | None]:
+    """Evaluate ``state`` after ``epochs`` of training; pure. Returns the
+    round's record and the clustered rows' embeddings (``None`` if none were)."""
     dataset, model, cfg, accepted = state.dataset, state.model, state.config, state.accepted
     pool_idx = dataset.unlabeled_indices()
 
@@ -124,13 +123,18 @@ def _evaluate(state: DiscoveryState) -> _RoundEval:
         routed_predicted=routed_pred,
         routed_true=routed_true,
     )
-    return _RoundEval(
+    return RoundRecord(
+        round=state.round,
+        ood_pool_size=len(pool_idx),
+        # train_epochs logs one loss per epoch
+        train_loss=float(np.mean(model.loss_log[-epochs:])) if epochs else math.nan,
         report=report,
-        clustering=clustering,
         cluster_indices=cluster_idx,
-        embeddings=embeddings,
+        clustering=clustering,
+        cluster_features=tuple(features),
+        accepted_cluster=selected,
         detector=detector,
-    )
+    ), embeddings
 
 
 def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: int) -> Model:
@@ -139,27 +143,16 @@ def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: i
     return train_epochs(model, data.features, data.labels[rows], cfg.adam, epochs, rows=rows)
 
 
-def _close_round(state: DiscoveryState, epochs: int, features=(), selected=None) -> _RoundEval:
-    """Evaluate ``state`` after ``epochs`` of training; record the round and its detector."""
-    ev = _evaluate(state)
-    state.history.append(
-        RoundRecord(
-            round=state.round,
-            ood_pool_size=len(state.dataset.unlabeled_indices()),
-            # train_epochs logs one loss per epoch
-            train_loss=float(np.mean(state.model.loss_log[-epochs:])) if epochs else math.nan,
-            report=ev.report,
-            cluster_features=tuple(features),
-            accepted_cluster=selected,
-            detector=ev.detector,
-        )
-    )
-    return ev
+def _close_round(state: DiscoveryState, epochs: int, features=(), selected=None):
+    """Append the round's record to ``state.history``; return its embeddings."""
+    record, embeddings = _evaluate(state, epochs, features, selected)
+    state.history.append(record)
+    return embeddings
 
 
-def _prepare(cfg: ExperimentConfig, raw: Dataset, rows=None) -> tuple[DiscoveryState, _RoundEval]:
+def _prepare(cfg: ExperimentConfig, raw: Dataset, rows=None):
     """Split ``raw`` over ``rows`` (all rows by default), train the initial
-    model, and close round 0."""
+    model, and close round 0; return the state and round 0's embeddings."""
     data = make_split(raw, cfg.split, rows)
     if len(data.unlabeled_indices()) == 0:
         raise ValueError("empty OOD pool: no held-out classes were stripped")
@@ -185,13 +178,14 @@ def run_static(cfg: ExperimentConfig, data: Dataset | None = None):
 
 
 def _score_clusters(
-    ev: _RoundEval,
+    record: RoundRecord,
+    embeddings: np.ndarray,
     dataset: Dataset,
     model: Model,
     cfg: ExperimentConfig,
     round_idx: int,
 ) -> list[ClusterFeatures]:
-    clustering = ev.clustering
+    clustering = record.clustering
     sizes = clustering.cluster_sizes()
     present = np.flatnonzero(sizes > 0)
     learn = np.full(clustering.k, math.nan)
@@ -200,14 +194,14 @@ def _score_clusters(
         # Embedded distractors are the labeled rows' embeddings, stacked under
         # the pool's, whose rows are marked UNLABELED.
         lcfg = cfg.learnability
-        score_input, rows = dataset.features, ev.cluster_indices
+        score_input, rows = dataset.features, record.cluster_indices
         labels = dataset.labels if lcfg.include_existing else None
         if lcfg.use_embeddings:
-            score_input, rows = ev.embeddings, None
+            score_input, rows = embeddings, None
         if lcfg.use_embeddings and lcfg.include_existing:
             labeled = dataset.labeled_indices()
-            score_input = np.concatenate([ev.embeddings, embed(model, dataset.features, labeled)])
-            labels = np.concatenate([np.full(len(ev.embeddings), UNLABELED), labels[labeled]])
+            score_input = np.concatenate([embeddings, embed(model, dataset.features, labeled)])
+            labels = np.concatenate([np.full(len(embeddings), UNLABELED), labels[labeled]])
         learn[present] = selection.learnability_scores(
             score_input,
             clustering.assignments,
@@ -216,7 +210,7 @@ def _score_clusters(
             labels=labels,
             rows=rows,
         )
-    density = selection.density_score(ev.embeddings, clustering)
+    density = selection.density_score(embeddings, clustering)
     return [
         ClusterFeatures(
             cluster_id=int(cid),
@@ -241,13 +235,14 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
     if rounds > n_held_out:
         raise ValueError(f"rounds={rounds} exceeds the {n_held_out} held-out classes")
 
-    state, ev = _prepare(cfg, load_data(cfg.data) if data is None else data)
+    state, embeddings = _prepare(cfg, load_data(cfg.data) if data is None else data)
     for r in range(1, rounds + 1):
-        if ev.clustering is None or np.ptp(ev.clustering.assignments) == 0:  # one cluster
+        rec = state.history[-1]
+        if rec.clustering is None or np.ptp(rec.clustering.assignments) == 0:  # one cluster
             state.stopped_early = f"pool exhausted before round {r}"
             break
         try:
-            features = _score_clusters(ev, state.dataset, state.model, cfg, r)
+            features = _score_clusters(rec, embeddings, state.dataset, state.model, cfg, r)
         except selection.UnscoreablePoolError as exc:  # any other error fails the run
             state.stopped_early = f"round {r}: {exc}"
             break
@@ -257,7 +252,7 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
             state.stopped_early = f"round {r}: no cluster above the acceptance threshold"
             break
 
-        members = ev.cluster_indices[ev.clustering.assignments == selected]
+        members = rec.cluster_indices[rec.clustering.assignments == selected]
         plurality, _ = metrics.plurality_label(state.dataset.true_labels[members])
         state.accepted.append(
             AcceptedCluster(
@@ -269,20 +264,20 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
                 learnability=next(f.learnability for f in features if f.cluster_id == selected),
             )
         )
-        del ev  # this round's embeddings and clustering, freed before retraining
+        del embeddings  # this round's, freed before retraining
         state.dataset = add_class(state.dataset, members)
         widened = expand_outputs(
             state.model, state.dataset.n_classes_visible, seed=cfg.seed + _EXPAND_SEED_STRIDE * r
         )
         state.model = _train_labeled(widened, state.dataset, cfg, cfg.epochs_per_round)
         del widened  # else it lives on through the evaluation
-        ev = _close_round(state, cfg.epochs_per_round, features, selected)
+        embeddings = _close_round(state, cfg.epochs_per_round, features, selected)
     return state, [rec.report for rec in state.history]
 
 
 def evaluate_state(state: DiscoveryState) -> ReconstructionReport:
     """Re-evaluate a state from scratch; pure, and equal to its last history record."""
-    return _evaluate(state).report
+    return _evaluate(state)[0].report
 
 
 def run_class_count_experiment(
@@ -306,7 +301,7 @@ def run_class_count_experiment(
     for count in class_counts:
         keep = np.flatnonzero(np.isin(raw.true_labels, sorted(set(non_eval[:count]) | eval_set)))
         # the split marks the other rows EXCLUDED and shares raw's features;
-        # only the evaluation is kept: no count's split or model outlives its run
-        ev = _prepare(cfg, raw, rows=keep)[1]
-        rows.append((count, ev.report.weighted_ood_accuracy))
+        # only the report is kept: no count's split or model outlives its run
+        report = _prepare(cfg, raw, rows=keep)[0].history[0].report
+        rows.append((count, report.weighted_ood_accuracy))
     return rows

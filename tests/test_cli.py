@@ -163,6 +163,32 @@ class TestValidate:
             assert f"net.{next(iter(net))}" in capsys.readouterr().err
             assert main(["discover", "--config", path, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("kmeans", "restarts", 2**62),
+            ("net", "hidden_dims", [2**62]),
+            ("learnability", "hidden_dims", [2**62]),
+        ],
+    )
+    def test_an_array_past_numpys_limit_names_its_key(self, tmp_path, capsys, section, key, value):
+        # each used to pass, then fail after training with a message naming no
+        # key; the restarts spawned a generator each before allocating anything
+        doc = base_config()
+        doc.setdefault(section, {})[key] = value
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key} sizes ")
+
+    def test_the_k_means_block_may_fill_numpys_limit(self, tmp_path, capsys):
+        # 6 clusters of 180 pool rows, float32: validated only, never run
+        doc = base_config()
+        doc["kmeans"]["restarts"] = np.iinfo(np.intp).max // (6 * 180 * 4)
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 0
+        doc["kmeans"]["restarts"] += 1
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+        assert "kmeans.restarts" in capsys.readouterr().err
+
     def test_non_finite_csv_feature_names_line_and_column(self, tmp_path, capsys):
         csv = tmp_path / "data.csv"
         csv.write_text("f0,f1,label\n0.5,1.5,0\n1.0,2.0,1\n-1.0,,1\n0.0,0.5,2\n")

@@ -43,7 +43,7 @@ def test_a_revision_exports_its_source_tree(tmp_path):
 
 def test_every_invocation_config_validates(tmp_path, capsys):
     runs = _script().invocations(ROOT, tmp_path)
-    assert len(runs) == 17 and [name for name, _, _ in runs[-2:]] == ["csv", "idx"]
+    assert len(runs) == 18 and [name for name, _, _ in runs[-2:]] == ["csv", "idx"]
     for name, config, _ in runs:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))

@@ -233,7 +233,7 @@ class TestRunDynamic:
             assert np.shares_memory(call.args[0], data.features)
             assert (data.true_labels[call.kwargs["rows"]] >= 3).all()  # the held-out pool
             # the distractors are the round's own label record, uncopied
-            round_labels = round_call.args[1].labels
+            round_labels = round_call.args[2].labels
             assert call.kwargs["labels"] is (round_labels if include_existing else None)
 
 
@@ -314,7 +314,7 @@ class TestFloat32MainModel:
         f32 = np.dtype(np.float32)
         assert {name for _, name in spied} == set(seen)
         assert len(seen["expand_outputs"]) == 1 and len(seen["_train_labeled"]) == 2
-        (_, (prepared, ev)), = seen["_prepare"]
+        (_, (prepared, embeddings)), = seen["_prepare"]
         models = [prepared.model, state.model] + [out for _, out in seen["init_model"]]
         models += [m for name in ("_train_labeled", "expand_outputs") for (m, *_), _ in seen[name]]
         models += [out for name in ("_train_labeled", "expand_outputs") for _, out in seen[name]]
@@ -325,7 +325,7 @@ class TestFloat32MainModel:
             assert {model.block.dtype, x.dtype, *(g.dtype for g in grads)} == {f32}
         for (model, work, _), _ in seen["_adam_update"]:
             assert {model.block.dtype, work.dtype} == {f32}
-        assert ev.embeddings.dtype == f32
+        assert embeddings.dtype == f32
         assert {out.dtype for _, out in seen["embed"]} == {f32}
         for (points, *_), init in seen["kmeanspp_init"]:
             assert {points.dtype, init.dtype} == {f32}
@@ -351,11 +351,11 @@ class TestEvaluateRows:
         engine._evaluate(state)  # also the first-call imports
         tracemalloc.start()
         try:
-            ev = engine._evaluate(state)
+            record, _ = engine._evaluate(state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ev.cluster_indices)
+        assert len(record.cluster_indices)
         assert peak < len(pool) * data.n_features * data.features.itemsize
 
 
@@ -436,8 +436,15 @@ class TestWholeRunInvariants:
         static, static_report = run_static(cfg)
         for run in (state, static):  # the round is derived; each record holds its detector
             assert run.round == len(run.accepted) == run.history[-1].round
-            assert run.history[-1].detector == engine._evaluate(run).detector
+            assert run.history[-1].detector == engine._evaluate(run)[0].detector
             for rec in run.history:
+                if rec.clustering is None:
+                    assert len(rec.cluster_indices) == 0
+                else:  # the record's clustering is the one its report scored
+                    assigned = rec.clustering.assignments
+                    assert len(assigned) == len(rec.cluster_indices)
+                    ids = [c.cluster_id for c in rec.report.clusters]
+                    assert ids == np.unique(assigned).tolist()
                 if ood_mode == "oracle" or rec.ood_pool_size == 0:
                     assert rec.detector is None
                     continue
@@ -454,6 +461,9 @@ class TestWholeRunInvariants:
                 assert "np." not in text, f"{name} holds a numpy repr"
 
         accepted = [a.indices for a in state.accepted]
+        for rec, nxt, members in zip(state.history[:-1], state.history[1:], accepted, strict=True):
+            chosen = rec.clustering.assignments == nxt.accepted_cluster
+            assert np.array_equal(members, rec.cluster_indices[chosen])
         for call, members in zip(spy.call_args_list, accepted, strict=True):
             before, passed = call.args
             assert np.array_equal(passed, members)
@@ -496,14 +506,14 @@ class TestDetectorMode:
         data = make_split(load_data(cfg.data), cfg.split)
         net = NetworkConfig(input_dim=8, output_classes=3, hidden_dims=(64,))
         model = engine._train_labeled(init_model(net, seed=14), data, cfg, cfg.epochs_initial)
-        ev = engine._evaluate(engine.DiscoveryState(data, model, cfg))
+        record, _ = engine._evaluate(engine.DiscoveryState(data, model, cfg))
         pool = data.unlabeled_indices()
         want = ood.calibrate(model, data.features[data.labeled_indices()], cfg.detector_quantile)
         part = ood.partition(want, model, data.features[pool])
         assert 0 < len(part.in_dist_indices) < len(pool)
-        assert ev.detector == want
-        assert ev.report.routed_total == len(part.in_dist_indices)
-        assert np.array_equal(ev.cluster_indices, pool[part.ood_indices])
+        assert record.detector == want
+        assert record.report.routed_total == len(part.in_dist_indices)
+        assert np.array_equal(record.cluster_indices, pool[part.ood_indices])
 
     def test_detector_recorded_on_the_round(self):
         state, _ = run_static(world(seed=15, ood_mode="detector"))
@@ -583,8 +593,8 @@ class TestClassCountExperiment:
         got = dict(run_class_count_experiment(cfg, [2, 4], data=raw))
         for count in (2, 4):
             keep = np.flatnonzero(np.isin(raw.true_labels, [*range(count), 5, 6, 7, 8, 9]))
-            ev = engine._prepare(run_cfg, select_rows(raw, keep))[1]
-            assert got[count] == ev.report.weighted_ood_accuracy
+            report = engine._prepare(run_cfg, select_rows(raw, keep))[0].history[0].report
+            assert got[count] == report.weighted_ood_accuracy
 
     def test_largest_count_allocates_less_than_its_kept_rows(self):
         import tracemalloc
