@@ -19,8 +19,9 @@ embeddings it clusters, and in float64; Adam at 16-128-15, 784-128-15, the
 learnability scorer's 784-32-15 (its 25,615 parameters on ``mnist784-dynamic``)
 and the main classifier's 784-128-10, on the model block's and ``_workspace``'s
 rows as training allocates them; and one whole training step (gradients plus Adam)
-at batch 32 on the learnability scorer's 16-32-15 and 784-32-6 networks and
-at batch 128 on the main classifier's 784-128-10. Adam and the step run in
+at batch 32 on the learnability scorer's 16-32-15, 784-32-6 and 784-32-15
+networks (the last makes most of a ``mnist784-dynamic`` run's steps) and at
+batch 128 on the main classifiers' 16-128-10 (``synth-dynamic``) and 784-128-10. Adam and the step run in
 float32, the ``TRAIN_DTYPE`` of both models, and in float64 for comparison.
 The step gathers its batch by row index from a shared ``TRAIN_DTYPE``
 10000-row matrix, as the engine's Dataset holds it, into the model's dtype,
@@ -52,6 +53,8 @@ NETS = [
 STEP_NETS = [
     pytest.param(16, 32, 15, 32, id="16-32-15"),
     pytest.param(784, 32, 6, 32, id="784-32-6"),
+    pytest.param(784, 32, 15, 32, id="784-32-15"),
+    pytest.param(16, 128, 10, 128, id="16-128-10-batch128"),
     pytest.param(784, 128, 10, 128, id="784-128-10-batch128"),
 ]
 LLOYD_ITERS = 10

@@ -26,7 +26,8 @@ detector on a two-layer net (``hidden_dims`` ``[32, 16]``), so the embedding
 passes through a hidden layer, scored by a two-layer scorer (``[16, 8]``) on
 embeddings with the labeled rows' embeddings as distractors. Then the
 ``mnist784-dynamic`` config under the threshold policy, which stops at round
-1 with no cluster above the threshold, so the early stop is compared too.
+1 with no cluster above the threshold, so the early stop is compared too,
+and with it the scores of the round the run stopped on in ``clusters.csv``.
 The last two run dynamic on a CSV file and on an IDX pair, 6 classes of 60
 rows each, which ``write_inputs`` draws from ``random.Random(0)`` into the
 temporary directory, so the loaders' hand-over is compared too. Only the

@@ -116,16 +116,15 @@ def _overlap(row) -> list:
 
 
 def _cluster_rows(state: DiscoveryState):
-    """One row per evaluated cluster; learnability/density/accepted are filled
-    from the following round's acceptance pass when one happened."""
+    """One row per evaluated cluster; learnability/density/accepted are read from
+    the record's own scores, which a round has once the loop scored it."""
     rows = []
-    for rec, nxt in zip(state.history, [*state.history[1:], None]):
-        scores = {f.cluster_id: f for f in nxt.cluster_features} if nxt else {}
-        accepted_id = nxt.accepted_cluster if nxt else None
+    for rec in state.history:
+        scores = {f.cluster_id: f for f in rec.cluster_features}
         for row in rec.report.clusters:
             f = scores.get(row.cluster_id)
             learn, density = (f.learnability, f.density) if f else (math.nan, math.nan)
-            accepted = int(row.cluster_id == accepted_id)
+            accepted = int(row.cluster_id == rec.accepted_cluster)
             rows.append((rec.round, "cluster", *_overlap(row), learn, density, accepted))
         for j, row in enumerate(rec.report.frozen):  # a prefix of state.accepted
             learn = float(state.accepted[j].learnability)
@@ -134,14 +133,15 @@ def _cluster_rows(state: DiscoveryState):
 
 
 def _rounds(state: DiscoveryState) -> list[dict]:
+    """Round r's entry lists the scores and the pick that record r-1 holds (round 0: none)."""
     return [
         {
             **{c: _none_if_nan(getattr(rec, c)) for c in CURVES_COLUMNS},
             "report": _scalars(rec.report),
-            "scored_clusters": [_scalars(f) for f in rec.cluster_features],
-            "accepted_cluster": rec.accepted_cluster,
+            "scored_clusters": [_scalars(f) for f in prev.cluster_features] if prev else [],
+            "accepted_cluster": prev.accepted_cluster if prev else None,
         }
-        for rec in state.history
+        for prev, rec in zip([None, *state.history], state.history)
     ]
 
 

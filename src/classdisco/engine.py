@@ -43,7 +43,7 @@ class AcceptedCluster(metrics.FrozenCluster):
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One closed round: its evaluation, and the scores and acceptance that led to it."""
+    """One closed round: its evaluation, then its clusters' scores and pick once scored."""
 
     round: int
     ood_pool_size: int
@@ -80,11 +80,9 @@ class DiscoveryState:
         return len(self.accepted)
 
 
-def _evaluate(
-    state: DiscoveryState, epochs: int = 0, features=(), selected=None
-) -> tuple[RoundRecord, np.ndarray | None]:
-    """Evaluate ``state`` after ``epochs`` of training; pure. Returns the
-    round's record and the clustered rows' embeddings (``None`` if none were)."""
+def _evaluate(state: DiscoveryState, epochs: int = 0) -> tuple[RoundRecord, np.ndarray | None]:
+    """Evaluate ``state`` after ``epochs`` of training; pure. Returns the round's
+    unscored record and the clustered rows' embeddings (``None`` if none were)."""
     dataset, model, cfg, accepted = state.dataset, state.model, state.config, state.accepted
     pool_idx = dataset.unlabeled_indices()
 
@@ -131,8 +129,6 @@ def _evaluate(
         report=report,
         cluster_indices=cluster_idx,
         clustering=clustering,
-        cluster_features=tuple(features),
-        accepted_cluster=selected,
         detector=detector,
     ), embeddings
 
@@ -143,9 +139,9 @@ def _train_labeled(model: Model, data: Dataset, cfg: ExperimentConfig, epochs: i
     return train_epochs(model, data.features, data.labels[rows], cfg.adam, epochs, rows=rows)
 
 
-def _close_round(state: DiscoveryState, epochs: int, features=(), selected=None):
-    """Append the round's record to ``state.history``; return its embeddings."""
-    record, embeddings = _evaluate(state, epochs, features, selected)
+def _close_round(state: DiscoveryState, epochs: int):
+    """Append the round's unscored record to ``state.history``; return its embeddings."""
+    record, embeddings = _evaluate(state, epochs)
     state.history.append(record)
     return embeddings
 
@@ -248,6 +244,9 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
             break
         policy = replace(cfg.policy, seed=cfg.policy.seed + r)
         selected = selection.select(features, policy)
+        # the scores and the pick go on the record they judged, a stopped round's too
+        rec = replace(rec, cluster_features=tuple(features), accepted_cluster=selected)
+        state.history[-1] = rec
         if selected is None:
             state.stopped_early = f"round {r}: no cluster above the acceptance threshold"
             break
@@ -271,7 +270,7 @@ def run_dynamic(cfg: ExperimentConfig, data: Dataset | None = None):
         )
         state.model = _train_labeled(widened, state.dataset, cfg, cfg.epochs_per_round)
         del widened  # else it lives on through the evaluation
-        embeddings = _close_round(state, cfg.epochs_per_round, features, selected)
+        embeddings = _close_round(state, cfg.epochs_per_round)
     return state, [rec.report for rec in state.history]
 
 

@@ -3,6 +3,7 @@ import copy
 import errno
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -510,6 +511,32 @@ class TestDiscover:
         assert [r["round"] for r in report["rounds"]] == [0]
         assert report["accepted"] == []
         assert len((out / "curves.csv").read_text().splitlines()) == 2
+
+    def test_a_threshold_stop_keeps_the_scores_of_the_round_it_stopped_on(self, tmp_path, capsys):
+        # no learnability lies above 1.0, so round 1 scores round 0's clusters and stops
+        doc = json.loads(SYNTHETIC_CONFIG.read_text())
+        doc.update(epochs_initial=3, epochs_per_round=1)
+        doc["policy"] = {"kind": "threshold", "min_accuracy": 1.0}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["discover", "--config", path, "--mode", "dynamic", "--out", str(out)]) == 0
+        stop = "round 1: no cluster above the acceptance threshold"
+        assert f"stopped early: {stop}" in capsys.readouterr().out.splitlines()
+        lines = (out / "clusters.csv").read_text().splitlines()
+        columns = lines[0].split(",")
+        scored = [dict(zip(columns, line.split(","))) for line in lines[1:]]
+        scored = [row for row in scored if row["round"] == "0" and row["source"] == "cluster"]
+        assert len(scored) == 15
+        for row in scored:
+            assert 0.0 <= float(row["learnability"]) <= 1.0
+            assert math.isfinite(float(row["density"]))
+            assert row["accepted"] == "0"
+        report = json.loads((out / "report.json").read_text())
+        assert report["stopped_early"] == stop
+        assert [(r["scored_clusters"], r["accepted_cluster"]) for r in report["rounds"]] == [
+            ([], None)
+        ]
+        assert report["accepted"] == []
 
     def test_a_two_layer_net_runs_end_to_end(self, tmp_path):
         doc = base_config()

@@ -196,7 +196,7 @@ class TestRunDynamic:
         state, reports = run_dynamic(world(seed=11, policy="random"))
         assert len(state.accepted) == 3
         # learnability was never computed for the random policy
-        for rec in state.history[1:]:
+        for rec in state.history[:-1]:
             assert all(math.isnan(f.learnability) for f in rec.cluster_features)
 
     def test_learnability_on_embeddings(self):
@@ -461,9 +461,21 @@ class TestWholeRunInvariants:
                 assert "np." not in text, f"{name} holds a numpy repr"
 
         accepted = [a.indices for a in state.accepted]
-        for rec, nxt, members in zip(state.history[:-1], state.history[1:], accepted, strict=True):
-            chosen = rec.clustering.assignments == nxt.accepted_cluster
+        # each record holds the scores of its own clustering and the pick made from them
+        for rec in state.history:
+            if rec.cluster_features:
+                ids = [f.cluster_id for f in rec.cluster_features]
+                assert ids == np.unique(rec.clustering.assignments).tolist()
+        for rec, members in zip(state.history[:-1], accepted, strict=True):
+            assert rec.accepted_cluster in [f.cluster_id for f in rec.cluster_features]
+            chosen = rec.clustering.assignments == rec.accepted_cluster
             assert np.array_equal(members, rec.cluster_indices[chosen])
+        last = state.history[-1]
+        assert last.accepted_cluster is None
+        if "no cluster above the acceptance threshold" in (state.stopped_early or ""):
+            assert last.cluster_features  # the round the run stopped on keeps its scores
+        else:  # a run that finished, or stopped before scoring, left its last round unscored
+            assert last.cluster_features == ()
         for call, members in zip(spy.call_args_list, accepted, strict=True):
             before, passed = call.args
             assert np.array_equal(passed, members)
