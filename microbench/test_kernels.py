@@ -25,7 +25,9 @@ batch 128 on the main classifiers' 16-128-10 (``synth-dynamic``) and 784-128-10.
 float32, the ``TRAIN_DTYPE`` of both models, and in float64 for comparison.
 The step gathers its batch by row index from a shared ``TRAIN_DTYPE``
 10000-row matrix, as the engine's Dataset holds it, into the model's dtype,
-as ``train_epochs`` does with ``rows``.
+as ``train_epochs`` does with ``rows``, into the buffer of its ``_workspace``.
+A whole one-epoch ``train_epochs`` call at ``synth-dynamic``'s scorer shape,
+16-32-15 at batch 32 on 800 rows, times the per-call set-up with the steps.
 A whole ``learnability_scores`` call runs at the ``mnist784-dynamic`` round-0
 shape: 5000 pool rows of a shared, read-only 10000x784 matrix in 15 clusters,
 under the default ``LearnabilityConfig``. ``embed`` of the same 5000 pool rows
@@ -127,9 +129,9 @@ def test_adam_update(benchmark, input_dim, hidden, classes, dtype):
         input_dim=input_dim, output_classes=classes, hidden_dims=(hidden,)
     )
     model = learner.init_model(net, seed=0, dtype=dtype)
-    work, _ = learner._workspace(model)
-    work[0] = 1e-3
-    benchmark(learner._adam_update, model, work, learner.AdamConfig())
+    ws = learner._workspace(model, dtype, 1, 1, learner.AdamConfig())
+    ws.work[0] = 1e-3
+    benchmark(learner._adam_update, model, ws)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -143,14 +145,35 @@ def test_train_step(benchmark, input_dim, hidden, classes, batch, dtype):
     x = rng.standard_normal((SHARED_ROWS, input_dim)).astype(learner.TRAIN_DTYPE)
     y = rng.integers(0, classes, SHARED_ROWS)
     rows = rng.permutation(SHARED_ROWS)[:batch]
-    adam = learner.AdamConfig(batch_size=batch)
-    work, grads = learner._workspace(model)
+    ws = learner._workspace(model, dtype, batch, batch, learner.AdamConfig(batch_size=batch))
+    ws.rows[...] = rows
+    learner._load_labels(ws, y[rows])
+    [one] = ws.batches
 
-    def step():
-        learner.loss_and_gradients(model, x[rows].astype(dtype, copy=False), y[rows], grads)
-        learner._adam_update(model, work, adam)
+    def step():  # train_epochs' gather, gradients and Adam step
+        xb = one.x
+        if x.dtype == dtype:
+            x.take(one.rows, 0, xb, "clip")
+        else:
+            xb[...] = x.take(one.rows, axis=0)
+        learner.loss_and_gradients(model, xb, one, ws)
+        learner._adam_update(model, ws)
 
     benchmark(step)
+
+
+def test_train_epoch(benchmark):
+    """One whole ``train_epochs`` epoch at ``synth-dynamic``'s scorer shape, 16-32-15 at
+    batch 32 on 800 rows, so the per-call set-up is timed with its 25 steps."""
+    net = learner.NetworkConfig(input_dim=16, output_classes=15, hidden_dims=(32,))
+    model = learner.init_model(net, seed=0, dtype=learner.TRAIN_DTYPE)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((SHARED_ROWS, 16)).astype(learner.TRAIN_DTYPE)
+    rows = rng.permutation(SHARED_ROWS)[:800]
+    y = rng.integers(0, 15, len(rows))
+    adam = learner.AdamConfig(batch_size=32)
+    trained = benchmark(learner.train_epochs, model, x, y, adam, 1, rows=rows)
+    assert trained.step == 25
 
 
 def shared_pool():

@@ -7,14 +7,15 @@ updates; everything is deterministic given the seeds.
 
 The dense stack is the only architecture built in; richer feature extractors
 (convolutions and the like) would slot in by generalizing ``_shapes``,
-``init_model``, ``_forward`` and ``embed``. Nothing downstream cares about the
-architecture, only about ``predict_proba`` and ``embed``.
+``init_model``, ``_workspace``, ``loss_and_gradients`` and ``embed``. Nothing
+downstream cares about the architecture, only about ``predict_proba`` and ``embed``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,13 +137,95 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
-def _workspace(model: Model) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Training buffers: a ``(3, size)`` array and views of its row 0 shaped like ``params``.
+class _Batch(NamedTuple):
+    """One batch of an epoch: its views of the workspace's epoch arrays, then of the
+    buffers its step writes besides the gradient. Every batch shares those buffers; a
+    partial last batch writes their leading rows."""
 
-    Row 0 holds the flat gradient, rows 1 and 2 are Adam's scratch, each on a line.
+    start: int  # its first position in the epoch
+    rows: np.ndarray  # its rows of features
+    label: np.ndarray  # the flat index of each row's label entry in the batch's logits
+    onehot: np.ndarray  # each row's label, one-hot
+    loss: np.ndarray  # each row's loss term, written by its step
+    size: np.ndarray  # 0-d: its row count
+    x: np.ndarray  # its rows, gathered
+    hidden: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # per layer: activation, error, mask
+    logits: np.ndarray
+    logits_t: np.ndarray  # a C-ordered transposed copy of the logits, for the row max
+    col: np.ndarray  # (size, 1): the row max, then the row sum of exponentials and its log
+    col_flat: np.ndarray  # its (size,) view
+
+
+@dataclass
+class _Workspace:
+    """Everything a training step writes or reads besides the model; see ``_workspace``."""
+
+    work: np.ndarray  # (2, size): the flat gradient, and Adam's scratch
+    grads: list[np.ndarray]  # views of work[0] shaped like params
+    rows: np.ndarray  # the epoch's rows of features, in training order
+    label: np.ndarray  # the epoch's flat label indices, each into its batch's logits
+    onehot: np.ndarray  # the epoch's label one-hot
+    loss: np.ndarray  # the epoch's per-row loss terms
+    batches: list[_Batch]  # the epoch's batches, in order
+    zero: np.ndarray  # 0-d, the rectifier's floor
+    # Adam's betas as floats, then as 0-d arrays: beta1, 1 - beta1, beta2, 1 - beta2,
+    # the learning rate, epsilon, and the bias corrections 1 - beta**t, written each step
+    adam: tuple = ()
+
+
+def _workspace(
+    model: Model, dtype, n: int, batch_size: int, adam: AdamConfig | None = None
+) -> _Workspace:
+    """The workspace of ``n`` training rows in batches of ``batch_size`` (the last one
+    partial), computing in ``dtype``; Adam's operands too when ``adam`` is given.
+
+    Each scalar operand is a 0-d array of its ufunc's dtype: the very float a
+    Python scalar is cast to, but a Python float costs each ufunc call
+    0.3-0.7 us more to resolve. ``work``'s rows start on cache lines.
     """
-    work = _line_zeros(*model.block.shape, model.block.dtype)
-    return work, _views(work[0], [p.shape for p in model.params])
+
+    def const(value, of=dtype):
+        return np.asarray(value, of)
+
+    cfg, full = model.config, min(batch_size, n)
+    col, x = np.empty((full, 1), dtype), np.empty((full, cfg.input_dim), dtype)
+    hidden = [np.empty((3, full, w), dtype) for w in cfg.hidden_dims]
+    logits = np.empty((full, cfg.output_classes), dtype)
+    logits_t = np.empty((cfg.output_classes, full), dtype)
+
+    def buffers(size):
+        layers = [tuple(layer[:, :size]) for layer in hidden]
+        head = col[:size]
+        return const(size), x[:size], layers, logits[:size], logits_t[:, :size], head, head[:, 0]
+
+    work = _line_zeros(2, model.block.shape[1], model.block.dtype)
+    rows, label = np.empty(n, np.int64), np.empty(n, np.int64)
+    onehot, loss = np.empty((n, cfg.output_classes), dtype), np.empty(n, dtype)
+    sizes = {min(batch_size, n - start) for start in range(0, n, batch_size)}
+    bufs = {size: buffers(size) for size in sizes}
+    batches = [
+        _Batch(start, rows[b], label[b], onehot[b], loss[b], *bufs[len(loss[b])])
+        for start in range(0, n, batch_size)
+        for b in [slice(start, start + batch_size)]
+    ]
+    ws = _Workspace(
+        work, _views(work[0], [p.shape for p in model.params]), rows, label, onehot, loss,
+        batches, const(0.0),
+    )
+    if adam is not None:
+        b1, b2, of = adam.beta1, adam.beta2, model.block.dtype
+        operands = (b1, 1.0 - b1, b2, 1.0 - b2, adam.learning_rate, adam.epsilon, 1.0, 1.0)
+        ws.adam = (b1, b2, *(const(v, of) for v in operands))
+    return ws
+
+
+def _load_labels(ws: _Workspace, y: np.ndarray) -> None:
+    """Write the epoch's label index and one-hot for ``y``, one label per epoch row."""
+    classes = ws.onehot.shape[1]
+    size = len(ws.batches[0].loss)
+    np.multiply(np.arange(len(y)) % size, classes, out=ws.label)
+    ws.label += y
+    np.eye(classes, dtype=ws.onehot.dtype).take(y, 0, ws.onehot, "clip")  # y is checked
 
 
 def init_model(cfg: NetworkConfig, seed: int, dtype=np.float64) -> Model:
@@ -160,7 +243,7 @@ def init_model(cfg: NetworkConfig, seed: int, dtype=np.float64) -> Model:
 def _checked(model: Model, features, rows=None, labels=None):
     """The learner's one input check, run once a call: ``features`` as by ``as_float``,
     of the model's width; ``rows`` as by ``check_rows``; and, unless None, ``labels``
-    as int64, one a row, at least one row, each in ``[0, output_classes)``."""
+    of an integer dtype as int64, one a row, at least one row, each in ``[0, output_classes)``."""
     x = as_float(features)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise ValueError(
@@ -170,7 +253,8 @@ def _checked(model: Model, features, rows=None, labels=None):
     rows = check_rows(rows, len(x))
     if labels is None:
         return x, rows, None
-    y, n, classes = np.asarray(labels, dtype=np.int64), len(rows), model.config.output_classes
+    y = check_integers(labels, "labels must be integer class labels").astype(np.int64, copy=False)
+    n, classes = len(rows), model.config.output_classes
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for {n} training rows")
     if n == 0:
@@ -182,12 +266,22 @@ def _checked(model: Model, features, rows=None, labels=None):
     return x, rows, y
 
 
+def check_integers(values, must: str) -> np.ndarray:
+    """``values`` as an array of an integer dtype, else ValueError ``"<must>, not <dtype>"``
+    (a bool or fractional array is named, never truncated); an empty one passes, as
+    ``[]`` is float64. The one dtype rule of every row, label and cluster-id argument."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" and values.size:
+        raise ValueError(f"{must}, not {values.dtype}")
+    return values
+
+
 def check_rows(rows, n: int, distinct: bool = False) -> np.ndarray:
     """``rows``, of an integer dtype, as int64 row indices, each in ``[0, n)`` and, if
     ``distinct``, none repeated; None means every row. Every row-index argument passes here."""
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    if rows.dtype.kind not in "iu" and rows.size:  # [] is float64
-        raise ValueError(f"rows must be integer row indices, not {rows.dtype}")
+    if rows is None:
+        rows = np.arange(n)
+    rows = check_integers(rows, "rows must be integer row indices")
     bad = rows[(rows < 0) | (rows >= n)]
     if len(bad):
         raise ValueError(f"row {bad[0]} is outside the {n} rows of features")
@@ -208,14 +302,6 @@ def _logits(model: Model, h: np.ndarray) -> np.ndarray:
     logits = h @ model.weights[-1]
     logits += model.biases[-1]
     return logits
-
-
-def _forward(model: Model, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Return hidden activations (post-rectifier, including input) and logits."""
-    acts = [x]
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        acts.append(_dense_relu(acts[-1], W, b))
-    return acts, _logits(model, acts[-1])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -272,70 +358,96 @@ def embed(model: Model, features, rows=None) -> np.ndarray:
 
 def cross_entropy(model: Model, features, labels) -> float:
     """Mean cross-entropy of the model on a labeled batch: the loss that training
-    minimizes, computed by ``loss_and_gradients`` in the dtype ``_forward`` promotes to."""
+    minimizes, computed by ``loss_and_gradients`` in the dtype the features and model promote to."""
     x, _, y = _checked(model, features, labels=labels)
     return loss_and_gradients(model, x, y)[0]
 
 
-def loss_and_gradients(model: Model, x: np.ndarray, y: np.ndarray, grads=None):
+def loss_and_gradients(model: Model, x: np.ndarray, y, ws: _Workspace | None = None):
     """Cross-entropy loss and its gradients, one per entry of ``model.params``.
 
-    ``x`` must be of the model's dtype and width, and ``y`` one in-range int64 label a
-    row: this checks neither (``train_epochs`` does, once, and ``cross_entropy``).
-    The gradients are written into ``grads`` when it is given (arrays shaped
-    like ``model.params``), else into new arrays, and returned.
-    """
-    n, classes = x.shape[0], model.config.output_classes
-    acts, z = _forward(model, x)
+    ``x`` must be of the model's width and ``y`` one in-range int64 label a row: this
+    checks neither (``train_epochs`` does, once, and ``cross_entropy``). Without ``ws``
+    the call builds a one-batch workspace in the dtype ``x`` and the model promote to,
+    and returns the mean loss as a float and the gradients as views of its gradient row.
 
-    # the softmax runs in place on the fresh logits; one flat index reads each row's label entry
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
-    label = np.arange(0, n * classes, classes) + y
+    ``train_epochs`` passes its own workspace ``ws`` and, as ``y``, one of its
+    ``_Batch``es, with ``x`` that batch gathered into ``ws``'s dtype. The step reads
+    the batch's labels as the flat index and the one-hot its epoch built, writes
+    each row's loss term into ``y.loss`` and returns None for the loss: the batch
+    means are reduced, checked and logged at the end of the epoch. The gradients
+    go to ``ws.grads``, and every intermediate into ``ws``'s batch-sized buffers.
+
+    The softmax runs in place on the logits. Its row max is taken down a C-ordered
+    transposed copy, a max across rows that numpy runs about twice as fast as a
+    reduce along each short row; a max is exact in any order, so the bits agree.
+    """
+    deferred = ws is not None  # a training step: its loss is taken at the end of the epoch
+    if deferred:
+        batch = y
+    else:
+        ws = _workspace(model, np.result_type(x, model.block), len(x), len(x))
+        _load_labels(ws, y)
+        (batch,) = ws.batches
+    _, _, label, onehot, loss, size, _, hidden, z, z_t, col, col_flat = batch
+    zero, grads, weights, biases = ws.zero, ws.grads, model.weights, model.biases
+
+    h = x
+    for W, b, (act, _, _) in zip(weights, biases, hidden):
+        np.matmul(h, W, out=act)
+        np.add(act, b, out=act)
+        h = np.maximum(act, zero, out=act)
+    np.matmul(h, weights[-1], out=z)
+    np.add(z, biases[-1], out=z)
+
+    np.copyto(z_t, z.T)
+    np.maximum.reduce(z_t, axis=0, out=col_flat)
+    np.subtract(z, col, out=z)
     z_label = z.take(label)
     e = np.exp(z, out=z)
-    e_sum = np.add.reduce(e, axis=1, keepdims=True)
-    # sum / n is np.mean's own arithmetic, without its per-call Python overhead
-    loss = float(np.add.reduce(np.log(e_sum[:, 0]) - z_label) / n)
+    np.add.reduce(e, axis=1, keepdims=True, out=col)
+    delta = np.divide(e, col, out=e)
+    np.subtract(np.log(col_flat, out=col_flat), z_label, out=loss)
+    np.subtract(delta, onehot, out=delta)
+    np.divide(delta, size, out=delta)
 
-    delta = np.divide(e, e_sum, out=e)
-    delta.reshape(-1)[label] -= 1.0
-    delta /= n
-
-    if grads is None:
-        grads = [np.empty_like(p) for p in model.params]
-    for layer in range(len(grads) // 2 - 1, -1, -1):
-        np.matmul(acts[layer].T, delta, out=grads[2 * layer])
+    for layer in range(len(weights) - 1, 0, -1):
+        act, err, mask = hidden[layer - 1]
+        np.matmul(act.T, delta, out=grads[2 * layer])
         np.add.reduce(delta, axis=0, out=grads[2 * layer + 1])
-        if layer > 0:
-            delta = delta @ model.params[2 * layer].T
-            delta *= acts[layer] > 0
-    return loss, grads
+        delta = np.matmul(delta, weights[layer].T, out=err)
+        np.multiply(delta, np.greater(act, zero, out=mask), out=delta)
+    np.matmul(x.T, delta, out=grads[0])
+    np.add.reduce(delta, axis=0, out=grads[1])
+    return None if deferred else float(np.add.reduce(loss) / len(loss)), grads
 
 
-def _adam_update(model: Model, work: np.ndarray, adam: AdamConfig) -> None:
-    """One Adam step from the gradient in ``work[0]`` (see ``_workspace``), in place.
+def _adam_update(model: Model, ws: _Workspace) -> None:
+    """One Adam step from the gradient in ``ws.work[0]``, in place.
 
     Per element, in this order: ``m = b1*m + (1-b1)*g``, ``v = b2*v +
-    (1-b2)*g**2``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``; the
-    intermediates live in ``work[1]`` and ``work[2]``, so nothing is allocated.
+    (1-b2)*g**2``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, with every
+    operand a 0-d array of ``ws.adam``. The intermediates live in
+    ``ws.work[1]`` and, once ``v`` is updated, in the dead gradient row, so
+    nothing is allocated and a step sweeps five rows of the model's size.
     """
     model.step += 1
     t = model.step
-    bc1 = 1.0 - adam.beta1**t
-    bc2 = 1.0 - adam.beta2**t
-    m, v = model.flat_m, model.flat_v
-    g, num, den = work
-    m *= adam.beta1
-    m += np.multiply(g, 1.0 - adam.beta1, out=num)
-    v *= adam.beta2
+    beta1, beta2, b1, c1, b2, c2, lr, eps, bc1, bc2 = ws.adam
+    m, v, p = model.flat_m, model.flat_v, model.flat_params
+    g, num = ws.work
+    np.multiply(m, b1, out=m)
+    np.add(m, np.multiply(g, c1, out=num), out=m)
+    np.multiply(v, b2, out=v)
     np.multiply(g, g, out=num)
-    v += np.multiply(num, 1.0 - adam.beta2, out=num)
+    np.add(v, np.multiply(num, c2, out=num), out=v)
     # bc1 is exactly 1.0 from t = 356 at beta1 = 0.9, and m / 1.0 is m: skip the divide
-    np.multiply(m if bc1 == 1.0 else np.divide(m, bc1, out=num), adam.learning_rate, out=num)
-    np.divide(v, bc2, out=den)
-    np.sqrt(den, out=den)
-    den += adam.epsilon
-    model.flat_params -= np.divide(num, den, out=num)
+    bc1[()] = corr1 = 1.0 - beta1**t
+    np.multiply(m if corr1 == 1.0 else np.divide(m, bc1, out=num), lr, out=num)
+    bc2[()] = 1.0 - beta2**t
+    den = np.divide(v, bc2, out=g)
+    np.add(np.sqrt(den, out=den), eps, out=den)
+    np.subtract(p, np.divide(num, den, out=num), out=p)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails the finite-loss check
@@ -353,6 +465,14 @@ def train_epochs(
     Each epoch's shuffle is seeded by ``adam.seed`` and the epochs trained so far
     (``len(loss_log)``), so repeated calls continue one deterministic stream
     and identical runs produce bit-identical weights.
+
+    The call builds one ``_workspace``: the gradient and Adam rows, the
+    batch-sized buffers of the forward and backward pass, 0-d arrays of every
+    scalar operand, and the epoch's arrays. Each epoch writes its rows, its
+    label index and one-hot and, step by step, each row's loss term there.
+    At the end of the epoch each batch's mean loss is reduced from its rows,
+    as the step once took it; the first non-finite one, in batch order, raises
+    ``TrainingDivergedError`` naming the epoch and the batch's first sample.
     After each epoch, ``flat_m`` entries below the dtype's smallest normal are
     set to 0: ``m *= beta1`` cannot round a subnormal to 0, and subnormals slow every step.
     """
@@ -364,33 +484,46 @@ def train_epochs(
     n = len(rows)
 
     out = model.copy()
-    work, grads = _workspace(out)
-    dtype = out.flat_params.dtype
+    dtype = out.block.dtype
+    ws = _workspace(out, dtype, n, adam.batch_size, adam)
+    cast = x.dtype != dtype
     for _ in range(epochs):
-        rng = seeds.spawn(adam.seed, len(out.loss_log))
-        order = rng.permutation(n)
-        x_rows = rows[order]
-        y_order = y[order]
-        total = 0.0
-        for start in range(0, n, adam.batch_size):
-            batch = slice(start, start + adam.batch_size)
-            y_batch = y_order[batch]
-            loss, _ = loss_and_gradients(
-                out, x.take(x_rows[batch], axis=0).astype(dtype, copy=False), y_batch, grads
-            )
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {len(out.loss_log)}, "
-                    f"batch starting at sample {start}"
-                )
-            _adam_update(out, work, adam)
-            total += loss * len(y_batch)
+        order = seeds.spawn(adam.seed, len(out.loss_log)).permutation(n)
+        np.take(rows, order, out=ws.rows)
+        _load_labels(ws, y[order])
+        for batch in ws.batches:
+            xb = batch.x
+            if cast:
+                xb[...] = x.take(batch.rows, axis=0)
+            else:  # "clip" skips the copy "raise" makes of its output; the rows are checked
+                x.take(batch.rows, 0, xb, "clip")
+            loss_and_gradients(out, xb, batch, ws)
+            _adam_update(out, ws)
         _flush_subnormals(out.flat_m)
-        out.loss_log = out.loss_log + (total / n,)
+        out.loss_log = out.loss_log + (_epoch_loss(ws, len(out.loss_log)),)
     # a later loss reports a step that left a weight non-finite; nothing follows the last
     if not np.isfinite(out.flat_params).all():
         raise TrainingDivergedError(f"non-finite weight after epoch {len(out.loss_log) - 1}")
     return out
+
+
+def _epoch_loss(ws: _Workspace, epoch: int) -> float:
+    """The mean loss of the epoch just trained, as the mean of its batch means, each
+    the mean of its rows' loss terms; the first non-finite batch mean raises."""
+    size, n = len(ws.batches[0].loss), len(ws.loss)
+    full = n - n % size
+    # a reduce along each row of the full batches sums each batch as it sums alone
+    means = (np.add.reduce(ws.loss[:full].reshape(-1, size), axis=1) / size).tolist()
+    if full < n:
+        means.append(float(np.add.reduce(ws.loss[full:]) / (n - full)))
+    total = 0.0
+    for batch, mean in zip(ws.batches, means):
+        if not math.isfinite(mean):
+            raise TrainingDivergedError(
+                f"non-finite loss in epoch {epoch}, batch starting at sample {batch.start}"
+            )
+        total += mean * len(batch.loss)
+    return total / n
 
 
 def _flush_subnormals(m: np.ndarray) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from . import seeds
 from .clustering import Clustering
 from .learner import _BLOCK_ROWS, TRAIN_DTYPE, AdamConfig, NetworkConfig
-from .learner import as_float, check_rows, init_model, predict_proba, train_epochs
+from .learner import as_float, check_integers, check_rows, init_model, predict_proba, train_epochs
 
 MIN_SCOREABLE_SIZE = 5
 
@@ -95,7 +95,9 @@ def learnability_scores(
     classes to the problem as distractors: each label ``>= 0`` with at least
     two rows is one class, and rows with a negative label (``UNLABELED`` or
     ``EXCLUDED``) are left out. A row may be both a pool row and a distractor
-    row. Scores are still reported for the clusters only.
+    row. Scores are still reported for the clusters only. ``assignments`` and
+    ``labels`` must be of an integer dtype (``learner.check_integers``): a
+    fractional or boolean one is named, not truncated.
 
     Every class is read from ``features`` by row index: the scorer trains on
     its rows and predicts its holdout rows without gathering either side.
@@ -103,12 +105,15 @@ def learnability_scores(
     It computes in ``TRAIN_DTYPE``: a feature beyond ~3.4e38 raises TrainingDivergedError.
     """
     x = as_float(features)
-    assign = np.asarray(assignments, dtype=np.int64)
+    assign = check_integers(assignments, "assignments must be integer cluster ids")
+    assign = assign.astype(np.int64, copy=False)
     pool_rows = np.arange(len(assign)) if rows is None else check_rows(rows, len(x), distinct=True)
     if len(pool_rows) != len(assign):
         raise ValueError(f"{len(pool_rows)} rows for {len(assign)} assignments")
-    if labels is not None and len(labels) != len(x):
-        raise ValueError(f"{len(labels)} labels for {len(x)} rows of features")
+    if labels is not None:
+        labels = check_integers(labels, "labels must be integer class labels")
+        if len(labels) != len(x):
+            raise ValueError(f"{len(labels)} labels for {len(x)} rows of features")
     ids, first_member, dense = np.unique(assign, return_index=True, return_inverse=True)
     sizes = np.bincount(dense)
     scoreable = np.flatnonzero(sizes >= MIN_SCOREABLE_SIZE)
@@ -123,7 +128,7 @@ def learnability_scores(
     canon_order = scoreable[np.argsort(first_member[scoreable], kind="stable")]
     classes = [pool_rows[dense == pos] for pos in canon_order]
     if labels is not None:
-        y = np.asarray(labels, dtype=np.int64)
+        y = labels.astype(np.int64, copy=False)
         present, sizes = np.unique(y[y >= 0], return_counts=True)
         # a singleton distractor class cannot be split
         classes += [np.flatnonzero(y == label) for label in present[sizes >= 2]]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classdisco import cli, dataset, engine, selection
+from classdisco import cli, dataset, engine, seeds, selection
 from classdisco.cli import main
 from classdisco.clustering import KMeansConfig
 from classdisco.config import OOD_MODES, ConfigError, config_to_dict, parse_config
@@ -1059,6 +1059,40 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("runtime failure: non-finite loss")
+
+    def test_a_nan_feature_names_the_first_batch_holding_its_row(self, tmp_path):
+        """A NaN in one labeled row (no source can load one, so the run's loader is
+        wrapped): ``discover`` prints exactly one stderr line, which names epoch 0 and
+        the first batch of the shuffled training rows that holds the row."""
+        doc = base_config()
+        doc["adam"]["batch_size"] = 16
+        path = write_config(tmp_path, doc)
+        cfg = parse_config(doc)
+        rows = dataset.make_split(dataset.load_data(cfg.data), cfg.split).labeled_indices()
+        bad = int(rows[len(rows) // 2])
+        shuffled = rows[seeds.spawn(cfg.adam.seed, 0).permutation(len(rows))]
+        start = np.flatnonzero(shuffled == bad)[0] // 16 * 16
+        assert start > 0
+        code = (
+            "import dataclasses, sys\n"
+            "from classdisco import cli, engine\n"
+            "load = engine.load_data\n"
+            "def poisoned(source):\n"
+            "    data = load(source)\n"
+            "    x = data.features.copy()\n"
+            f"    x[{bad}, 0] = float('nan')\n"
+            "    return dataclasses.replace(data, features=x)\n"
+            "engine.load_data = poisoned\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", code, *_argv("discover", path, str(tmp_path / "o"))]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        want = f"runtime failure: non-finite loss in epoch 0, batch starting at sample {start}\n"
+        assert proc.stderr == want
 
     def test_a_data_file_name_with_a_newline_is_one_line(self, tmp_path, capsys):
         doc = base_config()

@@ -319,12 +319,16 @@ class TestFloat32MainModel:
         models += [m for name in ("_train_labeled", "expand_outputs") for (m, *_), _ in seen[name]]
         models += [out for name in ("_train_labeled", "expand_outputs") for _, out in seen[name]]
         assert {m.block.dtype for m in models} == {f32}
-        for _, (work, grads) in seen["_workspace"]:
-            assert {work.dtype, *(g.dtype for g in grads)} == {f32}
+        for _, ws in seen["_workspace"]:
+            arrays = [ws.work, *ws.grads, ws.zero, *ws.adam[2:]]
+            for b in ws.batches:
+                arrays += [b.onehot, b.loss, b.size, b.x, b.logits, b.logits_t, b.col]
+                arrays += sum(b.hidden, ())
+            assert {a.dtype for a in arrays} == {f32}
         for (model, x, _, _), (_, grads) in seen["loss_and_gradients"]:
             assert {model.block.dtype, x.dtype, *(g.dtype for g in grads)} == {f32}
-        for (model, work, _), _ in seen["_adam_update"]:
-            assert {model.block.dtype, work.dtype} == {f32}
+        for (model, ws), _ in seen["_adam_update"]:
+            assert {model.block.dtype, ws.work.dtype} == {f32}
         assert embeddings.dtype == f32
         assert {out.dtype for _, out in seen["embed"]} == {f32}
         for (points, *_), init in seen["kmeanspp_init"]:

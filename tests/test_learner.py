@@ -32,6 +32,15 @@ def toy_batch(seed=0, n=10, dim=8):
     return x, y
 
 
+def forward(model, x):
+    """Hidden activations (input first) and logits, one fresh array per layer, in the
+    dtype ``x`` and the model promote to."""
+    acts = [x]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+    return acts, acts[-1] @ model.weights[-1] + model.biases[-1]
+
+
 def separable_blobs(seed=3, n_per=60, dim=4):
     """Two blobs split by the plane x0 = 0; the closed-form threshold separates them."""
     rng = np.random.default_rng(seed)
@@ -116,7 +125,7 @@ class TestGradients:
         forward pass plus log-sum-exp it used to compute on its own."""
 
         def reference(model, x, y):
-            _, logits = learner._forward(model, x)
+            _, logits = forward(model, x)
             z = logits - logits.max(axis=1, keepdims=True)
             lse = np.log(np.exp(z).sum(axis=1))
             return float(np.mean(lse - z[np.arange(len(y)), y]))
@@ -219,12 +228,44 @@ class TestTraining:
         with pytest.raises(ValueError, match=match):
             cross_entropy(model, x, labels)
 
+    @pytest.mark.parametrize(
+        "labels,kind", [([0.9, 1.7], "float64"), (np.array([True, False]), "bool")]
+    )
+    def test_non_integer_labels_are_named_not_truncated(self, labels, kind):
+        """[0.9, 1.7] once trained and scored as the labels [0, 1]."""
+        x, _ = toy_batch(n=2)
+        model = init_model(TOY_NET, seed=0)
+        match = f"^labels must be integer class labels, not {kind}$"
+        with pytest.raises(ValueError, match=match):
+            cross_entropy(model, x, labels)
+        with pytest.raises(ValueError, match=match):
+            train_epochs(model, x, labels, AdamConfig(), epochs=1)
+
     def test_divergence_reported_with_batch(self):
         x, y = toy_batch()
         x[0, 0] = np.nan  # poisoned input surfaces as a non-finite loss
         model = init_model(TOY_NET, seed=0)
-        with pytest.raises(TrainingDivergedError, match="batch"):
-            train_epochs(model, x, y, AdamConfig(batch_size=4), epochs=1)
+        adam = AdamConfig(batch_size=4)
+        start = np.flatnonzero(seeds.spawn(adam.seed, 0).permutation(len(x)) == 0)[0] // 4 * 4
+        with pytest.raises(TrainingDivergedError) as caught:
+            train_epochs(model, x, y, adam, epochs=1)
+        assert str(caught.value) == f"non-finite loss in epoch 0, batch starting at sample {start}"
+
+    @pytest.mark.parametrize("rows", [None, np.arange(40)[::-1]])
+    def test_divergence_names_the_epoch_and_the_first_batch_holding_the_row(self, rows):
+        """Training goes on to the end of the epoch, whose batch losses are checked
+        there, in batch order: the error names the batch the step met the NaN in."""
+        x, y = toy_batch(n=40)
+        adam = AdamConfig(batch_size=8, seed=5)
+        model = train_epochs(init_model(TOY_NET, seed=0), x, y, adam, 2, rows=rows)
+        x[17, 3] = np.nan
+        order = np.arange(40) if rows is None else rows
+        shuffled = order[seeds.spawn(adam.seed, 2).permutation(40)]
+        start = np.flatnonzero(shuffled == 17)[0] // 8 * 8
+        assert start > 0  # a later batch than the first
+        with pytest.raises(TrainingDivergedError) as caught:
+            train_epochs(model, x, y, adam, 1, rows=rows)
+        assert str(caught.value) == f"non-finite loss in epoch 2, batch starting at sample {start}"
 
 
 class TestInference:
@@ -353,10 +394,12 @@ def reference_loss_and_gradients(params, x, y):
 
 
 class ReferenceTrainer:
-    """Minibatch Adam with one update expression per parameter array."""
+    """Minibatch Adam with one update expression per parameter array, in ``dtype``:
+    each batch is gathered and then cast, and each weight drawn in float64 and cast."""
 
-    def __init__(self, dims, seed):
-        self.params = reference_init(dims, seed)
+    def __init__(self, dims, seed, dtype=np.float64):
+        self.dtype = dtype
+        self.params = [p.astype(dtype) for p in reference_init(dims, seed)]
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.step = 0
@@ -370,7 +413,8 @@ class ReferenceTrainer:
             total = 0.0
             for start in range(0, n, adam.batch_size):
                 batch = order[start : start + adam.batch_size]
-                loss, grads = reference_loss_and_gradients(self.params, x[batch], y[batch])
+                xb = x[batch].astype(self.dtype)
+                loss, grads = reference_loss_and_gradients(self.params, xb, y[batch])
                 self.step += 1
                 bc1 = 1.0 - adam.beta1**self.step
                 bc2 = 1.0 - adam.beta2**self.step
@@ -387,11 +431,12 @@ class ReferenceTrainer:
     def expand_outputs(self, extra, seed):
         fan_in = self.params[-2].shape[0]
         cols = seeds.spawn(seed).normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, extra))
+        cols, zeros = cols.astype(self.dtype), np.zeros((fan_in, extra), self.dtype)
         self.params[-2] = np.concatenate([self.params[-2], cols], axis=1)
-        self.params[-1] = np.concatenate([self.params[-1], np.zeros(extra)])
+        self.params[-1] = np.concatenate([self.params[-1], zeros[0]])
         for moments in (self.m, self.v):
-            moments[-2] = np.concatenate([moments[-2], np.zeros((fan_in, extra))], axis=1)
-            moments[-1] = np.concatenate([moments[-1], np.zeros(extra)])
+            moments[-2] = np.concatenate([moments[-2], zeros], axis=1)
+            moments[-1] = np.concatenate([moments[-1], zeros[0]])
 
 
 def assert_same_state(model, ref):
@@ -416,6 +461,7 @@ def views_share_flat(model):
 
 
 class TestFlatTraining:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @settings(max_examples=40, deadline=None)
     @given(
         hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
@@ -427,20 +473,26 @@ class TestFlatTraining:
         epochs=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # two hidden layers, and a partial last batch of 2 rows
     @example(hidden=[8, 4], input_dim=6, classes=3, extra=2, n=50, batch_size=16, epochs=2, seed=0)
     # 480 steps: from step 356, 1 - beta1**t is exactly 1.0 and Adam skips its divide
     @example(hidden=[4], input_dim=8, classes=2, extra=1, n=60, batch_size=1, epochs=4, seed=1)
+    # the synth-dynamic scorer's 16-32-15 at batch 32, a partial last batch, 400 steps
+    @example(
+        hidden=[32], input_dim=16, classes=15, extra=2, n=100, batch_size=32, epochs=50, seed=2
+    )
     def test_matches_per_array_reference(
-        self, hidden, input_dim, classes, extra, n, batch_size, epochs, seed
+        self, dtype, hidden, input_dim, classes, extra, n, batch_size, epochs, seed
     ):
-        """Train, widen the softmax, train again: every float equals the per-array form."""
+        """Train, widen the softmax, train again: every float, moment and loss equals the
+        per-array form, in float64 and in float32 (each batch gathered and then cast)."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, input_dim))
         y = rng.integers(0, classes, n)
         adam = AdamConfig(batch_size=batch_size, seed=seed % 1000)
         net = NetworkConfig(input_dim=input_dim, output_classes=classes, hidden_dims=tuple(hidden))
-        model = init_model(net, seed=seed)
-        ref = ReferenceTrainer([input_dim, *hidden, classes], seed)
+        model = init_model(net, seed=seed, dtype=dtype)
+        ref = ReferenceTrainer([input_dim, *hidden, classes], seed, dtype)
         assert_same_state(model, ref)
 
         model = train_epochs(model, x, y, adam, epochs)
@@ -466,14 +518,14 @@ class TestFlatTraining:
         with mock.patch.object(
             learner, "loss_and_gradients", wraps=learner.loss_and_gradients
         ) as spy, mock.patch.object(
-            learner, "_workspace", lambda m: made.append(workspace(m)) or made[-1]
+            learner, "_workspace", lambda *args: made.append(workspace(*args)) or made[-1]
         ):
             trained = train_epochs(model, x, y, adam, epochs=3)
         assert spy.call_count == trained.step == 3 * 6  # ceil(45 / 8) steps per epoch
         assert views_share_flat(trained)
-        [(work, _)] = made  # one training workspace; every step's gradients are views of its row 0
-        grads = spy.call_args.args[3]
-        assert all(np.shares_memory(g, work[0]) for g in grads)
+        [ws] = made  # one training workspace; every step's gradients are views of its row 0
+        assert spy.call_args.args[3] is ws
+        assert all(np.shares_memory(g, ws.work[0]) for g in ws.grads)
 
         widened = expand_outputs(trained, 4, seed=1)
         assert views_share_flat(widened)
@@ -510,12 +562,13 @@ class TestLineAlignedRows:
         net = NetworkConfig(input_dim=784, output_classes=15, hidden_dims=(32,))
         model = init_model(net, seed=0, dtype=dtype)
         wider = expand_outputs(model, 16, seed=1)
-        work, grads = learner._workspace(model)
-        blocks = [model.block, model.copy().block, wider.block, work]
+        ws = learner._workspace(model, dtype, 100, 32)
+        blocks = [model.block, model.copy().block, wider.block, ws.work]
         for block, width in zip(blocks, [size, size, size + 33, size]):
-            assert block.dtype == dtype and block.shape == (3, width)
-            assert line_offsets(block) == [0, 0, 0]
-        assert [g.shape for g in grads] == [p.shape for p in model.params]
+            assert block.dtype == dtype and block.shape == (len(block), width)
+            assert line_offsets(block) == [0] * len(block)
+        assert len(ws.work) == 2  # the gradient and one Adam row: Adam reuses the gradient's
+        assert [g.shape for g in ws.grads] == [p.shape for p in model.params]
         assert model.flat_params.shape == model.flat_m.shape == (size,)
         assert model.copy().block.tobytes() == model.block.tobytes()
 
@@ -678,7 +731,7 @@ class TestInferenceRows:
         rows = np.random.default_rng(blocks).integers(0, len(x), n)
         net = NetworkConfig(input_dim=width, output_classes=6, hidden_dims=hidden)
         model = init_model(net, seed=1, dtype=dtype)
-        acts, logits = learner._forward(model, x[rows].astype(dtype))
+        acts, logits = forward(model, x[rows].astype(dtype))
         got = embed(model, x, rows=rows)
         assert got.dtype == dtype and got.shape == (n, hidden[-1]) and got.any()
         assert got.tobytes() == acts[-1].tobytes()
@@ -708,14 +761,18 @@ class TestInferenceRows:
         x, y = toy_batch(n=12)
         model = init_model(TOY_NET, seed=0)
         match = f"row {bad} is outside the 12 rows"
-        with mock.patch.object(learner, "_dense_relu", wraps=learner._dense_relu) as spy:
+        with mock.patch.object(
+            learner, "_dense_relu", wraps=learner._dense_relu
+        ) as spy, mock.patch.object(
+            learner, "loss_and_gradients", wraps=learner.loss_and_gradients
+        ) as step:
             for call in (embed, predict_proba):
                 with pytest.raises(ValueError, match=match):
                     call(model, x, rows=rows)
             labels = np.zeros(len(rows), dtype=np.int64)
             with pytest.raises(ValueError, match=match):
                 train_epochs(model, x, labels, AdamConfig(batch_size=2), 1, rows=rows)
-        assert spy.call_count == 0
+        assert spy.call_count == step.call_count == 0
         data = Dataset(x, np.full(12, UNLABELED), np.arange(12) % 2, ())
         with pytest.raises(ValueError, match=match):
             make_split(data, SplitSpec(held_out_classes={1}), rows=rows)
@@ -790,7 +847,7 @@ class TestFloat32Model:
         for name in ("flat_params", "flat_m", "flat_v"):
             assert getattr(narrow, name).dtype == np.float32
             assert np.array_equal(getattr(narrow, name), getattr(wide, name).astype(np.float32))
-        assert learner._workspace(narrow)[0].dtype == np.float32
+        assert learner._workspace(narrow, np.float32, 10, 4).work.dtype == np.float32
 
     def test_a_float32_embed_reads_its_pool_one_block_at_a_time(self):
         x = shared_matrix(784)

@@ -641,12 +641,16 @@ class TestLearnabilityFloat32:
         assert set(seen) == {*names, "predict_proba"}
         for _, model in seen["init_model"]:
             assert {model.flat_params.dtype, model.flat_m.dtype, model.flat_v.dtype} == {f32}
-        for _, (work, grads) in seen["_workspace"]:
-            assert {work.dtype, *(g.dtype for g in grads)} == {f32}
+        for _, ws in seen["_workspace"]:
+            arrays = [ws.work, *ws.grads, ws.zero, *ws.adam[2:]]
+            for b in ws.batches:
+                arrays += [b.onehot, b.loss, b.size, b.x, b.logits, b.logits_t, b.col]
+                arrays += sum(b.hidden, ())
+            assert {a.dtype for a in arrays} == {f32}
         for (model, x, _, _), (loss, grads) in seen["loss_and_gradients"]:
             assert {model.flat_params.dtype, x.dtype, *(g.dtype for g in grads)} == {f32}
-        for (model, work, _), _ in seen["_adam_update"]:
-            assert {model.flat_params.dtype, model.flat_m.dtype, work.dtype} == {f32}
+        for (model, ws), _ in seen["_adam_update"]:
+            assert {model.flat_params.dtype, model.flat_m.dtype, ws.work.dtype} == {f32}
         for (h, W, b, *_), out in seen["_dense_relu"]:
             assert {h.dtype, W.dtype, b.dtype, out.dtype} == {f32}
         assert [out.dtype for _, out in seen["predict_proba"]] == [f32]
@@ -717,6 +721,19 @@ class TestLearnabilityInputs:
         labels = np.zeros(n_labels, dtype=np.int64)
         with pytest.raises(ValueError, match=f"{n_labels} labels for 300 rows of features"):
             learnability_scores(x, np.repeat([0, 1, 2], 10), labels=labels, rows=range(30))
+
+    def test_non_integer_assignments_and_labels_are_named_not_truncated(self):
+        """``assignments + 0.6`` once scored as the integer assignments."""
+        x = np.random.default_rng(0).standard_normal((30, 2))
+        assignments = np.repeat([0, 1, 2], 10)
+        for bad, kind in ((assignments + 0.6, "float64"), (assignments > 0, "bool")):
+            match = f"^assignments must be integer cluster ids, not {kind}$"
+            with pytest.raises(ValueError, match=match):
+                learnability_scores(x, bad)
+        for bad, kind in ((np.zeros(30) + 0.6, "float64"), (np.zeros(30, bool), "bool")):
+            match = f"^labels must be integer class labels, not {kind}$"
+            with pytest.raises(ValueError, match=match):
+                learnability_scores(x, assignments, labels=bad)
 
     def test_rows_must_have_one_per_assignment(self):
         x = np.random.default_rng(0).standard_normal((300, 2))
